@@ -24,7 +24,7 @@ from .metrics import (
     sample,
     via_point_rmse,
 )
-from .poly import Polynomial, differentiate, eval_kinematics
+from .poly import Polynomial, differentiate
 from .reference import (
     CsvReference,
     PolynomialReference,

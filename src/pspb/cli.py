@@ -26,18 +26,15 @@ from .metrics import (
     sample,
     via_point_rmse,
 )
-from .reference import (
-    CsvReference,
-    SinusoidReference,
-    midpoint_sampler,
-    waypoints_from_reference,
-)
+from .reference import CsvReference, SinusoidReference, waypoints_from_reference
 from .schemes import (
     DEFAULT_STANCE_TIMES,
     DEFAULT_SWING_TIMES,
     SCHEME_NAMES,
+    PiecewiseTrajectory,
     Waypoint,
     builtin_scheme,
+    evaluate,
     generate_gait,
 )
 from .simulation import PDGains, simulate_tracking
@@ -110,10 +107,10 @@ class RunConfig:
                 raise ConfigError(f"reference.csv: file not found: {path}")
             return CsvReference.from_file(path)
         if spec.get("name") == "sinusoid":
-            return SinusoidReference(
-                amplitude=float(spec.get("amplitude", 30.0)),
-                period=float(spec.get("period", 1.0)),
-            )
+            period = float(spec.get("period", 1.0))
+            if not period > 0:
+                raise ConfigError(f"reference.period must be positive, got {period}")
+            return SinusoidReference(float(spec.get("amplitude", 30.0)), period)
         raise ConfigError(f"reference: expected 'csv' or name 'sinusoid', got {spec}")
 
     @staticmethod
@@ -157,7 +154,7 @@ class RunConfig:
         if self.midpoints is not None and phase in self.midpoints:
             return self.midpoints[phase]
         if self.reference is not None:
-            return midpoint_sampler(self.reference)
+            return lambda t: self.reference(t, 0)
         return None
 
     def build_gait(self, scheme_name: str):
@@ -172,17 +169,16 @@ class RunConfig:
 
 
 def run_generate(config: RunConfig, out: Path) -> None:
+    n = config.samples
     for name in config.schemes:
         traj = config.build_gait(name)
         rows = []
-        for phase in traj.segments[:3], traj.segments[3:]:
-            lo, hi = phase[0].t_start, phase[-1].t_end
-            for i in range(config.samples):
-                t = lo + (hi - lo) * i / (config.samples - 1)
-                idx = 0
-                while idx < len(phase) - 1 and t >= phase[idx + 1].t_start:
-                    idx += 1
-                rows.append([t, *phase[idx].kinematics(t)])
+        for phase in _sub_trajectory(traj, 0, 3), _sub_trajectory(traj, 3, 6):
+            lo, hi = phase.t_start, phase.t_end
+            times = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+            # The last grid time may round a hair past the phase end.
+            values = evaluate(phase, [min(t, hi) for t in times], slice(None))
+            rows += [[t, *v] for t, v in zip(times, values.T)]
         _write_csv(
             out / f"profile_{name}.csv",
             ["t", "position", "velocity", "acceleration", "jerk"],
@@ -248,8 +244,6 @@ def run_compare(config: RunConfig, out: Path) -> None:
 
 
 def _sub_trajectory(traj, lo, hi):
-    from .schemes import PiecewiseTrajectory
-
     return PiecewiseTrajectory(
         traj.segments[lo:hi], traj.boundary_orders[lo:hi],
         "stance" if lo == 0 else "swing",
@@ -311,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
             run_compare(config, out)
         else:
             run_benchmark(config, args.repetitions, out)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SingularSystem, NumericalBlowup) as exc:

@@ -9,6 +9,7 @@ most readers expect "average error" to mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +52,7 @@ def sample(traj: PiecewiseTrajectory, n: int = DEFAULT_SAMPLES,
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     times = np.linspace(traj.t_start, traj.t_end, n)
-    values = np.array([evaluate(traj, t, order) for t in times])
+    values = evaluate(traj, times, order)
     return SampledSeries(times, values, order, unit=f"deg/s^{order}" if order else "deg")
 
 
@@ -70,7 +71,7 @@ def rmse(a: SampledSeries, b: SampledSeries) -> float:
 def ade(a: SampledSeries, b: SampledSeries) -> float:
     """RMSE / sqrt(N); see module docstring for where this comes from."""
     _check_pair(a, b)
-    return rmse(a, b) / np.sqrt(len(a.values))
+    return rmse(a, b) / math.sqrt(len(a.values))
 
 
 def mae(a: SampledSeries, b: SampledSeries) -> float:
@@ -109,7 +110,7 @@ def via_point_rmse(
         clipped = lo < traj.t_start or hi > traj.t_end
         lo, hi = max(lo, traj.t_start), min(hi, traj.t_end)
         times = np.linspace(lo, hi, samples_per_window)
-        err = np.array([evaluate(traj, t, order) - reference(t, order) for t in times])
+        err = evaluate(traj, times, order) - [reference(t, order) for t in times]
         out.append(ViaWindowError(v, float(np.sqrt(np.mean(err**2))), (lo, hi), clipped))
     return out
 

@@ -2,8 +2,10 @@
 
 Coefficients are stored in ascending power over tau in [0, 1]. Keeping
 segment time normalized keeps the boundary-value systems well conditioned
-even for very short segments; physical units are recovered by
-``eval_kinematics`` with the segment duration.
+even for very short segments. ``differentiate`` gives the formal
+derivatives and ``horner`` evaluates one at a float or an array of tau;
+``SolvedSegment.kinematics`` combines the two and recovers physical units
+with the segment duration.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class Polynomial:
         object.__setattr__(self, "degree", len(coeffs) - 1)
 
 
-def eval(poly: Polynomial, t: float) -> float:
-    """Evaluate by Horner's scheme."""
+def horner(poly: Polynomial, t):
+    """Evaluate by Horner's scheme at a float or element-wise on an array."""
     acc = 0.0
     for c in reversed(poly.coefficients):
         acc = acc * t + c
@@ -52,20 +54,3 @@ def differentiate(poly: Polynomial, k: int) -> Polynomial:
     for _ in range(k):
         coeffs = [i * c for i, c in enumerate(coeffs)][1:] or [0.0]
     return Polynomial(tuple(coeffs))
-
-
-def eval_kinematics(
-    poly: Polynomial, t: float, t_start: float, duration_scale: float
-) -> tuple[float, float, float, float]:
-    """Position, velocity, acceleration, jerk at physical time t.
-
-    The polynomial lives on tau = (t - t_start) / T; the k-th physical
-    derivative picks up a 1/T^k chain-rule factor.
-    """
-    if duration_scale <= 0:
-        raise ValueError(f"duration_scale must be positive, got {duration_scale}")
-    tau = (t - t_start) / duration_scale
-    out = []
-    for k in range(MAX_DERIVATIVE + 1):
-        out.append(eval(differentiate(poly, k), tau) / duration_scale**k)
-    return tuple(out)

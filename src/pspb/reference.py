@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .poly import Polynomial, differentiate, horner
 from .schemes import Waypoint
 
 
@@ -39,10 +40,7 @@ class PolynomialReference:
     coefficients: tuple[float, ...]
 
     def __call__(self, t: float, order: int = 0) -> float:
-        coeffs = list(self.coefficients)
-        for _ in range(order):
-            coeffs = [i * c for i, c in enumerate(coeffs)][1:] or [0.0]
-        return float(np.polyval(coeffs[::-1], t))
+        return float(horner(differentiate(Polynomial(self.coefficients), order), t))
 
 
 class CsvReference:
@@ -106,8 +104,3 @@ def waypoints_from_reference(reference, times: Sequence[float]) -> list[Waypoint
         )
         for t in times
     ]
-
-
-def midpoint_sampler(reference):
-    """Mid-segment position hook for the '-2' schemes."""
-    return lambda t_mid: reference(t_mid, 0)

@@ -11,9 +11,10 @@ jump there.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     MissingWaypointDerivative,
@@ -21,6 +22,7 @@ from .errors import (
     OutOfDomain,
     UnknownScheme,
 )
+from .poly import MAX_DERIVATIVE
 from .solver import (
     MID_POINT,
     SEGMENT_END,
@@ -93,7 +95,6 @@ _SCHEME_TABLES: dict[str, tuple[tuple[int, ...], tuple[list, ...]]] = {
 }
 
 SCHEME_NAMES = tuple(_SCHEME_TABLES)
-SCHEME_FAMILIES = ("434", "545", "656")
 
 
 @dataclass(frozen=True)
@@ -185,15 +186,26 @@ class PiecewiseTrajectory:
         return tuple(s.t_start for s in self.segments[1:])
 
 
-def evaluate(traj: PiecewiseTrajectory, t: float, order: int = 0) -> float:
-    """Value of the given derivative order at time t (right-continuous)."""
-    if not traj.t_start <= t <= traj.t_end:
+def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
+    """Derivative order(s) at time(s) t; right-continuous at via times.
+
+    ``t`` is a float or an array; ``order`` is an int or a slice of the
+    orders 0..3. Array times give one row per selected order.
+    """
+    times = np.asarray(t, dtype=float)
+    inside = (traj.t_start <= times) & (times <= traj.t_end)
+    if not inside.all():
         raise OutOfDomain(
-            f"t={t} outside trajectory span [{traj.t_start}, {traj.t_end}]"
+            f"t={times[~inside][0]} outside trajectory span "
+            f"[{traj.t_start}, {traj.t_end}]"
         )
-    idx = bisect.bisect_right(traj.via_times, t)
-    idx = min(idx, len(traj.segments) - 1)
-    return traj.segments[idx].kinematics(t)[order]
+    idx = np.searchsorted(traj.via_times, times, side="right")
+    if times.ndim == 0:
+        return traj.segments[idx].kinematics(t)[order]
+    values = np.empty((MAX_DERIVATIVE + 1, *times.shape))
+    for i in np.unique(idx):
+        values[:, idx == i] = traj.segments[i].kinematics(times[idx == i])
+    return values[order]
 
 
 MidpointSource = Mapping[int, float] | Callable[[float], float] | None

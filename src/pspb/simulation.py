@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBlowup
-from .metrics import SampledSeries
+from .metrics import SampledSeries, ade, rmse
 from .schemes import PiecewiseTrajectory, evaluate
 
 GRAVITY = 9.81  # m/s^2
@@ -128,13 +128,9 @@ def simulate_tracking(
 
     deg = math.pi / 180.0
 
-    def reference(t: float) -> tuple[float, float, float]:
-        return (evaluate(traj, t, 0) * deg,
-                evaluate(traj, t, 1) * deg,
-                evaluate(traj, t, 2) * deg)
-
     def deriv(t: float, state: SimState) -> tuple[float, float]:
-        pos, vel, acc = reference(min(t, traj.t_end))
+        pos, vel, acc = (v * deg for v in
+                         evaluate(traj, min(t, traj.t_end), slice(3)))
         torque = pd_torque(state, pos, vel, gains,
                            acc if feedforward else None, thigh)
         if gravity_compensation:
@@ -145,9 +141,9 @@ def simulate_tracking(
     times = traj.t_start + dt * np.arange(n_steps + 1)
     times[-1] = traj.t_end
 
-    p0, v0, _ = reference(traj.t_start)
+    p0, v0 = (v * deg for v in evaluate(traj, traj.t_start, slice(2)))
     state = SimState(p0, v0)
-    thetas, omegas, refs = [state.theta], [state.omega], [p0]
+    thetas, omegas = [p0], [v0]
     for i in range(n_steps):
         step = times[i + 1] - times[i]
         state = rk4_step(deriv, times[i], state, step)
@@ -157,16 +153,15 @@ def simulate_tracking(
             )
         thetas.append(state.theta)
         omegas.append(state.omega)
-        refs.append(reference(times[i + 1])[0])
 
-    err = np.array(thetas) - np.array(refs)
-    rmse = float(np.sqrt(np.mean(err**2)))
+    angle = SampledSeries(times, np.array(thetas), 0, "rad")
+    reference_angle = SampledSeries(times, evaluate(traj, times, 0) * deg, 0, "rad")
     return TrackingResult(
-        angle=SampledSeries(times, np.array(thetas), 0, "rad"),
+        angle=angle,
         velocity=SampledSeries(times, np.array(omegas), 1, "rad/s"),
-        reference_angle=SampledSeries(times, np.array(refs), 0, "rad"),
-        rmse=rmse,
-        ade=rmse / math.sqrt(len(err)),
+        reference_angle=reference_angle,
+        rmse=rmse(angle, reference_angle),
+        ade=ade(angle, reference_angle),
     )
 
 

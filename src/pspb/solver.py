@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import poly as _poly
 from .errors import ConstraintCountMismatch, SingularSystem
-from .poly import MAX_DERIVATIVE, Polynomial
+from .poly import MAX_DERIVATIVE, Polynomial, differentiate, horner
 
 ORDER_NAMES = ("position", "velocity", "acceleration", "jerk")
 
@@ -75,8 +75,22 @@ class SolvedSegment:
     def duration(self) -> float:
         return self.t_end - self.t_start
 
-    def kinematics(self, t: float) -> tuple[float, float, float, float]:
-        return _poly.eval_kinematics(self.polynomial, t, self.t_start, self.duration)
+    @cached_property
+    def _derivatives(self) -> tuple[Polynomial, ...]:
+        # Built on first evaluation so that solving alone never pays for it.
+        return tuple(differentiate(self.polynomial, k)
+                     for k in range(MAX_DERIVATIVE + 1))
+
+    def kinematics(self, t):
+        """Position, velocity, acceleration, jerk at physical time(s) t.
+
+        ``t`` is a float or an array. The polynomial lives on
+        tau = (t - t_start) / T; the k-th physical derivative picks up a
+        1/T^k chain-rule factor.
+        """
+        T = self.duration
+        tau = (t - self.t_start) / T
+        return tuple(horner(d, tau) / T**k for k, d in enumerate(self._derivatives))
 
 
 def _basis_row(degree: int, order: int, tau: float, duration: float) -> np.ndarray:
@@ -131,12 +145,10 @@ def solve_segment(
 
 def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[float]:
     """|achieved - specified| per constraint, in physical units."""
-    out = []
-    for c in constraints:
-        deriv = _poly.differentiate(segment.polynomial, c.order)
-        achieved = _poly.eval(deriv, c.anchor.tau) / segment.duration**c.order
-        out.append(abs(achieved - c.value))
-    return out
+    taus = np.array([c.anchor.tau for c in constraints])
+    achieved = segment.kinematics(segment.t_start + taus * segment.duration)
+    return [abs(float(achieved[c.order][i]) - c.value)
+            for i, c in enumerate(constraints)]
 
 
 def _describe(constraints: list[Constraint]) -> str:

@@ -149,6 +149,15 @@ def test_bad_config_exit_codes(tmp_path, config_path):
     bad_times = config_path({**BASE, "stance_times": [0, 0.5, 0.4, 0.6]}, "t.json")
     assert main(["generate", "--config", bad_times, "--out", str(tmp_path)]) == 2
 
+    for name, cfg in {
+        "dt": {**BASE, "schemes": ["434-1"], "sim": {"enabled": True, "dt": 0.5}},
+        "kp": {**BASE, "sim": {"kp": -1}},
+        "samples": {**BASE, "samples": "abc"},
+        "period": {"reference": {"name": "sinusoid", "period": 0}},
+    }.items():
+        path = config_path(cfg, f"{name}.json")
+        assert main(["generate", "--config", path, "--out", str(tmp_path)]) == 2, name
+
 
 def test_csv_reference_roundtrip(tmp_path, config_path):
     ref = SinusoidReference(20.0, 1.0)

@@ -3,21 +3,22 @@ import pytest
 
 from pspb import poly
 from pspb.poly import Polynomial
+from pspb.solver import SolvedSegment
 
 
 def test_zero_polynomial():
-    assert poly.eval(Polynomial((0,)), 5.0) == 0.0
+    assert poly.horner(Polynomial((0,)), 5.0) == 0.0
 
 
 def test_hand_solved_cubic():
     # p(0)=0, p'(0)=0, p(1)=1, p'(1)=0 -> 3t^2 - 2t^3
     p = Polynomial((0, 0, 3, -2))
-    assert poly.eval(p, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert poly.eval(p, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert poly.horner(p, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert poly.horner(p, 0.5) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_square_binomial():
-    assert poly.eval(Polynomial((1, 2, 1)), 2.0) == 9.0
+    assert poly.horner(Polynomial((1, 2, 1)), 2.0) == 9.0
 
 
 def test_degree_is_structural():
@@ -51,23 +52,23 @@ def test_differentiate_rejects_out_of_range(k):
 
 def test_eval_kinematics_linear_ramp():
     # slope 1 in normalized time over T=2 -> physical velocity 0.5
-    out = poly.eval_kinematics(Polynomial((0, 1)), 1.0, 0.0, 2.0)
+    out = SolvedSegment(Polynomial((0, 1)), 0.0, 2.0, 1.0).kinematics(1.0)
     assert out == pytest.approx((0.5, 0.5, 0.0, 0.0))
 
 
 def test_eval_kinematics_cubic_at_zero():
-    out = poly.eval_kinematics(Polynomial((0, 0, 3, -2)), 0.0, 0.0, 1.0)
+    out = SolvedSegment(Polynomial((0, 0, 3, -2)), 0.0, 1.0, 1.0).kinematics(0.0)
     assert out == pytest.approx((0.0, 0.0, 6.0, -12.0))
 
 
 def test_eval_kinematics_constant():
-    out = poly.eval_kinematics(Polynomial((4.2,)), 0.3, 0.0, 1.7)
+    out = SolvedSegment(Polynomial((4.2,)), 0.0, 1.7, 1.0).kinematics(0.3)
     assert out == pytest.approx((4.2, 0.0, 0.0, 0.0))
 
 
 def test_eval_kinematics_rejects_bad_duration():
     with pytest.raises(ValueError):
-        poly.eval_kinematics(Polynomial((1,)), 0.0, 0.0, 0.0)
+        SolvedSegment(Polynomial((1,)), 0.0, 0.0, 1.0)
 
 
 def test_derivative_matches_finite_difference():
@@ -77,8 +78,8 @@ def test_derivative_matches_finite_difference():
         degree = rng.integers(0, 7)
         p = Polynomial(tuple(rng.uniform(-10, 10, degree + 1)))
         t = rng.uniform(0, 1)
-        exact = poly.eval(poly.differentiate(p, 1), t)
-        fd = (poly.eval(p, t + h) - poly.eval(p, t - h)) / (2 * h)
+        exact = poly.horner(poly.differentiate(p, 1), t)
+        fd = (poly.horner(p, t + h) - poly.horner(p, t - h)) / (2 * h)
         assert abs(exact - fd) <= 1e-5 * (1 + abs(exact))
 
 
@@ -97,7 +98,7 @@ def test_eval_is_linear():
         a, b = rng.uniform(-10, 10, 2)
         pc, qc = rng.uniform(-10, 10, n), rng.uniform(-10, 10, n)
         t = rng.uniform(0, 1)
-        combined = poly.eval(Polynomial(tuple(a * pc + b * qc)), t)
-        separate = a * poly.eval(Polynomial(tuple(pc)), t) \
-            + b * poly.eval(Polynomial(tuple(qc)), t)
+        combined = poly.horner(Polynomial(tuple(a * pc + b * qc)), t)
+        separate = a * poly.horner(Polynomial(tuple(pc)), t) \
+            + b * poly.horner(Polynomial(tuple(qc)), t)
         assert combined == pytest.approx(separate, rel=1e-12, abs=1e-12)

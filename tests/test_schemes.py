@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pspb import poly
 from pspb.errors import (
     MissingWaypointDerivative,
     NonContiguousPhases,
@@ -166,6 +167,42 @@ def test_evaluate_out_of_domain():
         evaluate(traj, -0.1, 0)
     with pytest.raises(OutOfDomain):
         evaluate(traj, 0.61, 0)
+    with pytest.raises(OutOfDomain):
+        evaluate(traj, np.array([0.0, 0.3, 0.61]), 0)
+    with pytest.raises(OutOfDomain):
+        evaluate(traj, np.array([-0.1, 0.3]), slice(None))
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_evaluate_array_matches_scalar_bitwise(name):
+    ref = generic_reference(5)
+    traj = generate_gait(
+        builtin_scheme(name),
+        waypoints_from_reference(ref, STANCE),
+        waypoints_from_reference(ref, SWING),
+        lambda t: ref(t, 0),
+        lambda t: ref(t, 0),
+    )
+    times = np.union1d(np.linspace(traj.t_start, traj.t_end, 37),
+                       [traj.t_start, *traj.via_times, traj.t_end])
+    table = evaluate(traj, times, slice(None))
+    assert table.shape == (4, len(times))
+    for order in range(4):
+        column = evaluate(traj, times, order)
+        scalar = np.array([evaluate(traj, t, order) for t in times])
+        assert np.array_equal(column, scalar)
+        assert np.array_equal(table[order], scalar)
+        # Loop reference: last segment starting at or before t, then Horner
+        # on the formal derivative over tau, then the 1/T^k factor.
+        loop = []
+        for t in times:
+            seg = [s for s in traj.segments if s.t_start <= t][-1]
+            tau = (t - seg.t_start) / seg.duration
+            deriv = poly.differentiate(seg.polynomial, order)
+            loop.append(poly.horner(deriv, tau) / seg.duration**order)
+        assert np.array_equal(scalar, loop)
+    for t, row in zip(times, table.T):
+        assert np.array_equal(row[:3], evaluate(traj, t, slice(3)))
 
 
 def test_evaluate_right_continuous_at_via():

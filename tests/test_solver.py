@@ -50,8 +50,8 @@ def test_table_quartic_segment():
     ]
     seg = solve_segment(4, cons, 0.0, 1.0)
     assert max(residuals(seg, cons)) <= 1e-12
-    assert poly.eval(seg.polynomial, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert poly.eval(seg.polynomial, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert poly.horner(seg.polynomial, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert poly.horner(seg.polynomial, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_homogeneous_system_gives_zero_polynomial():

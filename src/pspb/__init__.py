@@ -44,14 +44,10 @@ from .schemes import (
     generate_phase,
 )
 from .solver import (
-    MID_POINT,
     SEGMENT_END,
     SEGMENT_START,
-    Anchor,
     Constraint,
     SolvedSegment,
-    assemble_system,
-    at_tau,
     residuals,
     solve_segment,
 )
@@ -66,4 +62,16 @@ from .simulation import (
     simulate_tracking,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConfigError", "ConstraintCountMismatch", "MissingWaypointDerivative",
+    "NonContiguousPhases", "NumericalBlowup", "OutOfDomain", "PspbError",
+    "SeriesMismatch", "SingularSystem", "UnknownScheme", "ContinuityReport",
+    "SampledSeries", "ade", "continuity_report", "mae", "rmse", "sample",
+    "via_point_rmse", "Polynomial", "differentiate", "CsvReference",
+    "PolynomialReference", "SinusoidReference", "waypoints_from_reference",
+    "DEFAULT_STANCE_TIMES", "DEFAULT_SWING_TIMES", "SCHEME_NAMES",
+    "PiecewiseTrajectory", "SchemeSpec", "Waypoint", "builtin_scheme", "evaluate",
+    "generate_gait", "generate_phase", "SEGMENT_END", "SEGMENT_START", "Constraint",
+    "SolvedSegment", "residuals", "solve_segment", "THIGH", "TRUNK", "BodyParams",
+    "PDGains", "SimState", "hip_dynamics", "pd_torque", "simulate_tracking",
+]

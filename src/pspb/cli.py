@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -67,6 +68,9 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         self.schemes = raw.get("schemes", list(SCHEME_NAMES))
+        if not (isinstance(self.schemes, list)
+                and all(isinstance(s, str) for s in self.schemes)):
+            raise ConfigError(f"schemes: expected a list of names, got {self.schemes}")
         unknown = [s for s in self.schemes if s not in SCHEME_NAMES]
         if unknown:
             raise ConfigError(f"schemes: unknown scheme(s) {unknown}")
@@ -80,7 +84,9 @@ class RunConfig:
         self.via_window = float(raw.get("via_window", DEFAULT_VIA_WINDOW))
         if self.via_window <= 0:
             raise ConfigError("via_window must be positive")
-        self.reference = self._reference(raw.get("reference"))
+        self.reference = self._reference(
+            raw.get("reference"), (self.stance_times[0], self.swing_times[-1])
+        )
         self.waypoints = self._waypoints(raw.get("waypoints"))
         self.midpoints = self._midpoints(raw.get("midpoints"))
         sim = raw.get("sim", {})
@@ -98,19 +104,31 @@ class RunConfig:
         return times
 
     @staticmethod
-    def _reference(spec):
+    def _reference(spec, span):
         if spec is None:
             return None
+        if not isinstance(spec, dict):
+            raise ConfigError(f"reference must be a JSON object, got {spec!r}")
         if "csv" in spec:
             path = Path(spec["csv"])
             if not path.exists():
                 raise ConfigError(f"reference.csv: file not found: {path}")
-            return CsvReference.from_file(path)
+            ref = CsvReference.from_file(path)
+            if not ref.times[0] <= span[0] <= span[1] <= ref.times[-1]:
+                raise ConfigError(
+                    f"reference.csv: times [{ref.times[0]:g}, {ref.times[-1]:g}] "
+                    f"do not cover the gait [{span[0]:g}, {span[1]:g}]"
+                )
+            return ref
         if spec.get("name") == "sinusoid":
+            amplitude = float(spec.get("amplitude", 30.0))
             period = float(spec.get("period", 1.0))
-            if not period > 0:
-                raise ConfigError(f"reference.period must be positive, got {period}")
-            return SinusoidReference(float(spec.get("amplitude", 30.0)), period)
+            if not (math.isfinite(amplitude) and 0 < period < math.inf):
+                raise ConfigError(
+                    "reference: amplitude must be finite and period positive and "
+                    f"finite, got amplitude {amplitude}, period {period}"
+                )
+            return SinusoidReference(amplitude, period)
         raise ConfigError(f"reference: expected 'csv' or name 'sinusoid', got {spec}")
 
     @staticmethod

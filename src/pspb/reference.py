@@ -73,7 +73,7 @@ class CsvReference:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = [h.strip().lower() for h in next(reader, [])]
-            if not header or header[0] != "t" or header[1] != "pos":
+            if header[:2] != ["t", "pos"]:
                 raise ConfigError(
                     f"{path}: expected header starting with t,pos, got {header}"
                 )

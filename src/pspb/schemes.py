@@ -23,19 +23,12 @@ from .errors import (
     UnknownScheme,
 )
 from .poly import MAX_DERIVATIVE
-from .solver import (
-    MID_POINT,
-    SEGMENT_END,
-    SEGMENT_START,
-    Anchor,
-    Constraint,
-    SolvedSegment,
-    solve_segment,
-)
+from .solver import SEGMENT_END, SEGMENT_START, Constraint, SolvedSegment, solve_segment
 
-START, MID, END = "start", "mid", "end"
+# Where a constraint sits, as normalized segment time tau.
+START, MID, END = SEGMENT_START, 0.5, SEGMENT_END
 
-# (side, derivative order) per segment, in solve order. P=0, V=1, A=2, J=3.
+# (tau, derivative order) per segment, in solve order. P=0, V=1, A=2, J=3.
 _PVA = [(START, 0), (START, 1), (START, 2), (END, 0), (END, 1), (END, 2)]
 _PV_PV = [(START, 0), (START, 1), (END, 0), (END, 1)]
 
@@ -121,7 +114,7 @@ class SchemeSpec:
 
     name: str
     segment_degrees: tuple[int, int, int]
-    segment_constraints: tuple[tuple[tuple[str, int], ...], ...]
+    segment_constraints: tuple[tuple[tuple[float, int], ...], ...]
 
     def __post_init__(self):
         for degree, cons in zip(self.segment_degrees, self.segment_constraints):
@@ -130,17 +123,17 @@ class SchemeSpec:
                     f"scheme {self.name}: segment of degree {degree} has "
                     f"{len(cons)} constraints, needs {degree + 1}"
                 )
-            if any(side == MID and order != 0 for side, order in cons):
+            if any(tau == MID and order != 0 for tau, order in cons):
                 raise ValueError("mid-point constraints must be position-only")
 
     @property
     def family(self) -> str:
         return "".join(str(d) for d in self.segment_degrees)
 
-    def boundary_orders(self, segment: int, side: str) -> frozenset[int]:
-        """Derivative orders constrained at one end of one segment."""
+    def boundary_orders(self, segment: int, side: float) -> frozenset[int]:
+        """Derivative orders constrained at one end (START or END) of one segment."""
         return frozenset(
-            order for s, order in self.segment_constraints[segment] if s == side
+            order for tau, order in self.segment_constraints[segment] if tau == side
         )
 
 
@@ -224,8 +217,8 @@ def generate_phase(
     ``midpoint_positions`` supplies mid-segment position pins for the "-2"
     variants: either a mapping from segment index to position or a callable
     sampled at the segment's mid time. ``side_overrides`` maps
-    (segment, side, order) to a value that replaces the shared waypoint
-    value on that side only; it exists to reproduce deliberately
+    (segment, START or END, order) to a value that replaces the shared
+    waypoint value on that side only; it exists to reproduce deliberately
     mismatched via-point values.
     """
     if len(waypoints) != 4:
@@ -239,18 +232,15 @@ def generate_phase(
     for i in range(3):
         w_start, w_end = waypoints[i], waypoints[i + 1]
         constraints = []
-        for side, order in scheme.segment_constraints[i]:
-            if side == MID:
+        for tau, order in scheme.segment_constraints[i]:
+            if tau == MID:
                 value = _midpoint_value(
                     midpoint_positions, i, 0.5 * (w_start.time + w_end.time), scheme
                 )
-                constraints.append(Constraint(0, MID_POINT, value))
-                continue
-            anchor = SEGMENT_START if side == START else SEGMENT_END
-            waypoint = w_start if side == START else w_end
-            if side_overrides and (i, side, order) in side_overrides:
-                value = side_overrides[(i, side, order)]
+            elif side_overrides and (i, tau, order) in side_overrides:
+                value = side_overrides[(i, tau, order)]
             else:
+                waypoint = w_start if tau == START else w_end
                 value = waypoint.derivative(order)
                 if value is None:
                     raise MissingWaypointDerivative(
@@ -258,7 +248,7 @@ def generate_phase(
                         f"derivative order {order} at t={waypoint.time}, "
                         "but the waypoint does not define it"
                     )
-            constraints.append(Constraint(order, anchor, value))
+            constraints.append(Constraint(order, tau, value))
         segments.append(solve_segment(
             scheme.segment_degrees[i], constraints, w_start.time, w_end.time
         ))

@@ -1,17 +1,20 @@
 """Boundary-value solves: kinematic constraints -> segment polynomial.
 
-Each segment is an exactly determined linear system in the coefficients:
-one row per constraint, evaluated on normalized time tau in [0, 1] with
-duration factors 1/T^k carrying the right-hand side in physical units.
-The systems are at most 7x7 (degree 6), so a direct dense solve with
-partial pivoting is used.
+A segment's polynomial lives on normalized time tau = (t - t_start) / T in
+[0, 1]. Each constraint pins the k-th derivative at some tau, so its row
+in the linear system is d^k/dtau^k of the monomials at tau: the matrix
+depends only on the degree and the (order, tau) pairs, never on the
+duration or the values. The physical value v enters the right-hand side
+as v * T^k (chain rule). Each distinct template's matrix and condition
+number are therefore built once and cached, and a solve is one dense
+solve with partial pivoting (at most 7x7, degree 6).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -19,43 +22,23 @@ from .errors import ConstraintCountMismatch, SingularSystem
 from .poly import MAX_DERIVATIVE, Polynomial, differentiate, horner
 
 ORDER_NAMES = ("position", "velocity", "acceleration", "jerk")
-
-
-@dataclass(frozen=True)
-class Anchor:
-    """Location of a constraint inside a segment, as normalized time."""
-
-    tau: float
-    is_midpoint: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"anchor tau must be in [0, 1], got {self.tau}")
-
-
-SEGMENT_START = Anchor(0.0)
-SEGMENT_END = Anchor(1.0)
-# The mid-point position constraint sits at tau = 0.5; overridable via at_tau.
-MID_POINT = Anchor(0.5, is_midpoint=True)
-
-
-def at_tau(tau: float) -> Anchor:
-    return Anchor(tau)
+SEGMENT_START = 0.0
+SEGMENT_END = 1.0
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """Prescribed k-th derivative value at an anchor, in physical units."""
+    """Prescribed k-th derivative value, in physical units, at normalized time tau."""
 
     order: int
-    anchor: Anchor
+    tau: float
     value: float
 
     def __post_init__(self):
         if not 0 <= self.order <= MAX_DERIVATIVE:
             raise ValueError(f"constraint order must be in [0, 3], got {self.order}")
-        if self.anchor.is_midpoint and self.order != 0:
-            raise ValueError("mid-point anchor only carries position constraints")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValueError(f"constraint tau must be in [0, 1], got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -93,65 +76,47 @@ class SolvedSegment:
         return tuple(horner(d, tau) / T**k for k, d in enumerate(self._derivatives))
 
 
-def _basis_row(degree: int, order: int, tau: float, duration: float) -> np.ndarray:
-    """Row of the system: d^k/dtau^k of each monomial at tau, scaled by T^-k."""
-    row = np.zeros(degree + 1)
-    for j in range(order, degree + 1):
-        row[j] = math.perm(j, order) * tau ** (j - order)
-    return row / duration**order
-
-
-def assemble_system(
-    degree: int, constraints: list[Constraint], duration: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build the square (degree+1) system; rhs stays in physical units."""
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if len(constraints) != degree + 1:
+@lru_cache(maxsize=256)
+def _template(degree: int, pins: tuple[tuple[int, float], ...]):
+    """Read-only tau-space matrix of the (order, tau) pins, and its
+    infinity-norm condition number."""
+    if len(pins) != degree + 1:
         raise ConstraintCountMismatch(
-            f"degree {degree} needs exactly {degree + 1} constraints, "
-            f"got {len(constraints)}"
+            f"degree {degree} needs exactly {degree + 1} constraints, got {len(pins)}"
         )
-    matrix = np.vstack(
-        [_basis_row(degree, c.order, c.anchor.tau, duration) for c in constraints]
-    )
-    rhs = np.array([c.value for c in constraints])
-    return matrix, rhs
+    matrix = np.array([
+        [math.perm(j, k) * tau ** (j - k) if j >= k else 0.0 for j in range(degree + 1)]
+        for k, tau in pins
+    ])
+    cond = float(np.linalg.cond(matrix, np.inf))
+    if not math.isfinite(cond):
+        raise SingularSystem(f"constraint matrix is singular: {_describe(pins)}")
+    matrix.setflags(write=False)
+    return matrix, cond
 
 
 def solve_segment(
     degree: int, constraints: list[Constraint], t_start: float, t_end: float
 ) -> SolvedSegment:
     """Solve the boundary-value system for one segment."""
+    pins = tuple((c.order, c.tau) for c in constraints)
+    matrix, cond = _template(degree, pins)
     duration = t_end - t_start
-    matrix, rhs = assemble_system(degree, constraints, duration)
-    try:
-        inv = np.linalg.inv(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            f"constraint matrix is singular: {_describe(constraints)}"
-        ) from exc
-    # Cheap infinity-norm condition bound; diagnostics only.
-    cond = float(
-        np.abs(matrix).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
-    )
-    coeffs = np.linalg.solve(matrix, rhs)
+    coeffs = np.linalg.solve(matrix, [c.value * duration**c.order for c in constraints])
     if not np.all(np.isfinite(coeffs)):
         raise SingularSystem(
-            f"solve produced non-finite coefficients: {_describe(constraints)}"
+            f"solve produced non-finite coefficients: {_describe(pins)}"
         )
     return SolvedSegment(Polynomial(tuple(coeffs)), t_start, t_end, cond)
 
 
 def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[float]:
     """|achieved - specified| per constraint, in physical units."""
-    taus = np.array([c.anchor.tau for c in constraints])
+    taus = np.array([c.tau for c in constraints])
     achieved = segment.kinematics(segment.t_start + taus * segment.duration)
     return [abs(float(achieved[c.order][i]) - c.value)
             for i, c in enumerate(constraints)]
 
 
-def _describe(constraints: list[Constraint]) -> str:
-    return ", ".join(
-        f"{ORDER_NAMES[c.order]}@tau={c.anchor.tau:g}" for c in constraints
-    )
+def _describe(pins: tuple[tuple[int, float], ...]) -> str:
+    return ", ".join(f"{ORDER_NAMES[k]}@tau={tau:g}" for k, tau in pins)

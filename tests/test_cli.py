@@ -149,11 +149,18 @@ def test_bad_config_exit_codes(tmp_path, config_path):
     bad_times = config_path({**BASE, "stance_times": [0, 0.5, 0.4, 0.6]}, "t.json")
     assert main(["generate", "--config", bad_times, "--out", str(tmp_path)]) == 2
 
+    t_only = tmp_path / "t_only.csv"
+    t_only.write_text("t\n0\n1\n")
     for name, cfg in {
         "dt": {**BASE, "schemes": ["434-1"], "sim": {"enabled": True, "dt": 0.5}},
         "kp": {**BASE, "sim": {"kp": -1}},
         "samples": {**BASE, "samples": "abc"},
         "period": {"reference": {"name": "sinusoid", "period": 0}},
+        "ref_string": {"reference": "sinusoid"},
+        "header_t_only": {"reference": {"csv": str(t_only)}},
+        "amplitude_nan": {"reference": {"name": "sinusoid", "amplitude": math.nan}},
+        "period_inf": {"reference": {"name": "sinusoid", "period": math.inf}},
+        "schemes_string": {**BASE, "schemes": "434-1"},
     }.items():
         path = config_path(cfg, f"{name}.json")
         assert main(["generate", "--config", path, "--out", str(tmp_path)]) == 2, name
@@ -176,6 +183,17 @@ def test_csv_reference_roundtrip(tmp_path, config_path):
     cfg = {**BASE, "reference": {"csv": str(path)}, "schemes": ["656-2"]}
     out = tmp_path / "out"
     assert main(["compare", "--config", config_path(cfg), "--out", str(out)]) == 0
+
+
+def test_csv_reference_must_cover_gait(tmp_path, config_path, capsys):
+    ref = SinusoidReference(20.0, 1.0)
+    lines = ["t,pos"] + [f"{t:.12g},{ref(t, 0):.12g}" for t in np.linspace(0, 0.3, 31)]
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = config_path({"reference": {"csv": str(path)}})
+    for verb in ("generate", "compare"):
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / verb)]) == 2
+        assert "do not cover the gait [0, 1]" in capsys.readouterr().err
 
 
 def test_csv_reference_derivatives_by_differences(tmp_path):

@@ -1,30 +1,51 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 
-from pspb import poly
+import pspb
+from pspb import poly, solver
 from pspb.errors import ConstraintCountMismatch, SingularSystem
+from pspb.schemes import MID, SchemeSpec
 from pspb.solver import (
-    MID_POINT,
     SEGMENT_END,
     SEGMENT_START,
     Constraint,
-    assemble_system,
-    at_tau,
     residuals,
     solve_segment,
 )
 
 
-def c(order, anchor, value):
-    return Constraint(order, anchor, value)
+def c(order, tau, value):
+    return Constraint(order, tau, value)
 
 
-def test_assemble_linear_interpolation_system():
-    matrix, rhs = assemble_system(
-        1, [c(0, SEGMENT_START, 0.0), c(0, SEGMENT_END, 1.0)], 1.0
-    )
+def test_linear_interpolation_template():
+    matrix, cond = solver._template(1, ((0, SEGMENT_START), (0, SEGMENT_END)))
     assert np.array_equal(matrix, [[1, 0], [1, 1]])
-    assert np.array_equal(rhs, [0, 1])
+    assert not matrix.flags.writeable
+    assert cond == 4.0
+    seg = solve_segment(
+        1, [c(0, SEGMENT_START, 0.0), c(0, SEGMENT_END, 1.0)], 0.0, 2.0
+    )
+    assert seg.polynomial.coefficients == (0.0, 1.0)
+
+
+def test_repeated_template_is_not_rebuilt(monkeypatch):
+    cons = [c(0, SEGMENT_START, 1.0), c(1, SEGMENT_START, -2.0),
+            c(0, SEGMENT_END, 4.0), c(1, SEGMENT_END, 0.5)]
+    first = solve_segment(3, cons, 0.0, 1.0)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("template matrix was inverted again")
+
+    monkeypatch.setattr(np.linalg, "inv", rebuilt)
+    monkeypatch.setattr(np.linalg, "cond", rebuilt)
+    flipped = [c(x.order, x.tau, -x.value) for x in cons]
+    again = solve_segment(3, flipped, 2.0, 2.3)
+    assert again.condition_estimate == first.condition_estimate
+    assert max(residuals(again, flipped)) < 1e-12
 
 
 def test_cubic_boundary_system_solution():
@@ -39,7 +60,7 @@ def test_cubic_boundary_system_solution():
 
 def test_underdetermined_rejected():
     with pytest.raises(ConstraintCountMismatch):
-        assemble_system(3, [c(0, SEGMENT_START, 0)] * 3, 1.0)
+        solve_segment(3, [c(0, SEGMENT_START, 0)] * 3, 0.0, 1.0)
 
 
 def test_table_quartic_segment():
@@ -65,7 +86,7 @@ def test_homogeneous_system_gives_zero_polynomial():
 
 def test_contradictory_positions_raise():
     cons = [
-        c(0, SEGMENT_START, 0), c(0, at_tau(0.0), 1), c(1, SEGMENT_START, 0),
+        c(0, SEGMENT_START, 0), c(0, 0.0, 1), c(1, SEGMENT_START, 0),
         c(0, SEGMENT_END, 1), c(1, SEGMENT_END, 0), c(2, SEGMENT_END, 0),
     ]
     with pytest.raises(SingularSystem):
@@ -73,8 +94,19 @@ def test_contradictory_positions_raise():
 
 
 def test_midpoint_anchor_rejects_derivatives():
-    with pytest.raises(ValueError):
-        Constraint(1, MID_POINT, 0.0)
+    cubic = ((SEGMENT_START, 0), (SEGMENT_START, 1), (SEGMENT_END, 0), (SEGMENT_END, 1))
+    SchemeSpec("ok", (3, 3, 3), (cubic,) * 3)
+    mid_velocity = ((SEGMENT_START, 0), (MID, 1), (SEGMENT_END, 0), (SEGMENT_END, 1))
+    with pytest.raises(ValueError, match="position-only"):
+        SchemeSpec("mid-velocity", (3, 3, 3), (cubic, mid_velocity, cubic))
+    with pytest.raises(ValueError, match="needs 5"):
+        SchemeSpec("short", (3, 4, 3), (cubic,) * 3)
+
+
+@pytest.mark.parametrize("tau", [-0.1, 1.5, math.nan])
+def test_constraint_tau_outside_segment_rejected(tau):
+    with pytest.raises(ValueError, match="tau"):
+        Constraint(0, tau, 0.0)
 
 
 def test_condition_estimate_at_least_one():
@@ -82,6 +114,19 @@ def test_condition_estimate_at_least_one():
         1, [c(0, SEGMENT_START, 0), c(0, SEGMENT_END, 1)], 0.0, 1.0
     )
     assert seg.condition_estimate >= 1.0
+    # Tau-space conditioning depends on the template alone, not the duration.
+    cons = [c(k, tau, 1.0) for tau in (SEGMENT_START, SEGMENT_END) for k in range(3)]
+    estimates = [solve_segment(5, cons, 0.0, T).condition_estimate for T in (1.0, 1e-9)]
+    assert estimates[0] == estimates[1]
+    assert 1.0 <= estimates[0] < math.inf
+
+
+def test_package_exports_no_modules_or_removed_names():
+    for name in pspb.__all__:
+        assert not inspect.ismodule(getattr(pspb, name)), name
+    for name in ("Anchor", "at_tau", "MID_POINT", "assemble_system"):
+        assert name not in pspb.__all__
+        assert not hasattr(solver, name)
 
 
 def _hermite_constraints(degree, rng):
@@ -111,7 +156,7 @@ def test_scale_covariance():
         cons = _hermite_constraints(degree, rng)
         seg1 = solve_segment(degree, cons, 0.0, 0.7)
         s = 3.5
-        scaled = [c(x.order, x.anchor, s * x.value) for x in cons]
+        scaled = [c(x.order, x.tau, s * x.value) for x in cons]
         seg2 = solve_segment(degree, scaled, 0.0, 0.7)
         got = np.array(seg2.polynomial.coefficients)
         want = s * np.array(seg1.polynomial.coefficients)
@@ -119,7 +164,7 @@ def test_scale_covariance():
 
 
 def test_position_only_solve_independent_of_duration():
-    cons = [c(0, at_tau(tau), v) for tau, v in
+    cons = [c(0, tau, v) for tau, v in
             [(0.0, 1.0), (0.25, -2.0), (0.5, 0.5), (0.75, 3.0), (1.0, -1.0)]]
     seg_a = solve_segment(4, cons, 0.0, 1.0)
     seg_b = solve_segment(4, cons, 0.0, 2.0)

@@ -61,6 +61,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _number(value, key: str, kind=float):
+    """``kind(value)`` if that is a finite number, else a ConfigError."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return number
+
+
 class RunConfig:
     """Validated view over the JSON config document."""
 
@@ -78,10 +89,10 @@ class RunConfig:
         self.swing_times = self._times(raw, "swing_times", DEFAULT_SWING_TIMES)
         if self.stance_times[-1] != self.swing_times[0]:
             raise ConfigError("stance_times must end where swing_times begins")
-        self.samples = int(raw.get("samples", DEFAULT_SAMPLES))
+        self.samples = _number(raw.get("samples", DEFAULT_SAMPLES), "samples", int)
         if self.samples < 2:
             raise ConfigError(f"samples: need at least 2, got {self.samples}")
-        self.via_window = float(raw.get("via_window", DEFAULT_VIA_WINDOW))
+        self.via_window = _number(raw.get("via_window", DEFAULT_VIA_WINDOW), "via_window")
         if self.via_window <= 0:
             raise ConfigError("via_window must be positive")
         self.reference = self._reference(
@@ -90,13 +101,19 @@ class RunConfig:
         self.waypoints = self._waypoints(raw.get("waypoints"))
         self.midpoints = self._midpoints(raw.get("midpoints"))
         sim = raw.get("sim", {})
+        if not isinstance(sim, dict):
+            raise ConfigError(f"sim must be a JSON object, got {sim!r}")
         self.sim_enabled = bool(sim.get("enabled", False))
-        self.gains = PDGains(float(sim.get("kp", 500.0)), float(sim.get("kd", 50.0)))
-        self.sim_dt = float(sim.get("dt", 1e-4))
+        self.gains = PDGains(_number(sim.get("kp", 500.0), "sim.kp"),
+                             _number(sim.get("kd", 50.0), "sim.kd"))
+        self.sim_dt = _number(sim.get("dt", 1e-4), "sim.dt")
 
     @staticmethod
     def _times(raw, key, default):
-        times = [float(t) for t in raw.get(key, default)]
+        times = raw.get(key, default)
+        if not isinstance(times, (list, tuple)):
+            raise ConfigError(f"{key}: expected a list of 4 times, got {times!r}")
+        times = [_number(t, key) for t in times]
         if len(times) != 4:
             raise ConfigError(f"{key}: need exactly 4 times, got {len(times)}")
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -110,6 +127,8 @@ class RunConfig:
         if not isinstance(spec, dict):
             raise ConfigError(f"reference must be a JSON object, got {spec!r}")
         if "csv" in spec:
+            if not isinstance(spec["csv"], str):
+                raise ConfigError(f"reference.csv: expected a path, got {spec['csv']!r}")
             path = Path(spec["csv"])
             if not path.exists():
                 raise ConfigError(f"reference.csv: file not found: {path}")
@@ -121,13 +140,10 @@ class RunConfig:
                 )
             return ref
         if spec.get("name") == "sinusoid":
-            amplitude = float(spec.get("amplitude", 30.0))
-            period = float(spec.get("period", 1.0))
-            if not (math.isfinite(amplitude) and 0 < period < math.inf):
-                raise ConfigError(
-                    "reference: amplitude must be finite and period positive and "
-                    f"finite, got amplitude {amplitude}, period {period}"
-                )
+            amplitude = _number(spec.get("amplitude", 30.0), "reference.amplitude")
+            period = _number(spec.get("period", 1.0), "reference.period")
+            if period <= 0:
+                raise ConfigError(f"reference.period: must be positive, got {period}")
             return SinusoidReference(amplitude, period)
         raise ConfigError(f"reference: expected 'csv' or name 'sinusoid', got {spec}")
 
@@ -135,17 +151,23 @@ class RunConfig:
     def _waypoints(spec):
         if spec is None:
             return None
+        if not isinstance(spec, dict):
+            raise ConfigError(f"waypoints must be a JSON object, got {spec!r}")
         out = {}
         for phase in ("stance", "swing"):
             if phase not in spec:
                 raise ConfigError(f"waypoints: missing {phase!r} table")
             rows = spec[phase]
-            if len(rows) != 4:
-                raise ConfigError(f"waypoints.{phase}: need 4 rows, got {len(rows)}")
+            if not isinstance(rows, list) or len(rows) != 4:
+                raise ConfigError(f"waypoints.{phase}: need a list of 4 rows, got {rows!r}")
             wps = []
             for row in rows:
-                vals = [float(x) for x in row] + [None] * (5 - len(row))
-                wps.append(Waypoint(*vals[:5]))
+                if not isinstance(row, list) or not 2 <= len(row) <= 5:
+                    raise ConfigError(
+                        f"waypoints.{phase}: a row is [t, pos, vel, acc, jerk] with "
+                        f"vel, acc and jerk optional, got {row!r}"
+                    )
+                wps.append(Waypoint(*(_number(x, f"waypoints.{phase}") for x in row)))
             out[phase] = wps
         return out
 
@@ -153,8 +175,12 @@ class RunConfig:
     def _midpoints(spec):
         if spec is None:
             return None
+        if not (isinstance(spec, dict)
+                and all(isinstance(table, dict) for table in spec.values())):
+            raise ConfigError(f"midpoints: expected an object of objects, got {spec!r}")
         return {
-            phase: {int(k): float(v) for k, v in table.items()}
+            phase: {_number(k, f"midpoints.{phase}", int): _number(v, f"midpoints.{phase}")
+                    for k, v in table.items()}
             for phase, table in spec.items()
         }
 

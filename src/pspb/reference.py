@@ -57,6 +57,12 @@ class CsvReference:
         self.times = np.asarray(times, dtype=float)
         if len(self.times) < 2:
             raise ConfigError("reference grid needs at least 2 points")
+        finite = np.isfinite(self.times)
+        for column in columns.values():
+            finite &= np.isfinite(column)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ConfigError(f"reference sample {i} (t={self.times[i]:g}) is not finite")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("reference times must be strictly increasing")
         if 0 not in columns:

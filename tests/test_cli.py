@@ -161,6 +161,18 @@ def test_bad_config_exit_codes(tmp_path, config_path):
         "amplitude_nan": {"reference": {"name": "sinusoid", "amplitude": math.nan}},
         "period_inf": {"reference": {"name": "sinusoid", "period": math.inf}},
         "schemes_string": {**BASE, "schemes": "434-1"},
+        "sim_steps": {**BASE, "schemes": ["434-1"], "sim": {"enabled": True, "dt": 1e-12}},
+        "samples_list": {**BASE, "samples": [1]},
+        "samples_inf": {**BASE, "samples": math.inf},
+        "csv_number": {"reference": {"csv": 5}},
+        "amplitude_list": {"reference": {"name": "sinusoid", "amplitude": [1]}},
+        "stance_times_number": {**BASE, "stance_times": 5},
+        "stance_times_nan": {**BASE, "stance_times": [0, 0.12, math.nan, 0.6]},
+        "sim_number": {**BASE, "sim": 3},
+        "via_window_nan": {**BASE, "via_window": math.nan},
+        "kp_nan": {**BASE, "sim": {"kp": math.nan}},
+        "waypoints_number": {"waypoints": 5},
+        "midpoints_number": {**BASE, "midpoints": 5},
     }.items():
         path = config_path(cfg, f"{name}.json")
         assert main(["generate", "--config", path, "--out", str(tmp_path)]) == 2, name
@@ -194,6 +206,26 @@ def test_csv_reference_must_cover_gait(tmp_path, config_path, capsys):
     for verb in ("generate", "compare"):
         assert main([verb, "--config", cfg, "--out", str(tmp_path / verb)]) == 2
         assert "do not cover the gait [0, 1]" in capsys.readouterr().err
+
+
+def test_non_finite_input_is_config_error(tmp_path, config_path, capsys):
+    ref = SinusoidReference(20.0, 1.0)
+    lines = ["t,pos"] + [f"{t:.12g},{ref(t, 0):.12g}" for t in np.linspace(0, 1, 11)]
+    lines[6] = "0.5,nan"
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join(lines) + "\n")
+    stance = [[t, 0, 0, 0, 0] for t in (0, 0.12, 0.48, 0.6)]
+    stance[1][2] = math.nan
+    waypoints = {"stance": stance,
+                 "swing": [[t, 0, 0, 0, 0] for t in (0.6, 0.68, 0.92, 1.0)]}
+    for name, cfg, message in (
+        ("csv", {"reference": {"csv": str(path)}}, "(t=0.5) is not finite"),
+        ("waypoints", {"waypoints": waypoints}, "waypoints.stance: expected a finite"),
+    ):
+        out = str(tmp_path / name)
+        assert main(["generate", "--config", config_path(cfg, f"{name}.json"),
+                     "--out", out]) == 2, name
+        assert message in capsys.readouterr().err
 
 
 def test_csv_reference_derivatives_by_differences(tmp_path):

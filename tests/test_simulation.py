@@ -1,14 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from pspb import simulation
 from pspb.errors import NumericalBlowup
 from pspb.reference import PolynomialReference, waypoints_from_reference
 from pspb.schemes import (
     DEFAULT_STANCE_TIMES,
+    DEFAULT_SWING_TIMES,
     Waypoint,
     builtin_scheme,
+    evaluate,
     generate_phase,
 )
 from pspb.simulation import (
@@ -27,10 +31,10 @@ from pspb.simulation import (
 )
 
 
-def smooth_trajectory(amplitude=10.0):
+def smooth_trajectory(amplitude=10.0, times=DEFAULT_STANCE_TIMES):
     rng = np.random.default_rng(2)
     ref = PolynomialReference(tuple(amplitude * rng.uniform(-1, 1, 8)))
-    waypoints = waypoints_from_reference(ref, DEFAULT_STANCE_TIMES)
+    waypoints = waypoints_from_reference(ref, times)
     return generate_phase(builtin_scheme("656-2"), waypoints,
                           midpoint_positions=lambda t: ref(t, 0))
 
@@ -103,6 +107,68 @@ def test_rejects_too_large_dt():
     traj = smooth_trajectory()
     with pytest.raises(ValueError):
         simulate_tracking(traj, dt=0.05)
+
+
+def test_step_cap(monkeypatch):
+    traj = smooth_trajectory()  # spans 0.6 s
+    monkeypatch.setattr(simulation, "MAX_STEPS", 600)
+    assert len(simulate_tracking(traj, dt=1e-3).angle.times) == 601
+    with pytest.raises(ValueError, match="more than 600 steps"):
+        simulate_tracking(traj, dt=0.99e-3)
+    with pytest.raises(ValueError, match="more than 600 steps"):
+        simulate_tracking(traj, dt=5e-324)  # span / dt overflows to inf
+
+
+def scalar_reference_tracking(traj, gains, dt, feedforward, gravity_compensation):
+    """Angles and velocities from one scalar evaluate per RK4 stage."""
+    deg = math.pi / 180.0
+
+    def deriv(t, state):
+        pos, vel, acc = (v * deg for v in
+                         evaluate(traj, min(t, traj.t_end), slice(3)))
+        torque = pd_torque(state, pos, vel, gains, acc if feedforward else None)
+        if gravity_compensation:
+            torque += gravity_torque(state.theta)
+        return hip_dynamics(state, torque)
+
+    n_steps = int(round((traj.t_end - traj.t_start) / dt))
+    times = traj.t_start + dt * np.arange(n_steps + 1)
+    times[-1] = traj.t_end
+    state = SimState(*(v * deg for v in evaluate(traj, traj.t_start, slice(2))))
+    thetas, omegas = [state.theta], [state.omega]
+    for i in range(n_steps):
+        state = rk4_step(deriv, times[i], state, times[i + 1] - times[i])
+        thetas.append(state.theta)
+        omegas.append(state.omega)
+    return times, np.array(thetas), np.array(omegas)
+
+
+@pytest.mark.parametrize("feedforward,gravity_compensation",
+                         list(itertools.product([False, True], repeat=2)))
+def test_stage_reference_table_is_bit_identical(monkeypatch, feedforward,
+                                                gravity_compensation):
+    gains = PDGains(800, 40)
+    calls = []
+
+    def counting_evaluate(*args):
+        calls.append(args[1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(simulation, "evaluate", counting_evaluate)
+    # 1e-3 divides both 0.6 s spans; 7e-4 and 1.3e-3 do not, so the last
+    # step is longer or shorter than dt.
+    for times, dt in itertools.product((DEFAULT_STANCE_TIMES, DEFAULT_SWING_TIMES),
+                                       (1e-3, 7e-4, 1.3e-3)):
+        traj = smooth_trajectory(times=times)
+        calls.clear()
+        result = simulate_tracking(traj, gains=gains, dt=dt, feedforward=feedforward,
+                                   gravity_compensation=gravity_compensation)
+        assert len(calls) <= 3
+        want_times, want_theta, want_omega = scalar_reference_tracking(
+            traj, gains, dt, feedforward, gravity_compensation)
+        assert np.array_equal(result.angle.times, want_times)
+        assert np.array_equal(result.angle.values, want_theta)
+        assert np.array_equal(result.velocity.values, want_omega)
 
 
 def test_blowup_detected():

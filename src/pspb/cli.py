@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, NumericalBlowup, PspbError, SingularSystem
 from .metrics import (
@@ -62,13 +64,21 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _number(value, key: str, kind=float):
-    """``kind(value)`` if that is a finite number, else a ConfigError."""
+    """``kind(value)`` if that is a finite number, else a ConfigError.
+
+    A JSON true/false is not a number, and a float must convert exactly
+    (``samples: 2.7`` is an error, not 2).
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    if isinstance(value, float) and number != value:
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
     return number
 
 
@@ -103,7 +113,9 @@ class RunConfig:
         sim = raw.get("sim", {})
         if not isinstance(sim, dict):
             raise ConfigError(f"sim must be a JSON object, got {sim!r}")
-        self.sim_enabled = bool(sim.get("enabled", False))
+        self.sim_enabled = sim.get("enabled", False)
+        if not isinstance(self.sim_enabled, bool):
+            raise ConfigError(f"sim.enabled: expected a boolean, got {self.sim_enabled!r}")
         self.gains = PDGains(_number(sim.get("kp", 500.0), "sim.kp"),
                              _number(sim.get("kd", 50.0), "sim.kd"))
         self.sim_dt = _number(sim.get("dt", 1e-4), "sim.dt")
@@ -213,15 +225,12 @@ class RunConfig:
 
 
 def run_generate(config: RunConfig, out: Path) -> None:
-    n = config.samples
     for name in config.schemes:
         traj = config.build_gait(name)
         rows = []
-        for phase in _sub_trajectory(traj, 0, 3), _sub_trajectory(traj, 3, 6):
-            lo, hi = phase.t_start, phase.t_end
-            times = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-            # The last grid time may round a hair past the phase end.
-            values = evaluate(phase, [min(t, hi) for t in times], slice(None))
+        for phase in _phases(traj):
+            times = np.linspace(phase.t_start, phase.t_end, config.samples)
+            values = evaluate(phase, times, slice(None))
             rows += [[t, *v] for t, v in zip(times, values.T)]
         _write_csv(
             out / f"profile_{name}.csv",
@@ -254,11 +263,8 @@ def run_compare(config: RunConfig, out: Path) -> None:
     error_rows, via_rows, text = [], [], []
     for name in config.schemes:
         traj = config.build_gait(name)
-        scopes = {
-            "full": traj,
-            "stance": _sub_trajectory(traj, 0, 3),
-            "swing": _sub_trajectory(traj, 3, 6),
-        }
+        stance, swing = _phases(traj)
+        scopes = {"full": traj, "stance": stance, "swing": swing}
         text.append(f"scheme {name}")
         for scope, sub in scopes.items():
             for order, label in enumerate(QUANTITY_LABELS):
@@ -287,11 +293,9 @@ def run_compare(config: RunConfig, out: Path) -> None:
     print(report, end="")
 
 
-def _sub_trajectory(traj, lo, hi):
-    return PiecewiseTrajectory(
-        traj.segments[lo:hi], traj.boundary_orders[lo:hi],
-        "stance" if lo == 0 else "swing",
-    )
+def _phases(traj):
+    """The stance and swing halves of a six-segment gait."""
+    return PiecewiseTrajectory(traj.segments[:3]), PiecewiseTrajectory(traj.segments[3:])
 
 
 def run_benchmark(config: RunConfig, repetitions: int, out: Path) -> None:

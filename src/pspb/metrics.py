@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import SeriesMismatch
 from .schemes import PiecewiseTrajectory, evaluate
+from .solver import SEGMENT_END, SEGMENT_START
 
 DEFAULT_SAMPLES = 101
 DEFAULT_VIA_WINDOW = 0.01  # seconds either side of a via point
@@ -145,13 +146,12 @@ def continuity_report(traj: PiecewiseTrajectory) -> ContinuityReport:
         left, right = traj.segments[i], traj.segments[i + 1]
         left_vals = left.kinematics(left.t_end)
         right_vals = right.kinematics(right.t_start)
-        left_orders = traj.boundary_orders[i][1]
-        right_orders = traj.boundary_orders[i + 1][0]
+        both = left.pinned_orders(SEGMENT_END) & right.pinned_orders(SEGMENT_START)
         for order in range(4):
             jumps.append(ContinuityJump(
                 v,
                 order,
                 abs(right_vals[order] - left_vals[order]),
-                order in (left_orders & right_orders),
+                order in both,
             ))
     return ContinuityReport(tuple(jumps))

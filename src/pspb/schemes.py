@@ -1,12 +1,12 @@
 """The six blend schemes and phase/gait trajectory composition.
 
-A scheme names the polynomial degree and constraint allocation of each of
-the three segments in a phase. The "-1" variants spend their spare
-constraints on boundary derivatives (acceleration, jerk); the "-2"
-variants spend them on mid-segment position pins. Segments are solved
-independently and matched only through shared waypoint values, which is
-exactly why derivative orders constrained on a single side of a via point
-jump there.
+A scheme names the constraint template of each of the three segments in a
+phase; a segment's degree is its constraint count minus one. The "-1"
+variants spend their spare constraints on boundary derivatives
+(acceleration, jerk); the "-2" variants spend them on mid-segment position
+pins. Segments are solved independently and matched only through shared
+waypoint values, which is exactly why derivative orders constrained on a
+single side of a via point jump there.
 """
 
 from __future__ import annotations
@@ -32,58 +32,40 @@ START, MID, END = SEGMENT_START, 0.5, SEGMENT_END
 _PVA = [(START, 0), (START, 1), (START, 2), (END, 0), (END, 1), (END, 2)]
 _PV_PV = [(START, 0), (START, 1), (END, 0), (END, 1)]
 
-_SCHEME_TABLES: dict[str, tuple[tuple[int, ...], tuple[list, ...]]] = {
+_SCHEME_TABLES: dict[str, tuple[list, ...]] = {
     "434-1": (
-        (4, 3, 4),
-        (
-            [(START, 0), (START, 1), (START, 2), (END, 0), (END, 1)],
-            _PV_PV,
-            [(START, 0), (START, 1), (END, 0), (END, 1), (END, 2)],
-        ),
+        [(START, 0), (START, 1), (START, 2), (END, 0), (END, 1)],
+        _PV_PV,
+        [(START, 0), (START, 1), (END, 0), (END, 1), (END, 2)],
     ),
     "434-2": (
-        (4, 3, 4),
-        (
-            [(START, 0), (START, 1), (MID, 0), (END, 0), (END, 1)],
-            _PV_PV,
-            [(START, 0), (START, 1), (MID, 0), (END, 0), (END, 1)],
-        ),
+        [(START, 0), (START, 1), (MID, 0), (END, 0), (END, 1)],
+        _PV_PV,
+        [(START, 0), (START, 1), (MID, 0), (END, 0), (END, 1)],
     ),
     "545-1": (
-        (5, 4, 5),
-        (
-            [(START, 0), (START, 1), (START, 2), (START, 3), (END, 0), (END, 1)],
-            [(START, 0), (START, 1), (START, 2), (END, 0), (END, 1)],
-            _PVA,
-        ),
+        [(START, 0), (START, 1), (START, 2), (START, 3), (END, 0), (END, 1)],
+        [(START, 0), (START, 1), (START, 2), (END, 0), (END, 1)],
+        _PVA,
     ),
     "545-2": (
-        (5, 4, 5),
-        (
-            _PVA,
-            [(START, 0), (START, 1), (MID, 0), (END, 0), (END, 1)],
-            _PVA,
-        ),
+        _PVA,
+        [(START, 0), (START, 1), (MID, 0), (END, 0), (END, 1)],
+        _PVA,
     ),
     "656-1": (
-        (6, 5, 6),
-        (
-            [(START, 0), (START, 1), (START, 2), (START, 3),
-             (END, 0), (END, 1), (END, 2)],
-            _PVA,
-            [(START, 0), (START, 1), (START, 2),
-             (END, 0), (END, 1), (END, 2), (END, 3)],
-        ),
+        [(START, 0), (START, 1), (START, 2), (START, 3),
+         (END, 0), (END, 1), (END, 2)],
+        _PVA,
+        [(START, 0), (START, 1), (START, 2),
+         (END, 0), (END, 1), (END, 2), (END, 3)],
     ),
     "656-2": (
-        (6, 5, 6),
-        (
-            [(START, 0), (START, 1), (START, 2), (MID, 0),
-             (END, 0), (END, 1), (END, 2)],
-            _PVA,
-            [(START, 0), (START, 1), (START, 2), (MID, 0),
-             (END, 0), (END, 1), (END, 2)],
-        ),
+        [(START, 0), (START, 1), (START, 2), (MID, 0),
+         (END, 0), (END, 1), (END, 2)],
+        _PVA,
+        [(START, 0), (START, 1), (START, 2), (MID, 0),
+         (END, 0), (END, 1), (END, 2)],
     ),
 }
 
@@ -110,56 +92,38 @@ class Waypoint:
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Segment degrees plus per-segment constraint template."""
+    """Per-segment constraint templates; n constraints solve a degree n - 1 segment."""
 
     name: str
-    segment_degrees: tuple[int, int, int]
     segment_constraints: tuple[tuple[tuple[float, int], ...], ...]
 
     def __post_init__(self):
-        for degree, cons in zip(self.segment_degrees, self.segment_constraints):
-            if len(cons) != degree + 1:
-                raise ValueError(
-                    f"scheme {self.name}: segment of degree {degree} has "
-                    f"{len(cons)} constraints, needs {degree + 1}"
-                )
+        for cons in self.segment_constraints:
             if any(tau == MID and order != 0 for tau, order in cons):
                 raise ValueError("mid-point constraints must be position-only")
 
     @property
-    def family(self) -> str:
-        return "".join(str(d) for d in self.segment_degrees)
-
-    def boundary_orders(self, segment: int, side: float) -> frozenset[int]:
-        """Derivative orders constrained at one end (START or END) of one segment."""
-        return frozenset(
-            order for tau, order in self.segment_constraints[segment] if tau == side
-        )
+    def segment_degrees(self) -> tuple[int, ...]:
+        return tuple(len(cons) - 1 for cons in self.segment_constraints)
 
 
 def builtin_scheme(name: str) -> SchemeSpec:
     """Look up one of 434-1, 434-2, 545-1, 545-2, 656-1, 656-2."""
     try:
-        degrees, constraints = _SCHEME_TABLES[name]
+        constraints = _SCHEME_TABLES[name]
     except KeyError:
         raise UnknownScheme(
             f"unknown scheme {name!r}; expected one of {', '.join(SCHEME_NAMES)}"
         ) from None
-    return SchemeSpec(name, degrees, tuple(tuple(c) for c in constraints))
+    return SchemeSpec(name, tuple(tuple(c) for c in constraints))
 
 
 @dataclass(frozen=True)
 class PiecewiseTrajectory:
-    """Ordered solved segments with the constraint orders at each boundary.
-
-    ``boundary_orders[i]`` is (start orders, end orders) of segment i; the
-    continuity report uses them to flag which jumps are zero by
-    construction. Evaluation is right-continuous at via times.
-    """
+    """Ordered, contiguous solved segments; evaluation is right-continuous
+    at via times."""
 
     segments: tuple[SolvedSegment, ...]
-    boundary_orders: tuple[tuple[frozenset[int], frozenset[int]], ...]
-    phase_label: str = "full"
 
     def __post_init__(self):
         for left, right in zip(self.segments, self.segments[1:]):
@@ -202,24 +166,18 @@ def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
 
 
 MidpointSource = Mapping[int, float] | Callable[[float], float] | None
-SideOverrides = Mapping[tuple[int, str, int], float] | None
 
 
 def generate_phase(
     scheme: SchemeSpec,
     waypoints: Sequence[Waypoint],
     midpoint_positions: MidpointSource = None,
-    side_overrides: SideOverrides = None,
-    phase_label: str = "full",
 ) -> PiecewiseTrajectory:
     """Solve the three segments of one phase from four waypoints.
 
     ``midpoint_positions`` supplies mid-segment position pins for the "-2"
     variants: either a mapping from segment index to position or a callable
-    sampled at the segment's mid time. ``side_overrides`` maps
-    (segment, START or END, order) to a value that replaces the shared
-    waypoint value on that side only; it exists to reproduce deliberately
-    mismatched via-point values.
+    sampled at the segment's mid time.
     """
     if len(waypoints) != 4:
         raise ValueError(f"a phase needs exactly 4 waypoints, got {len(waypoints)}")
@@ -228,7 +186,6 @@ def generate_phase(
         raise ValueError(f"waypoint times must be strictly increasing: {times}")
 
     segments = []
-    orders = []
     for i in range(3):
         w_start, w_end = waypoints[i], waypoints[i + 1]
         constraints = []
@@ -237,8 +194,6 @@ def generate_phase(
                 value = _midpoint_value(
                     midpoint_positions, i, 0.5 * (w_start.time + w_end.time), scheme
                 )
-            elif side_overrides and (i, tau, order) in side_overrides:
-                value = side_overrides[(i, tau, order)]
             else:
                 waypoint = w_start if tau == START else w_end
                 value = waypoint.derivative(order)
@@ -250,11 +205,9 @@ def generate_phase(
                     )
             constraints.append(Constraint(order, tau, value))
         segments.append(solve_segment(
-            scheme.segment_degrees[i], constraints, w_start.time, w_end.time
+            len(constraints) - 1, constraints, w_start.time, w_end.time
         ))
-        orders.append((scheme.boundary_orders(i, START), scheme.boundary_orders(i, END)))
-
-    return PiecewiseTrajectory(tuple(segments), tuple(orders), phase_label)
+    return PiecewiseTrajectory(tuple(segments))
 
 
 def generate_gait(
@@ -263,7 +216,6 @@ def generate_gait(
     swing_waypoints: Sequence[Waypoint],
     stance_midpoints: MidpointSource = None,
     swing_midpoints: MidpointSource = None,
-    side_overrides: SideOverrides = None,
 ) -> PiecewiseTrajectory:
     """One full gait cycle: stance phase then swing phase, six segments."""
     if stance_waypoints[-1].time != swing_waypoints[0].time:
@@ -271,15 +223,9 @@ def generate_gait(
             f"stance ends at {stance_waypoints[-1].time} but swing starts "
             f"at {swing_waypoints[0].time}"
         )
-    stance = generate_phase(
-        scheme, stance_waypoints, stance_midpoints, side_overrides, "stance"
-    )
-    swing = generate_phase(scheme, swing_waypoints, swing_midpoints, None, "swing")
-    return PiecewiseTrajectory(
-        stance.segments + swing.segments,
-        stance.boundary_orders + swing.boundary_orders,
-        "full",
-    )
+    stance = generate_phase(scheme, stance_waypoints, stance_midpoints)
+    swing = generate_phase(scheme, swing_waypoints, swing_midpoints)
+    return PiecewiseTrajectory(stance.segments + swing.segments)
 
 
 def _midpoint_value(

@@ -43,16 +43,26 @@ class Constraint:
 
 @dataclass(frozen=True)
 class SolvedSegment:
-    """One solved segment on [t_start, t_end] seconds."""
+    """One solved segment on [t_start, t_end] seconds.
+
+    ``pins`` are the (order, tau) pairs its constraints fixed, so two
+    adjacent segments agree by construction on exactly the orders both pin
+    to their shared waypoint.
+    """
 
     polynomial: Polynomial
     t_start: float
     t_end: float
     condition_estimate: float
+    pins: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        if self.t_end <= self.t_start:
-            raise ValueError("segment must have t_end > t_start")
+        # kinematics divides by T**3, which must not underflow to zero.
+        if not self.duration ** MAX_DERIVATIVE > 0:
+            raise ValueError(
+                "segment must have t_end > t_start and a duration whose cube is "
+                f"nonzero, got [{self.t_start}, {self.t_end}]"
+            )
 
     @property
     def duration(self) -> float:
@@ -74,6 +84,10 @@ class SolvedSegment:
         T = self.duration
         tau = (t - self.t_start) / T
         return tuple(horner(d, tau) / T**k for k, d in enumerate(self._derivatives))
+
+    def pinned_orders(self, tau: float) -> frozenset[int]:
+        """Derivative orders constrained at normalized time tau."""
+        return frozenset(order for order, at in self.pins if at == tau)
 
 
 @lru_cache(maxsize=256)
@@ -107,7 +121,7 @@ def solve_segment(
         raise SingularSystem(
             f"solve produced non-finite coefficients: {_describe(pins)}"
         )
-    return SolvedSegment(Polynomial(tuple(coeffs)), t_start, t_end, cond)
+    return SolvedSegment(Polynomial(tuple(coeffs)), t_start, t_end, cond, pins)
 
 
 def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[float]:

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pspb.cli import main
 from pspb.reference import CsvReference, SinusoidReference
+from pspb.schemes import SCHEME_NAMES
 
 
 @pytest.fixture
@@ -173,6 +178,10 @@ def test_bad_config_exit_codes(tmp_path, config_path):
         "kp_nan": {**BASE, "sim": {"kp": math.nan}},
         "waypoints_number": {"waypoints": 5},
         "midpoints_number": {**BASE, "midpoints": 5},
+        "sim_enabled_string": {**BASE, "schemes": ["434-1"], "sim": {"enabled": "false"}},
+        "samples_fraction": {**BASE, "samples": 2.7},
+        "kp_bool": {**BASE, "sim": {"kp": True}},
+        "stance_subnormal": {**BASE, "stance_times": [0, 1e-300, 0.48, 0.6]},
     }.items():
         path = config_path(cfg, f"{name}.json")
         assert main(["generate", "--config", path, "--out", str(tmp_path)]) == 2, name
@@ -244,3 +253,104 @@ def test_sim_toggle_emits_tracking(tmp_path, config_path):
     out = tmp_path / "out"
     assert main(["generate", "--config", config_path(cfg), "--out", str(out)]) == 0
     assert (out / "tracking_656-2.csv").exists()
+
+
+# JSON values of every type where a config expects one type, NaN and inf
+# included. Numbers that size a run (samples, times, sim.dt) are drawn from
+# bounded ranges so that no example costs more than a fraction of a second.
+NUMBER = st.one_of(st.integers(-3, 3), st.booleans(),
+                   st.floats(allow_nan=True, allow_infinity=True))
+NOT_NUMBER = st.one_of(st.none(), st.text(max_size=4),
+                       st.lists(st.integers(-3, 3), max_size=3),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+ANY = st.one_of(NUMBER, NOT_NUMBER)
+ODD_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf])
+SAFE_DT = st.one_of(st.floats(1e-3, 0.05), ODD_FLOAT, NOT_NUMBER, st.sampled_from([0, -1]))
+
+
+def _rows(times, value, min_size):
+    return st.tuples(*(st.lists(value, min_size=min_size, max_size=4)
+                       .map(lambda v, t=t: [t, *v]) for t in times)).map(list)
+
+
+@st.composite
+def configs(draw):
+    """A valid config with some fields left out and a few corrupted, or now
+    and then a root that is not an object. "@CSV" stands for a reference file."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(ANY)
+    # Phase boundary at 0.6 s, as in the defaults, so either list may be left out.
+    stance, swing = (st.lists(st.floats(lo, hi, exclude_min=lo > 0, exclude_max=hi < 2),
+                              min_size=3, max_size=3, unique=True).map(sorted)
+                     for lo, hi in ((0, 0.6), (0.6, 2)))
+    t = [*draw(stance), 0.6, *draw(swing)]
+    bad_times = st.one_of(
+        st.lists(st.floats(0, 2), min_size=4, max_size=4, unique=True),
+        st.lists(st.one_of(st.floats(-1, 3), ODD_FLOAT, NOT_NUMBER), max_size=5),
+        ANY,
+    )
+    fields = {  # key: (valid values, invalid values)
+        "schemes": (st.lists(st.sampled_from(SCHEME_NAMES), min_size=1, max_size=2),
+                    st.one_of(ANY, st.just(["999-9"]))),
+        "stance_times": (st.just(t[:4]), bad_times),
+        "swing_times": (st.just(t[3:]), bad_times),
+        "samples": (st.integers(2, 500),
+                    st.one_of(st.integers(-2, 1), st.floats(-2, 500), ODD_FLOAT,
+                              st.booleans(), NOT_NUMBER)),
+        "via_window": (st.floats(1e-4, 0.1), ANY),
+        "reference": (
+            st.one_of(st.just({"csv": "@CSV"}), st.fixed_dictionaries({
+                "name": st.just("sinusoid"), "amplitude": st.floats(-60, 60),
+                "period": st.floats(0.2, 3)})),
+            st.one_of(ANY, st.fixed_dictionaries({"csv": ANY}), st.fixed_dictionaries(
+                {"name": st.one_of(st.just("sinusoid"), ANY)},
+                optional={"amplitude": ANY, "period": ANY})),
+        ),
+        "waypoints": (
+            st.fixed_dictionaries({"stance": _rows(t[:4], st.floats(-50, 50), 4),
+                                   "swing": _rows(t[3:], st.floats(-50, 50), 4)}),
+            st.one_of(ANY, st.fixed_dictionaries({"stance": _rows(t[:4], ANY, 0),
+                                                  "swing": st.lists(ANY, max_size=5)})),
+        ),
+        "midpoints": (
+            st.fixed_dictionaries({"stance": st.just({"0": 1.0, "2": -1.0})}),
+            st.one_of(ANY, st.dictionaries(
+                st.sampled_from(["stance", "swing"]),
+                st.one_of(ANY, st.dictionaries(st.sampled_from(["0", "2", "x"]), ANY,
+                                               max_size=2)),
+                max_size=2)),
+        ),
+        "sim": (
+            st.fixed_dictionaries({"enabled": st.booleans(), "kp": st.floats(0, 1000),
+                                   "kd": st.floats(0, 100), "dt": st.floats(1e-3, 0.05)}),
+            st.one_of(ANY, st.fixed_dictionaries({}, optional={
+                "enabled": st.one_of(st.booleans(), ANY), "kp": ANY, "kd": ANY,
+                "dt": SAFE_DT})),
+        ),
+    }
+    doc = {}
+    for key, (valid, invalid) in fields.items():
+        kind = draw(st.sampled_from(["valid"] * 5 + ["absent"] * 2 + ["bad"]))
+        if kind != "absent":
+            doc[key] = draw(valid if kind == "valid" else invalid)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv(tmp_path_factory):
+    ref = SinusoidReference(20.0, 1.0)
+    lines = ["t,pos,vel"] + [f"{t:.12g},{ref(t, 0):.12g},{ref(t, 1):.12g}"
+                             for t in np.linspace(-1, 3, 401)]
+    path = tmp_path_factory.mktemp("fuzz") / "ref.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(verb=st.sampled_from(["generate", "compare"]), doc=configs())
+def test_any_config_exits_with_a_documented_code(fuzz_csv, verb, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc).replace("@CSV", str(fuzz_csv)))
+        code = main([verb, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4)

@@ -69,6 +69,8 @@ def test_eval_kinematics_constant():
 def test_eval_kinematics_rejects_bad_duration():
     with pytest.raises(ValueError):
         SolvedSegment(Polynomial((1,)), 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="cube"):
+        SolvedSegment(Polynomial((1,)), 0.0, 1e-300, 1.0)
 
 
 def test_derivative_matches_finite_difference():

@@ -8,6 +8,7 @@ from pspb.errors import (
     OutOfDomain,
     UnknownScheme,
 )
+from pspb.metrics import continuity_report
 from pspb.reference import PolynomialReference, waypoints_from_reference
 from pspb.schemes import (
     DEFAULT_STANCE_TIMES,
@@ -16,12 +17,14 @@ from pspb.schemes import (
     MID,
     SCHEME_NAMES,
     START,
+    PiecewiseTrajectory,
     Waypoint,
     builtin_scheme,
     evaluate,
     generate_gait,
     generate_phase,
 )
+from pspb.solver import Constraint, solve_segment
 
 STANCE = list(DEFAULT_STANCE_TIMES)
 SWING = list(DEFAULT_SWING_TIMES)
@@ -52,40 +55,37 @@ def test_unknown_scheme():
 
 
 def test_constraint_counts_match_degrees():
+    # A segment's degree is its constraint count minus one, so the tables
+    # must spell out the family each scheme is named after.
     for name in SCHEME_NAMES:
-        scheme = builtin_scheme(name)
-        for degree, cons in zip(scheme.segment_degrees, scheme.segment_constraints):
-            assert len(cons) == degree + 1
+        family = tuple(int(d) for d in name[:3])
+        assert builtin_scheme(name).segment_degrees == family
+        assert tuple(s.polynomial.degree for s in build_phase(name).segments) == family
+
+
+def pinned(traj, tau):
+    return [seg.pinned_orders(tau) for seg in traj.segments]
 
 
 def test_545_1_template():
-    scheme = builtin_scheme("545-1")
-    assert scheme.segment_degrees == (5, 4, 5)
-    assert scheme.boundary_orders(0, START) == {0, 1, 2, 3}
-    assert scheme.boundary_orders(0, END) == {0, 1}
-    assert scheme.boundary_orders(1, START) == {0, 1, 2}
-    assert scheme.boundary_orders(1, END) == {0, 1}
-    assert scheme.boundary_orders(2, START) == {0, 1, 2}
-    assert scheme.boundary_orders(2, END) == {0, 1, 2}
+    traj = build_phase("545-1")
+    assert builtin_scheme("545-1").segment_degrees == (5, 4, 5)
+    assert pinned(traj, START) == [{0, 1, 2, 3}, {0, 1, 2}, {0, 1, 2}]
+    assert pinned(traj, END) == [{0, 1}, {0, 1}, {0, 1, 2}]
 
 
 def test_434_2_template():
-    scheme = builtin_scheme("434-2")
-    for seg in (0, 2):
-        assert scheme.boundary_orders(seg, START) == {0, 1}
-        assert scheme.boundary_orders(seg, END) == {0, 1}
-        assert (MID, 0) in scheme.segment_constraints[seg]
-    assert (MID, 0) not in scheme.segment_constraints[1]
+    traj = build_phase("434-2")
+    assert pinned(traj, START) == [{0, 1}] * 3
+    assert pinned(traj, END) == [{0, 1}] * 3
+    assert pinned(traj, MID) == [{0}, set(), {0}]
 
 
 def test_656_2_template():
-    scheme = builtin_scheme("656-2")
-    for seg in range(3):
-        assert scheme.boundary_orders(seg, START) == {0, 1, 2}
-        assert scheme.boundary_orders(seg, END) == {0, 1, 2}
-    assert (MID, 0) in scheme.segment_constraints[0]
-    assert (MID, 0) in scheme.segment_constraints[2]
-    assert (MID, 0) not in scheme.segment_constraints[1]
+    traj = build_phase("656-2")
+    assert pinned(traj, START) == [{0, 1, 2}] * 3
+    assert pinned(traj, END) == [{0, 1, 2}] * 3
+    assert pinned(traj, MID) == [{0}, set(), {0}]
 
 
 def test_zero_waypoints_give_zero_trajectory():
@@ -140,7 +140,6 @@ def test_gait_composition():
     )
     assert len(traj.segments) == 6
     assert traj.via_times == (0.12, 0.48, 0.6, 0.68, 0.92)
-    assert traj.phase_label == "full"
 
 
 def test_gait_rejects_noncontiguous_phases():
@@ -206,9 +205,15 @@ def test_evaluate_array_matches_scalar_bitwise(name):
 
 
 def test_evaluate_right_continuous_at_via():
-    # deliberately break position continuity at via1 and check which side wins
-    traj = build_phase("545-1", side_overrides={(1, START, 0): 99.0})
+    # deliberately break position continuity at the via and check which side wins
+    seg_a = solve_segment(1, [Constraint(0, START, 0.0), Constraint(0, END, 1.0)],
+                          0.0, 0.12)
+    seg_b = solve_segment(1, [Constraint(0, START, 99.0), Constraint(0, END, 0.0)],
+                          0.12, 0.6)
+    traj = PiecewiseTrajectory((seg_a, seg_b))
     assert evaluate(traj, 0.12, 0) == pytest.approx(99.0, abs=1e-9)
+    jump = continuity_report(traj).at(0.12, 0)
+    assert jump.jump == pytest.approx(98.0) and jump.constrained_both_sides
 
 
 def test_final_time_belongs_to_last_segment():

@@ -8,8 +8,6 @@ within a +/-0.01 s window.
 Run:  python3 demos/accuracy_vs_reference.py
 """
 
-import numpy as np
-
 from pspb import (
     DEFAULT_STANCE_TIMES,
     DEFAULT_SWING_TIMES,
@@ -37,9 +35,7 @@ for name in SCHEME_NAMES:
     print(f"scheme {name}")
     for order, label in enumerate(labels):
         gen = sample(traj, 101, order)
-        ref_series = SampledSeries(
-            gen.times, np.array([reference(t, order) for t in gen.times]), order
-        )
+        ref_series = SampledSeries(gen.times, reference(gen.times, order), order)
         print(f"  {label:<12} RMSE {rmse(gen, ref_series):12.4f}   "
               f"ADE {ade(gen, ref_series):10.4f}")
     windows = via_point_rmse(traj, reference, order=2)

@@ -269,12 +269,7 @@ def run_compare(config: RunConfig, out: Path) -> None:
         for scope, sub in scopes.items():
             for order, label in enumerate(QUANTITY_LABELS):
                 gen = sample(sub, config.samples, order)
-                ref_series = SampledSeries(
-                    gen.times,
-                    [ref(t, order) for t in gen.times],
-                    order,
-                    gen.unit,
-                )
+                ref_series = SampledSeries(gen.times, ref(gen.times, order), order, gen.unit)
                 r, a = rmse(gen, ref_series), ade(gen, ref_series)
                 error_rows.append([name, scope, label, float(r), float(a)])
                 if scope == "full":

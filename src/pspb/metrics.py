@@ -22,7 +22,9 @@ from .solver import SEGMENT_END, SEGMENT_START
 DEFAULT_SAMPLES = 101
 DEFAULT_VIA_WINDOW = 0.01  # seconds either side of a via point
 
-Reference = Callable[[float, int], float]
+# ref(t, order), read like evaluate: a float or an array of times in, the
+# same shape out.
+Reference = Callable[[float | np.ndarray, int], float | np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -101,19 +103,21 @@ def via_point_rmse(
     """RMSE of traj vs reference over [v - window, v + window] per via point.
 
     Windows that would spill past the trajectory domain are clipped and
-    flagged. ``reference`` is called as reference(t, order).
+    flagged. ``reference`` is called once, as reference(times, order) with
+    one row of times per window.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
-    out = []
+    windows = []
     for v in traj.via_times:
         lo, hi = v - window, v + window
         clipped = lo < traj.t_start or hi > traj.t_end
-        lo, hi = max(lo, traj.t_start), min(hi, traj.t_end)
-        times = np.linspace(lo, hi, samples_per_window)
-        err = evaluate(traj, times, order) - [reference(t, order) for t in times]
-        out.append(ViaWindowError(v, float(np.sqrt(np.mean(err**2))), (lo, hi), clipped))
-    return out
+        windows.append((v, max(lo, traj.t_start), min(hi, traj.t_end), clipped))
+    times = np.array([np.linspace(lo, hi, samples_per_window)
+                      for _, lo, hi, _ in windows])
+    err = evaluate(traj, times, order) - reference(times, order)
+    return [ViaWindowError(v, float(np.sqrt(np.mean(e**2))), (lo, hi), clipped)
+            for (v, lo, hi, clipped), e in zip(windows, err)]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Reference trajectories the generated profiles are compared against.
 
-A reference is any callable ``ref(t, order) -> float`` for orders 0..3.
-Real gait data comes in as a CSV table; a built-in sinusoid and a plain
-polynomial cover testing and demos without external data.
+A reference is any callable ``ref(t, order)`` for orders 0..3 that, like
+``schemes.evaluate``, takes a float or an array of times and returns
+values of the same shape. Real gait data comes in as a CSV table; a
+built-in sinusoid and a plain polynomial cover testing and demos without
+external data.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ class SinusoidReference:
     amplitude: float = 30.0  # deg
     period: float = 1.0      # s
 
-    def __call__(self, t: float, order: int = 0) -> float:
+    def __call__(self, t, order: int = 0):
         w = 2 * math.pi / self.period
         phase = w * t + order * math.pi / 2
-        return self.amplitude * w**order * math.sin(phase)
+        return self.amplitude * w**order * np.sin(phase)
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ class PolynomialReference:
 
     coefficients: tuple[float, ...]
 
-    def __call__(self, t: float, order: int = 0) -> float:
-        return float(horner(differentiate(Polynomial(self.coefficients), order), t))
+    def __call__(self, t, order: int = 0):
+        return horner(differentiate(Polynomial(self.coefficients), order), t)
 
 
 class CsvReference:
@@ -94,19 +96,12 @@ class CsvReference:
             columns[cls.COLUMNS.index(name) - 1] = data[:, i]
         return cls(data[:, 0], columns)
 
-    def __call__(self, t: float, order: int = 0) -> float:
-        return float(np.interp(t, self.times, self.columns[order]))
+    def __call__(self, t, order: int = 0):
+        return np.interp(t, self.times, self.columns[order])
 
 
 def waypoints_from_reference(reference, times: Sequence[float]) -> list[Waypoint]:
     """Waypoints carrying position through jerk sampled from a reference."""
-    return [
-        Waypoint(
-            time=float(t),
-            position=reference(t, 0),
-            velocity=reference(t, 1),
-            acceleration=reference(t, 2),
-            jerk=reference(t, 3),
-        )
-        for t in times
-    ]
+    times = np.asarray(times, dtype=float)
+    orders = (reference(times, k).tolist() for k in range(4))
+    return [Waypoint(*row) for row in zip(times.tolist(), *orders)]

@@ -147,7 +147,8 @@ def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
     """Derivative order(s) at time(s) t; right-continuous at via times.
 
     ``t`` is a float or an array; ``order`` is an int or a slice of the
-    orders 0..3. Array times give one row per selected order.
+    orders 0..3. A slice adds a leading axis, one row per order, so a
+    float ``t`` returns a numpy float, or a 1-d array for a slice.
     """
     times = np.asarray(t, dtype=float)
     inside = (traj.t_start <= times) & (times <= traj.t_end)
@@ -157,8 +158,6 @@ def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
             f"[{traj.t_start}, {traj.t_end}]"
         )
     idx = np.searchsorted(traj.via_times, times, side="right")
-    if times.ndim == 0:
-        return traj.segments[idx].kinematics(t)[order]
     values = np.empty((MAX_DERIVATIVE + 1, *times.shape))
     for i in np.unique(idx):
         values[:, idx == i] = traj.segments[i].kinematics(times[idx == i])

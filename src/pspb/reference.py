@@ -85,10 +85,18 @@ class CsvReference:
                 raise ConfigError(
                     f"{path}: expected header starting with t,pos, got {header}"
                 )
-            rows = [[float(x) for x in row] for row in reader if row]
+            if len(set(header)) != len(header):
+                raise ConfigError(f"{path}: repeated column in header {header}")
+            rows = [row for row in reader if row]
         if not rows:
             raise ConfigError(f"{path}: no data rows")
-        data = np.array(rows)
+        for row in rows:
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"{path}: every row needs {len(header)} cells, one per "
+                    f"header column, got {row}"
+                )
+        data = np.array([[float(x) for x in row] for row in rows])
         columns = {}
         for i, name in enumerate(header[1:], start=1):
             if name not in cls.COLUMNS:

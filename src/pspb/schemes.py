@@ -28,6 +28,10 @@ from .solver import SEGMENT_END, SEGMENT_START, Constraint, SolvedSegment, solve
 # Where a constraint sits, as normalized segment time tau.
 START, MID, END = SEGMENT_START, 0.5, SEGMENT_END
 
+# Shortest segment generate_phase accepts, as a fraction of its phase. A
+# shorter one is a timing typo, and its derivatives explode as 1/T^k.
+MIN_SEGMENT_FRACTION = 1e-6
+
 # (tau, derivative order) per segment, in solve order. P=0, V=1, A=2, J=3.
 _PVA = [(START, 0), (START, 1), (START, 2), (END, 0), (END, 1), (END, 2)]
 _PV_PV = [(START, 0), (START, 1), (END, 0), (END, 1)]
@@ -183,6 +187,12 @@ def generate_phase(
     times = [w.time for w in waypoints]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"waypoint times must be strictly increasing: {times}")
+    if any(b - a < MIN_SEGMENT_FRACTION * (times[-1] - times[0])
+           for a, b in zip(times, times[1:])):
+        raise ValueError(
+            f"each segment must span at least {MIN_SEGMENT_FRACTION:g} of its "
+            f"phase, got waypoint times {times}"
+        )
 
     segments = []
     for i in range(3):

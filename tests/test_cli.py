@@ -156,6 +156,13 @@ def test_bad_config_exit_codes(tmp_path, config_path):
 
     t_only = tmp_path / "t_only.csv"
     t_only.write_text("t\n0\n1\n")
+    short_rows = tmp_path / "short_rows.csv"
+    short_rows.write_text("t,pos,vel\n0,1\n1,2\n")
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("t,pos,pos\n0,1,2\n1,2,3\n")
+    # A 1e-100 s segment solves exactly, to a jerk near -1e88: a timing
+    # typo, rejected below MIN_SEGMENT_FRACTION of its phase.
+    tiny = [0, 1e-100, 0.2495, 0.7284]
     for name, cfg in {
         "dt": {**BASE, "schemes": ["434-1"], "sim": {"enabled": True, "dt": 0.5}},
         "kp": {**BASE, "sim": {"kp": -1}},
@@ -182,6 +189,15 @@ def test_bad_config_exit_codes(tmp_path, config_path):
         "samples_fraction": {**BASE, "samples": 2.7},
         "kp_bool": {**BASE, "sim": {"kp": True}},
         "stance_subnormal": {**BASE, "stance_times": [0, 1e-300, 0.48, 0.6]},
+        "stance_tiny_segment": {**BASE, "stance_times": tiny,
+                                "swing_times": [0.7284, 0.8, 0.9, 1.0]},
+        "waypoints_tiny_segment": {"schemes": ["434-1"], "waypoints": {
+            "stance": [[0, 10, 0, 0, 0], [1e-100, 12, 5], [0.2495, -3, -4],
+                       [0.7284, 0, 0, 0, 0]],
+            "swing": [[0.7284, 0, 0, 0, 0], [0.8, 4, 6], [0.9, 8, 1], [1.0, 10, 0, 0, 0]],
+        }},
+        "csv_short_rows": {"reference": {"csv": str(short_rows)}},
+        "csv_repeated_column": {"reference": {"csv": str(repeated)}},
     }.items():
         path = config_path(cfg, f"{name}.json")
         assert main(["generate", "--config", path, "--out", str(tmp_path)]) == 2, name

@@ -55,12 +55,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _fmt(v) if isinstance(v, float) else str(v) for v in row
-        ))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Floats as ``_fmt`` renders them, anything else by ``str``, with each
+    column's format taken from its first-row cell: one ``%`` per table."""
+    row = ",".join("%.9g" if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
+    cells = tuple(v for r in rows for v in r)
+    path.write_text(",".join(header) + "\n" + (row + "\n") * len(rows) % cells,
+                    encoding="utf-8")
 
 
 def _number(value, key: str, kind=float):
@@ -231,7 +231,7 @@ def run_generate(config: RunConfig, out: Path) -> None:
         for phase in _phases(traj):
             times = np.linspace(phase.t_start, phase.t_end, config.samples)
             values = evaluate(phase, times, slice(None))
-            rows += [[t, *v] for t, v in zip(times, values.T)]
+            rows += np.column_stack([times, values.T]).tolist()
         _write_csv(
             out / f"profile_{name}.csv",
             ["t", "position", "velocity", "acceleration", "jerk"],
@@ -249,9 +249,9 @@ def run_generate(config: RunConfig, out: Path) -> None:
             _write_csv(
                 out / f"tracking_{name}.csv",
                 ["t", "angle_rad", "velocity_rad_s", "reference_rad"],
-                [[float(t), float(a), float(w), float(r)] for t, a, w, r in zip(
-                    result.angle.times, result.angle.values,
-                    result.velocity.values, result.reference_angle.values)],
+                np.column_stack([result.angle.times, result.angle.values,
+                                 result.velocity.values,
+                                 result.reference_angle.values]).tolist(),
             )
             print(f"{name}: tracking RMSE {result.rmse:.6g} rad")
 

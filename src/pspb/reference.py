@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .poly import Polynomial, differentiate, horner
+from .poly import MAX_DERIVATIVE, Polynomial, differentiate, horner
 from .schemes import Waypoint
 
 
@@ -41,8 +42,16 @@ class PolynomialReference:
 
     coefficients: tuple[float, ...]
 
+    @cached_property
+    def _derivatives(self) -> tuple[Polynomial, ...]:
+        # Built on first call, like SolvedSegment's, so each call is one Horner pass.
+        polynomial = Polynomial(self.coefficients)
+        return tuple(differentiate(polynomial, k) for k in range(MAX_DERIVATIVE + 1))
+
     def __call__(self, t, order: int = 0):
-        return horner(differentiate(Polynomial(self.coefficients), order), t)
+        if not 0 <= order <= MAX_DERIVATIVE:
+            raise ValueError(f"derivative order must be in [0, {MAX_DERIVATIVE}], got {order}")
+        return horner(self._derivatives[order], t)
 
 
 class CsvReference:

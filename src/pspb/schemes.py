@@ -103,6 +103,10 @@ class SchemeSpec:
 
     def __post_init__(self):
         for cons in self.segment_constraints:
+            # generate_phase reads a pin's value from the start waypoint, the
+            # mid-point source or the end waypoint; no other tau has a value.
+            if any(tau not in (START, MID, END) for tau, _ in cons):
+                raise ValueError(f"constraint taus must be START, MID or END, got {cons}")
             if any(tau == MID and order != 0 for tau, order in cons):
                 raise ValueError("mid-point constraints must be position-only")
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pspb.cli import main
+from pspb.cli import _write_csv, main
 from pspb.reference import CsvReference, SinusoidReference
 from pspb.schemes import SCHEME_NAMES
 
@@ -269,6 +269,37 @@ def test_sim_toggle_emits_tracking(tmp_path, config_path):
     out = tmp_path / "out"
     assert main(["generate", "--config", config_path(cfg), "--out", str(out)]) == 0
     assert (out / "tracking_656-2.csv").exists()
+
+
+def per_cell_csv(header, rows):
+    """The CSV text of a writer that formats one cell at a time."""
+    lines = [",".join(header)] + [
+        ",".join(f"{float(v):.9g}" if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+_FLOATS = [0.0, -0.0, 1e-300, -1e-300, 5e300, math.nan, math.inf, -math.inf,
+           0.1, 1 / 3, -2.5e-7, 123456789.123, 5e-324]
+_RNG = np.random.default_rng(7)
+CSV_TABLES = {
+    "floats": [[x, -x, x * 3.7] for x in _FLOATS],
+    "numpy_floats": [[np.float64(x), x] for x in _FLOATS],
+    "mixed": [["434-1", np.float64(0.12), 2, 1 / 3, "a,b", "50%", 1],
+              ["656-2", 0.68, np.int64(-3), -0.0, "%s%%", "%(x)s", 0]],
+    "random": (_RNG.standard_normal((200, 4))
+               * 10.0 ** _RNG.integers(-300, 300, (200, 4))).tolist(),
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_TABLES))
+def test_write_csv_matches_per_cell_writer(tmp_path, name):
+    rows = CSV_TABLES[name]
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 3)]
+    _write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(header, rows).encode()
 
 
 # JSON values of every type where a config expects one type, NaN and inf

@@ -6,6 +6,7 @@ import functools
 import numpy as np
 import pytest
 
+from pspb.poly import Polynomial, differentiate, horner
 from pspb.reference import (
     CsvReference,
     PolynomialReference,
@@ -72,3 +73,21 @@ def test_float_time_evaluates_like_an_array_column():
         assert isinstance(row, np.ndarray) and row.shape == (3,)
         assert np.array_equal(row, column)
     assert isinstance(evaluate(traj, 0.3, 0), np.float64)
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_polynomial_reference_matches_fresh_derivative(order):
+    coefficients = tuple(np.random.default_rng(4).uniform(-5, 5, 8))
+    ref = PolynomialReference(coefficients)
+    want = differentiate(Polynomial(coefficients), order)
+    times = np.linspace(-1.5, 2.5, 41)
+    for _ in range(2):  # the first call fills the derivative cache
+        assert np.array_equal(ref(times, order), horner(want, times))
+        assert [ref(t, order) for t in times.tolist()] == \
+            [horner(want, t) for t in times.tolist()]
+
+
+@pytest.mark.parametrize("order", [-1, 4])
+def test_polynomial_reference_rejects_order(order):
+    with pytest.raises(ValueError, match="derivative order"):
+        PolynomialReference((1.0, 2.0))(0.5, order)

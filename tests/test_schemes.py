@@ -18,6 +18,7 @@ from pspb.schemes import (
     SCHEME_NAMES,
     START,
     PiecewiseTrajectory,
+    SchemeSpec,
     Waypoint,
     builtin_scheme,
     evaluate,
@@ -86,6 +87,16 @@ def test_656_2_template():
     assert pinned(traj, START) == [{0, 1, 2}] * 3
     assert pinned(traj, END) == [{0, 1, 2}] * 3
     assert pinned(traj, MID) == [{0}, set(), {0}]
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.25, 1e-9, float("nan")])
+def test_scheme_spec_rejects_pins_between_start_mid_end(tau):
+    # generate_phase has a value only at START, MID and END; a pin at 0.3
+    # used to take the end waypoint's value without complaint.
+    pins = ((START, 0), (START, 1), (tau, 0), (END, 0), (END, 1))
+    with pytest.raises(ValueError, match="START, MID or END"):
+        SchemeSpec("custom", (pins, pins, pins))
+    SchemeSpec("custom", tuple(((START, 0), (MID, 0), (END, 0)) for _ in range(3)))
 
 
 def test_zero_waypoints_give_zero_trajectory():

@@ -119,17 +119,19 @@ def test_step_cap(monkeypatch):
         simulate_tracking(traj, dt=5e-324)  # span / dt overflows to inf
 
 
-def scalar_reference_tracking(traj, gains, dt, feedforward, gravity_compensation):
-    """Angles and velocities from one scalar evaluate per RK4 stage."""
+def scalar_reference_tracking(traj, gains, dt, feedforward, gravity_compensation,
+                              thigh=THIGH):
+    """Angles and velocities from one scalar evaluate per RK4 stage, up to
+    and including the first state past the blow-up limit."""
     deg = math.pi / 180.0
 
     def deriv(t, state):
         pos, vel, acc = (v * deg for v in
                          evaluate(traj, min(t, traj.t_end), slice(3)))
-        torque = pd_torque(state, pos, vel, gains, acc if feedforward else None)
+        torque = pd_torque(state, pos, vel, gains, acc if feedforward else None, thigh)
         if gravity_compensation:
-            torque += gravity_torque(state.theta)
-        return hip_dynamics(state, torque)
+            torque += gravity_torque(state.theta, thigh)
+        return hip_dynamics(state, torque, thigh)
 
     n_steps = int(round((traj.t_end - traj.t_start) / dt))
     times = traj.t_start + dt * np.arange(n_steps + 1)
@@ -140,13 +142,18 @@ def scalar_reference_tracking(traj, gains, dt, feedforward, gravity_compensation
         state = rk4_step(deriv, times[i], state, times[i + 1] - times[i])
         thetas.append(state.theta)
         omegas.append(state.omega)
-    return times, np.array(thetas), np.array(omegas)
+        if max(abs(state.theta), abs(state.omega)) > simulation.BLOWUP_LIMIT:
+            break
+    return times[:len(thetas)], np.array(thetas), np.array(omegas)
 
 
+@pytest.mark.parametrize("thigh", [THIGH, TRUNK], ids=["THIGH", "TRUNK"])
 @pytest.mark.parametrize("feedforward,gravity_compensation",
                          list(itertools.product([False, True], repeat=2)))
 def test_stage_reference_table_is_bit_identical(monkeypatch, feedforward,
-                                                gravity_compensation):
+                                                gravity_compensation, thigh):
+    """simulate_tracking's inlined RK4 loop against rk4_step, pd_torque,
+    gravity_torque and hip_dynamics, bit for bit."""
     gains = PDGains(800, 40)
     calls = []
 
@@ -161,11 +168,12 @@ def test_stage_reference_table_is_bit_identical(monkeypatch, feedforward,
                                        (1e-3, 7e-4, 1.3e-3)):
         traj = smooth_trajectory(times=times)
         calls.clear()
-        result = simulate_tracking(traj, gains=gains, dt=dt, feedforward=feedforward,
+        result = simulate_tracking(traj, thigh=thigh, gains=gains, dt=dt,
+                                   feedforward=feedforward,
                                    gravity_compensation=gravity_compensation)
         assert len(calls) <= 3
         want_times, want_theta, want_omega = scalar_reference_tracking(
-            traj, gains, dt, feedforward, gravity_compensation)
+            traj, gains, dt, feedforward, gravity_compensation, thigh)
         assert np.array_equal(result.angle.times, want_times)
         assert np.array_equal(result.angle.values, want_theta)
         assert np.array_equal(result.velocity.values, want_omega)
@@ -175,8 +183,15 @@ def test_blowup_detected():
     # positive feedback: negative gains are rejected, so destabilize
     # with an absurd kd on a tiny dt budget instead
     traj = smooth_trajectory(amplitude=50.0)
-    with pytest.raises(NumericalBlowup):
-        simulate_tracking(traj, gains=PDGains(1e9, 0), dt=1e-3)
+    gains = PDGains(1e9, 0)
+    with pytest.raises(NumericalBlowup) as info:
+        simulate_tracking(traj, gains=gains, dt=1e-3)
+    # The message names the first step past the limit and its state.
+    times, thetas, omegas = scalar_reference_tracking(traj, gains, 1e-3, False, False)
+    assert len(times) < round((traj.t_end - traj.t_start) / 1e-3) + 1
+    assert str(info.value) == (
+        f"state diverged at t={times[-1]:.4f}: {SimState(float(thetas[-1]), float(omegas[-1]))}"
+    )
 
 
 def free_swing_final_state(dt, t_final=0.5, theta0=1.0):

@@ -10,9 +10,9 @@ with the segment duration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
 
 MAX_DERIVATIVE = 3  # jerk is the highest order the model cares about
 
@@ -32,7 +32,7 @@ class Polynomial:
         coeffs = tuple(float(c) for c in self.coefficients)
         if len(coeffs) == 0:
             raise ValueError("polynomial needs at least one coefficient")
-        if not all(np.isfinite(coeffs)):
+        if not all(map(math.isfinite, coeffs)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "degree", len(coeffs) - 1)

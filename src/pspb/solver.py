@@ -116,8 +116,10 @@ def solve_segment(
     pins = tuple((c.order, c.tau) for c in constraints)
     matrix, cond = _template(degree, pins)
     duration = t_end - t_start
-    coeffs = np.linalg.solve(matrix, [c.value * duration**c.order for c in constraints])
-    if not np.all(np.isfinite(coeffs)):
+    coeffs = np.linalg.solve(
+        matrix, [c.value * duration**c.order for c in constraints]
+    ).tolist()
+    if not all(map(math.isfinite, coeffs)):
         raise SingularSystem(
             f"solve produced non-finite coefficients: {_describe(pins)}"
         )

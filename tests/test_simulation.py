@@ -147,11 +147,8 @@ def scalar_reference_tracking(traj, gains, dt, feedforward, gravity_compensation
     return times[:len(thetas)], np.array(thetas), np.array(omegas)
 
 
-@pytest.mark.parametrize("thigh", [THIGH, TRUNK], ids=["THIGH", "TRUNK"])
-@pytest.mark.parametrize("feedforward,gravity_compensation",
-                         list(itertools.product([False, True], repeat=2)))
-def test_stage_reference_table_is_bit_identical(monkeypatch, feedforward,
-                                                gravity_compensation, thigh):
+def assert_matches_scalar_tracking(monkeypatch, feedforward, gravity_compensation,
+                                   thigh):
     """simulate_tracking's inlined RK4 loop against rk4_step, pd_torque,
     gravity_torque and hip_dynamics, bit for bit."""
     gains = PDGains(800, 40)
@@ -177,6 +174,22 @@ def test_stage_reference_table_is_bit_identical(monkeypatch, feedforward,
         assert np.array_equal(result.angle.times, want_times)
         assert np.array_equal(result.angle.values, want_theta)
         assert np.array_equal(result.velocity.values, want_omega)
+
+
+@pytest.mark.parametrize("feedforward,gravity_compensation",
+                         list(itertools.product([False, True], repeat=2)))
+def test_stage_reference_table_is_bit_identical(monkeypatch, feedforward,
+                                                gravity_compensation):
+    assert_matches_scalar_tracking(monkeypatch, feedforward, gravity_compensation,
+                                   THIGH)
+
+
+@pytest.mark.parametrize("feedforward,gravity_compensation",
+                         list(itertools.product([False, True], repeat=2)))
+def test_stage_reference_table_is_bit_identical_for_trunk(monkeypatch, feedforward,
+                                                          gravity_compensation):
+    assert_matches_scalar_tracking(monkeypatch, feedforward, gravity_compensation,
+                                   TRUNK)
 
 
 def test_blowup_detected():

@@ -146,16 +146,9 @@ def continuity_report(traj: PiecewiseTrajectory) -> ContinuityReport:
     analytically from the segment polynomials (sampling could straddle or
     miss a via time; the polynomials are exact)."""
     jumps = []
-    for i, v in enumerate(traj.via_times):
-        left, right = traj.segments[i], traj.segments[i + 1]
-        left_vals = left.kinematics(left.t_end)
-        right_vals = right.kinematics(right.t_start)
+    for v, left, right in zip(traj.via_times, traj.segments, traj.segments[1:]):
+        limits = zip(left.kinematics(left.t_end), right.kinematics(right.t_start))
         both = left.pinned_orders(SEGMENT_END) & right.pinned_orders(SEGMENT_START)
-        for order in range(4):
-            jumps.append(ContinuityJump(
-                v,
-                order,
-                abs(right_vals[order] - left_vals[order]),
-                order in both,
-            ))
+        jumps += [ContinuityJump(v, order, abs(after - before), order in both)
+                  for order, (before, after) in enumerate(limits)]
     return ContinuityReport(tuple(jumps))

@@ -3,9 +3,9 @@
 Coefficients are stored in ascending power over tau in [0, 1]. Keeping
 segment time normalized keeps the boundary-value systems well conditioned
 even for very short segments. ``differentiate`` gives the formal
-derivatives and ``horner`` evaluates one at a float or an array of tau;
-``SolvedSegment.kinematics`` combines the two and recovers physical units
-with the segment duration.
+derivatives. ``horner_rows`` is the one evaluation kernel: ``evaluate`` runs
+it over a trajectory's table of derivative rows, ``horner`` (and so
+``SolvedSegment.kinematics``) over one polynomial's coefficients.
 """
 
 from __future__ import annotations
@@ -40,9 +40,15 @@ class Polynomial:
 
 def horner(poly: Polynomial, t):
     """Evaluate by Horner's scheme at a float or element-wise on an array."""
+    return horner_rows(reversed(poly.coefficients), t)
+
+
+def horner_rows(rows, t):
+    """Horner's scheme over coefficients (floats or arrays), highest power
+    first. Leading zeros leave +0.0, so zero padding changes no bit."""
     acc = 0.0
-    for c in reversed(poly.coefficients):
-        acc = acc * t + c
+    for row in rows:
+        acc = acc * t + row
     return acc
 
 

@@ -12,6 +12,7 @@ single side of a via point jump there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     OutOfDomain,
     UnknownScheme,
 )
-from .poly import MAX_DERIVATIVE
+from .poly import MAX_DERIVATIVE, differentiate, horner_rows
 from .solver import SEGMENT_END, SEGMENT_START, Constraint, SolvedSegment, solve_segment
 
 # Where a constraint sits, as normalized segment time tau.
@@ -150,6 +151,20 @@ class PiecewiseTrajectory:
     def via_times(self) -> tuple[float, ...]:
         return tuple(s.t_start for s in self.segments[1:])
 
+    @cached_property
+    def _table(self):
+        """Segment starts, T**k by (order, segment), and each derivative's
+        coefficients, highest power first, left-padded with zeros to one
+        (power, order, segment) array. Built on first evaluation."""
+        width = max(s.polynomial.degree for s in self.segments) + 1
+        coeffs = np.zeros((width, MAX_DERIVATIVE + 1, len(self.segments)))
+        for i, s in enumerate(self.segments):
+            for k in range(MAX_DERIVATIVE + 1):
+                c = differentiate(s.polynomial, k).coefficients
+                coeffs[width - len(c):, k, i] = c[::-1]
+        powers = [[s.duration**k for s in self.segments] for k in range(MAX_DERIVATIVE + 1)]
+        return np.array([s.t_start for s in self.segments]), np.array(powers), coeffs
+
 
 def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
     """Derivative order(s) at time(s) t; right-continuous at via times.
@@ -159,17 +174,16 @@ def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
     float ``t`` returns a numpy float, or a 1-d array for a slice.
     """
     times = np.asarray(t, dtype=float)
-    inside = (traj.t_start <= times) & (times <= traj.t_end)
-    if not inside.all():
-        raise OutOfDomain(
-            f"t={times[~inside][0]} outside trajectory span "
-            f"[{traj.t_start}, {traj.t_end}]"
-        )
-    idx = np.searchsorted(traj.via_times, times, side="right")
-    values = np.empty((MAX_DERIVATIVE + 1, *times.shape))
-    for i in np.unique(idx):
-        values[:, idx == i] = traj.segments[i].kinematics(times[idx == i])
-    return values[order]
+    outside = ~((traj.t_start <= times) & (times <= traj.t_end))
+    if outside.any():
+        raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
+                          f"[{traj.t_start}, {traj.t_end}]")
+    # One power at a time, only the orders asked: no temporary outgrows the result.
+    starts, powers, coeffs = traj._table
+    idx = np.searchsorted(starts[1:], times, side="right")
+    tau = (times - starts.take(idx)) / powers[1].take(idx)
+    rows = (row.take(idx, axis=-1) for row in coeffs[:, order])
+    return horner_rows(rows, tau) / powers[order].take(idx, axis=-1)
 
 
 MidpointSource = Mapping[int, float] | Callable[[float], float] | None

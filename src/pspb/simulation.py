@@ -144,6 +144,8 @@ def simulate_tracking(
     stage_refs = np.moveaxis(
         evaluate(traj, np.minimum(stage_times, traj.t_end), slice(3)) * deg, 0, -1
     )  # (step, stage, order)
+    # Stage 1 of each step is at times[:-1], so only t_end is read again.
+    reference = np.append(stage_refs[:, 0, 0], evaluate(traj, traj.t_end, 0) * deg)
 
     # rk4_step over pd_torque, gravity_torque and hip_dynamics, inlined on
     # Python floats with the same operations in the same order, so the result
@@ -182,7 +184,7 @@ def simulate_tracking(
         omegas.append(omega)
 
     angle = SampledSeries(times, np.array(thetas), 0, "rad")
-    reference_angle = SampledSeries(times, evaluate(traj, times, 0) * deg, 0, "rad")
+    reference_angle = SampledSeries(times, reference, 0, "rad")
     return TrackingResult(
         angle=angle,
         velocity=SampledSeries(times, np.array(omegas), 1, "rad/s"),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,12 +68,6 @@ class SolvedSegment:
     def duration(self) -> float:
         return self.t_end - self.t_start
 
-    @cached_property
-    def _derivatives(self) -> tuple[Polynomial, ...]:
-        # Built on first evaluation so that solving alone never pays for it.
-        return tuple(differentiate(self.polynomial, k)
-                     for k in range(MAX_DERIVATIVE + 1))
-
     def kinematics(self, t):
         """Position, velocity, acceleration, jerk at physical time(s) t.
 
@@ -83,7 +77,8 @@ class SolvedSegment:
         """
         T = self.duration
         tau = (t - self.t_start) / T
-        return tuple(horner(d, tau) / T**k for k, d in enumerate(self._derivatives))
+        return tuple(horner(differentiate(self.polynomial, k), tau) / T**k
+                     for k in range(MAX_DERIVATIVE + 1))
 
     def pinned_orders(self, tau: float) -> frozenset[int]:
         """Derivative orders constrained at normalized time tau."""

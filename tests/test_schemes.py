@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pspb import poly
+from pspb.cli import _phases
 from pspb.errors import (
     MissingWaypointDerivative,
     NonContiguousPhases,
@@ -38,6 +39,22 @@ def zero_waypoints(times):
 def generic_reference(seed=0):
     rng = np.random.default_rng(seed)
     return PolynomialReference(tuple(rng.uniform(-5, 5, 8)))
+
+
+def build_gait(name, ref):
+    return generate_gait(
+        builtin_scheme(name),
+        waypoints_from_reference(ref, STANCE),
+        waypoints_from_reference(ref, SWING),
+        lambda t: ref(t, 0),
+        lambda t: ref(t, 0),
+    )
+
+
+def same_bits(a, b):
+    """Equal to the last bit, the sign of zero included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def build_phase(name, ref=None, times=STANCE, **kwargs):
@@ -185,14 +202,7 @@ def test_evaluate_out_of_domain():
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_evaluate_array_matches_scalar_bitwise(name):
-    ref = generic_reference(5)
-    traj = generate_gait(
-        builtin_scheme(name),
-        waypoints_from_reference(ref, STANCE),
-        waypoints_from_reference(ref, SWING),
-        lambda t: ref(t, 0),
-        lambda t: ref(t, 0),
-    )
+    traj = build_gait(name, generic_reference(5))
     times = np.union1d(np.linspace(traj.t_start, traj.t_end, 37),
                        [traj.t_start, *traj.via_times, traj.t_end])
     table = evaluate(traj, times, slice(None))
@@ -213,6 +223,56 @@ def test_evaluate_array_matches_scalar_bitwise(name):
         assert np.array_equal(scalar, loop)
     for t, row in zip(times, table.T):
         assert np.array_equal(row[:3], evaluate(traj, t, slice(3)))
+    # via_point_rmse's shape: one row of 21 times per via window, via included.
+    windows = np.array([np.linspace(v - 0.01, v + 0.01, 21) for v in traj.via_times])
+    assert windows.shape == (5, 21)
+    flat = evaluate(traj, windows.ravel(), slice(None))
+    assert same_bits(evaluate(traj, windows, slice(None)), flat.reshape(4, 5, 21))
+    for order in range(4):
+        assert same_bits(evaluate(traj, windows, order), flat[order].reshape(5, 21))
+
+
+def test_evaluate_pads_low_degree_segments_bitwise():
+    # Degrees 1, 6 and 3: in the trajectory's coefficient table the linear
+    # segment's position row sits under five powers of zero padding.
+    spec = SchemeSpec("padded", (
+        ((START, 0), (END, 0)),
+        ((START, 0), (START, 1), (START, 2), (START, 3), (END, 0), (END, 1), (END, 2)),
+        ((START, 0), (START, 1), (END, 0), (END, 1)),
+    ))
+    assert spec.segment_degrees == (1, 6, 3)
+    traj = generate_phase(spec, waypoints_from_reference(generic_reference(7), STANCE))
+    times = np.union1d(np.linspace(traj.t_start, traj.t_end, 41),
+                       [traj.t_start, *traj.via_times, traj.t_end])
+    table = evaluate(traj, times, slice(None))
+    for t, column in zip(times, table.T):
+        seg = [s for s in traj.segments if s.t_start <= t][-1]
+        tau = (t - seg.t_start) / seg.duration
+        assert same_bits(column, [
+            poly.horner(poly.differentiate(seg.polynomial, k), tau) / seg.duration**k
+            for k in range(4)
+        ])
+
+
+def test_kinematics_is_a_one_segment_evaluate():
+    for seg in build_gait("656-2", generic_reference(3)).segments:
+        one = PiecewiseTrajectory((seg,))
+        times = np.linspace(seg.t_start, seg.t_end, 17)
+        assert same_bits(seg.kinematics(times), evaluate(one, times, slice(None)))
+        for t in (seg.t_start, float(times[5]), seg.t_end):
+            assert same_bits(seg.kinematics(t), evaluate(one, t, slice(None)))
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_phase_halves_evaluate_like_the_gait(name):
+    traj = build_gait(name, generic_reference(11))
+    stance, swing = _phases(traj)
+    # The gait is right-continuous at 0.6, where swing takes over, so the
+    # stance half is compared on [0, 0.6) only.
+    for half, times in ((stance, np.linspace(0.0, 0.6, 57)[:-1]),
+                        (swing, np.linspace(0.6, 1.0, 57))):
+        assert same_bits(evaluate(half, times, slice(None)),
+                         evaluate(traj, times, slice(None)))
 
 
 def test_evaluate_right_continuous_at_via():

@@ -174,6 +174,8 @@ def assert_matches_scalar_tracking(monkeypatch, feedforward, gravity_compensatio
         assert np.array_equal(result.angle.times, want_times)
         assert np.array_equal(result.angle.values, want_theta)
         assert np.array_equal(result.velocity.values, want_omega)
+        want_reference = [evaluate(traj, t, 0) * (math.pi / 180.0) for t in want_times]
+        assert np.array_equal(result.reference_angle.values, want_reference)
 
 
 @pytest.mark.parametrize("feedforward,gravity_compensation",

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -119,6 +120,27 @@ def test_condition_estimate_at_least_one():
     estimates = [solve_segment(5, cons, 0.0, T).condition_estimate for T in (1.0, 1e-9)]
     assert estimates[0] == estimates[1]
     assert 1.0 <= estimates[0] < math.inf
+
+
+def test_every_scheme_template_is_singular_or_well_conditioned():
+    # A SchemeSpec pin is one of nine: orders 0-3 at START or END, or the
+    # position at MID. Row order leaves the infinity-norm condition number
+    # unchanged, so the 511 nonempty pin sets cover every user template.
+    # Each is exactly singular or far from it, so no conditioning gate is needed.
+    pins = [(k, tau) for tau in (SEGMENT_START, SEGMENT_END) for k in range(4)]
+    pins.append((0, MID))
+    singular, worst = 0, 0.0
+    for size in range(1, len(pins) + 1):
+        for subset in itertools.combinations(pins, size):
+            constraints = [c(k, tau, 0.0) for k, tau in subset]
+            try:
+                seg = solve_segment(size - 1, constraints, 0.0, 1.0)
+            except SingularSystem:
+                singular += 1
+                continue
+            worst = max(worst, seg.condition_estimate)
+    assert singular == 135
+    assert worst <= 1e7
 
 
 def test_package_exports_no_modules_or_removed_names():

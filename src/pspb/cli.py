@@ -348,16 +348,13 @@ def main(argv: list[str] | None = None) -> int:
             run_compare(config, out)
         else:
             run_benchmark(config, args.repetitions, out)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (SingularSystem, NumericalBlowup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except PspbError as exc:
+    except (PspbError, ValueError) as exc:  # ConfigError and any other bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -23,8 +23,8 @@ from .errors import (
     OutOfDomain,
     UnknownScheme,
 )
-from .poly import MAX_DERIVATIVE, differentiate, horner_rows
-from .solver import SEGMENT_END, SEGMENT_START, Constraint, SolvedSegment, solve_segment
+from .poly import MAX_DERIVATIVE, horner_rows
+from .solver import SEGMENT_END, SEGMENT_START, SolvedSegment, _solve_stacked, _template
 
 # Where a constraint sits, as normalized segment time tau.
 START, MID, END = SEGMENT_START, 0.5, SEGMENT_END
@@ -103,9 +103,10 @@ class SchemeSpec:
     segment_constraints: tuple[tuple[tuple[float, int], ...], ...]
 
     def __post_init__(self):
+        if len(self.segment_constraints) != 3:
+            raise ValueError(f"a phase has 3 segments, got {len(self.segment_constraints)}")
         for cons in self.segment_constraints:
-            # generate_phase reads a pin's value from the start waypoint, the
-            # mid-point source or the end waypoint; no other tau has a value.
+            # Pin values come from the waypoints or the mid-point source only.
             if any(tau not in (START, MID, END) for tau, _ in cons):
                 raise ValueError(f"constraint taus must be START, MID or END, got {cons}")
             if any(tau == MID and order != 0 for tau, order in cons):
@@ -114,6 +115,13 @@ class SchemeSpec:
     @property
     def segment_degrees(self) -> tuple[int, ...]:
         return tuple(len(cons) - 1 for cons in self.segment_constraints)
+
+    @cached_property
+    def _slots(self):
+        """Per segment: (order, tau) pins, condition number, template stacked per phase."""
+        pins = [tuple((k, tau) for tau, k in cons) for cons in self.segment_constraints]
+        templates = [_template(len(p) - 1, p) for p in pins]
+        return [(p, cond, np.stack([m, m])) for p, (m, cond) in zip(pins, templates)]
 
 
 def builtin_scheme(name: str) -> SchemeSpec:
@@ -159,9 +167,8 @@ class PiecewiseTrajectory:
         width = max(s.polynomial.degree for s in self.segments) + 1
         coeffs = np.zeros((width, MAX_DERIVATIVE + 1, len(self.segments)))
         for i, s in enumerate(self.segments):
-            for k in range(MAX_DERIVATIVE + 1):
-                c = differentiate(s.polynomial, k).coefficients
-                coeffs[width - len(c):, k, i] = c[::-1]
+            for k, rows in enumerate(s.derivative_rows):
+                coeffs[width - len(rows):, k, i] = rows
         powers = [[s.duration**k for s in self.segments] for k in range(MAX_DERIVATIVE + 1)]
         return np.array([s.t_start for s in self.segments]), np.array(powers), coeffs
 
@@ -200,41 +207,7 @@ def generate_phase(
     variants: either a mapping from segment index to position or a callable
     sampled at the segment's mid time.
     """
-    if len(waypoints) != 4:
-        raise ValueError(f"a phase needs exactly 4 waypoints, got {len(waypoints)}")
-    times = [w.time for w in waypoints]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError(f"waypoint times must be strictly increasing: {times}")
-    if any(b - a < MIN_SEGMENT_FRACTION * (times[-1] - times[0])
-           for a, b in zip(times, times[1:])):
-        raise ValueError(
-            f"each segment must span at least {MIN_SEGMENT_FRACTION:g} of its "
-            f"phase, got waypoint times {times}"
-        )
-
-    segments = []
-    for i in range(3):
-        w_start, w_end = waypoints[i], waypoints[i + 1]
-        constraints = []
-        for tau, order in scheme.segment_constraints[i]:
-            if tau == MID:
-                value = _midpoint_value(
-                    midpoint_positions, i, 0.5 * (w_start.time + w_end.time), scheme
-                )
-            else:
-                waypoint = w_start if tau == START else w_end
-                value = waypoint.derivative(order)
-                if value is None:
-                    raise MissingWaypointDerivative(
-                        f"scheme {scheme.name} segment {i + 1} needs "
-                        f"derivative order {order} at t={waypoint.time}, "
-                        "but the waypoint does not define it"
-                    )
-            constraints.append(Constraint(order, tau, value))
-        segments.append(solve_segment(
-            len(constraints) - 1, constraints, w_start.time, w_end.time
-        ))
-    return PiecewiseTrajectory(tuple(segments))
+    return _solve_phases(scheme, [(waypoints, midpoint_positions)])
 
 
 def generate_gait(
@@ -250,22 +223,53 @@ def generate_gait(
             f"stance ends at {stance_waypoints[-1].time} but swing starts "
             f"at {swing_waypoints[0].time}"
         )
-    stance = generate_phase(scheme, stance_waypoints, stance_midpoints)
-    swing = generate_phase(scheme, swing_waypoints, swing_midpoints)
-    return PiecewiseTrajectory(stance.segments + swing.segments)
+    return _solve_phases(scheme, [(stance_waypoints, stance_midpoints),
+                                  (swing_waypoints, swing_midpoints)])
 
 
-def _midpoint_value(
-    source: MidpointSource, segment: int, t_mid: float, scheme: SchemeSpec
-) -> float:
-    if callable(source):
-        return float(source(t_mid))
-    if source is not None and segment in source:
-        return float(source[segment])
-    raise MissingWaypointDerivative(
-        f"scheme {scheme.name} needs a mid-point position for segment "
-        f"{segment + 1} (t={t_mid}) and none was supplied"
-    )
+def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
+    """Check and read each (waypoints, midpoints) phase, then solve each slot once."""
+    rhs = ([], [], [])
+    for waypoints, midpoints in phases:
+        if len(waypoints) != 4:
+            raise ValueError(f"a phase needs exactly 4 waypoints, got {len(waypoints)}")
+        times = [w.time for w in waypoints]
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError(f"waypoint times must be strictly increasing: {times}")
+        if any(b - a < MIN_SEGMENT_FRACTION * (times[-1] - times[0])
+               for a, b in zip(times, times[1:])):
+            raise ValueError(
+                f"each segment must span at least {MIN_SEGMENT_FRACTION:g} of its "
+                f"phase, got waypoint times {times}"
+            )
+        for i, cons in enumerate(scheme.segment_constraints):
+            duration = times[i + 1] - times[i]
+            rhs[i].append([_pin_value(scheme, i, tau, order, waypoints[i:i + 2], midpoints)
+                           * duration**order for tau, order in cons])
+    solved = [_solve_stacked(*slot, rows, [(w[i].time, w[i + 1].time) for w, _ in phases])
+              for i, (slot, rows) in enumerate(zip(scheme._slots, rhs))]
+    return PiecewiseTrajectory(tuple(seg for phase in zip(*solved) for seg in phase))
+
+
+def _pin_value(scheme: SchemeSpec, segment: int, tau: float, order: int, ends, midpoints):
+    if tau == MID:
+        t_mid = 0.5 * (ends[0].time + ends[1].time)
+        if callable(midpoints):
+            return float(midpoints(t_mid))
+        if midpoints is not None and segment in midpoints:
+            return float(midpoints[segment])
+        raise MissingWaypointDerivative(
+            f"scheme {scheme.name} needs a mid-point position for segment "
+            f"{segment + 1} (t={t_mid}) and none was supplied"
+        )
+    waypoint = ends[0] if tau == START else ends[1]
+    value = waypoint.derivative(order)
+    if value is None:
+        raise MissingWaypointDerivative(
+            f"scheme {scheme.name} segment {segment + 1} needs derivative "
+            f"order {order} at t={waypoint.time}, but the waypoint does not define it"
+        )
+    return value
 
 
 # Default phase timing (seconds). Stance via times follow the analyzed

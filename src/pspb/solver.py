@@ -6,20 +6,21 @@ in the linear system is d^k/dtau^k of the monomials at tau: the matrix
 depends only on the degree and the (order, tau) pairs, never on the
 duration or the values. The physical value v enters the right-hand side
 as v * T^k (chain rule). Each distinct template's matrix and condition
-number are therefore built once and cached, and a solve is one dense
-solve with partial pivoting (at most 7x7, degree 6).
+number are therefore built once and cached. A scheme compiles its three
+templates once, so a gait is one stacked dense solve with partial pivoting
+(at most 7x7, degree 6) per segment slot, and ``solve_segment`` a stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConstraintCountMismatch, SingularSystem
-from .poly import MAX_DERIVATIVE, Polynomial, differentiate, horner
+from .poly import MAX_DERIVATIVE, Polynomial, differentiate, horner_rows
 
 ORDER_NAMES = ("position", "velocity", "acceleration", "jerk")
 SEGMENT_START = 0.0
@@ -77,7 +78,12 @@ class SolvedSegment:
         """
         T = self.duration
         tau = (t - self.t_start) / T
-        return tuple(horner(differentiate(self.polynomial, k), tau) / T**k
+        return tuple(horner_rows(c, tau) / T**k for k, c in enumerate(self.derivative_rows))
+
+    @cached_property
+    def derivative_rows(self) -> tuple[tuple[float, ...], ...]:
+        """Coefficients of position through jerk over tau, highest power first."""
+        return tuple(differentiate(self.polynomial, k).coefficients[::-1]
                      for k in range(MAX_DERIVATIVE + 1))
 
     def pinned_orders(self, tau: float) -> frozenset[int]:
@@ -110,15 +116,19 @@ def solve_segment(
     """Solve the boundary-value system for one segment."""
     pins = tuple((c.order, c.tau) for c in constraints)
     matrix, cond = _template(degree, pins)
-    duration = t_end - t_start
-    coeffs = np.linalg.solve(
-        matrix, [c.value * duration**c.order for c in constraints]
-    ).tolist()
-    if not all(map(math.isfinite, coeffs)):
-        raise SingularSystem(
-            f"solve produced non-finite coefficients: {_describe(pins)}"
-        )
-    return SolvedSegment(Polynomial(tuple(coeffs)), t_start, t_end, cond, pins)
+    rhs = [[c.value * (t_end - t_start)**c.order for c in constraints]]
+    return _solve_stacked(pins, cond, matrix[None], rhs, [(t_start, t_end)])[0]
+
+
+def _solve_stacked(pins, cond, matrices, rhs, spans) -> list[SolvedSegment]:
+    """One segment per span: item p of ``matrices``, copies of the pins' template,
+    against row p of ``rhs``. Each item is its own solve, bit-identical to a lone
+    2-d one; one matrix against a multi-column right side would not be."""
+    solved = np.linalg.solve(matrices[:len(rhs)], np.array(rhs)[..., None])[..., 0].tolist()
+    if not all(math.isfinite(x) for coeffs in solved for x in coeffs):
+        raise SingularSystem(f"solve produced non-finite coefficients: {_describe(pins)}")
+    return [SolvedSegment(Polynomial(tuple(coeffs)), t_start, t_end, cond, pins)
+            for coeffs, (t_start, t_end) in zip(solved, spans)]
 
 
 def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[float]:

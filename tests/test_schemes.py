@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from pspb import poly
+from pspb import poly, schemes, solver
 from pspb.cli import _phases
 from pspb.errors import (
     MissingWaypointDerivative,
     NonContiguousPhases,
     OutOfDomain,
+    SingularSystem,
     UnknownScheme,
 )
 from pspb.metrics import continuity_report
@@ -314,3 +315,115 @@ def test_434_middle_segment_jerk_constant():
         jerks = [mid.kinematics(t)[3]
                  for t in np.linspace(mid.t_start, mid.t_end, 50)]
         assert max(jerks) - min(jerks) <= 1e-9
+
+
+def per_segment_solves(scheme, phases, midpoint):
+    """Each segment of each phase solved on its own with solve_segment, on
+    the Constraints the scheme's templates name."""
+    segments = []
+    for waypoints in phases:
+        for i, pins in enumerate(scheme.segment_constraints):
+            w_start, w_end = waypoints[i], waypoints[i + 1]
+            constraints = [
+                Constraint(order, tau, midpoint(0.5 * (w_start.time + w_end.time))
+                           if tau == MID else
+                           (w_start if tau == START else w_end).derivative(order))
+                for tau, order in pins
+            ]
+            segments.append(solve_segment(len(pins) - 1, constraints,
+                                          w_start.time, w_end.time))
+    return segments
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_stacked_gait_matches_per_segment_solves_bitwise(name):
+    # A gait solves each segment slot once for both phases; every segment
+    # must still equal its own solve_segment call to the last bit, and a
+    # lone phase must equal its half of the gait.
+    rng = np.random.default_rng(SCHEME_NAMES.index(name))
+    scheme = builtin_scheme(name)
+    for _ in range(25):
+        ref = PolynomialReference(tuple(rng.uniform(-5, 5, 8)))
+        stance = waypoints_from_reference(
+            ref, [0.0, rng.uniform(0.08, 0.2), rng.uniform(0.4, 0.52), 0.6])
+        swing = waypoints_from_reference(
+            ref, [0.6, rng.uniform(0.64, 0.72), rng.uniform(0.88, 0.96), 1.0])
+        midpoint = lambda t: ref(t, 0)
+        gait = generate_gait(scheme, stance, swing, midpoint, midpoint)
+        alone = per_segment_solves(scheme, (stance, swing), midpoint)
+        halves = (generate_phase(scheme, stance, midpoint).segments
+                  + generate_phase(scheme, swing, midpoint).segments)
+        for got, want, half in zip(gait.segments, alone, halves, strict=True):
+            for other in (want, half):
+                assert same_bits(got.polynomial.coefficients, other.polynomial.coefficients)
+                assert (got.t_start, got.t_end, got.pins, got.condition_estimate) == \
+                    (other.t_start, other.t_end, other.pins, other.condition_estimate)
+
+
+def test_scheme_compiles_its_templates_once(monkeypatch):
+    # A spec builds nothing until its first solve, then at most one template
+    # per segment slot, and nothing for any later gait.
+    built = []
+    real_template = solver._template
+
+    def counting_template(degree, pins):
+        built.append(pins)
+        return real_template(degree, pins)
+
+    monkeypatch.setattr(solver, "_template", counting_template)
+    monkeypatch.setattr(schemes, "_template", counting_template)
+    scheme = builtin_scheme("656-2")
+    assert built == []
+    for seed in range(100):
+        ref = generic_reference(seed)
+        generate_gait(scheme, waypoints_from_reference(ref, STANCE),
+                      waypoints_from_reference(ref, SWING),
+                      lambda t: ref(t, 0), lambda t: ref(t, 0))
+        if seed == 0:
+            assert 0 < len(built) <= 3
+            first_gait = list(built)
+    assert built == first_gait
+
+
+def test_gait_errors_keep_stance_first_order():
+    # Stance values are read before the swing table is checked, as when each
+    # phase was solved in turn: a stance waypoint without the acceleration
+    # 656-1 pins wins over a short or unsorted swing table.
+    stance = [Waypoint(t, 0.0, 0.0) for t in STANCE]
+    for swing in (zero_waypoints(SWING[:3]), zero_waypoints([0.6, 0.9, 0.8, 1.0])):
+        with pytest.raises(MissingWaypointDerivative) as err:
+            generate_gait(builtin_scheme("656-1"), stance, swing)
+        assert str(err.value) == ("scheme 656-1 segment 1 needs derivative order 2 "
+                                  "at t=0.0, but the waypoint does not define it")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        generate_gait(builtin_scheme("656-1"), zero_waypoints(STANCE),
+                      [Waypoint(t, 0.0) for t in (0.6, 0.9, 0.8, 1.0)])
+    # Mid-point sources are called in segment order, stance before swing.
+    calls = []
+    ref = generic_reference(2)
+    generate_gait(builtin_scheme("434-2"), waypoints_from_reference(ref, STANCE),
+                  waypoints_from_reference(ref, SWING),
+                  lambda t: calls.append(("stance", t)) or ref(t, 0),
+                  lambda t: calls.append(("swing", t)) or ref(t, 0))
+    assert calls == [("stance", 0.06), ("stance", 0.54), ("swing", 0.64), ("swing", 0.96)]
+
+
+def test_singular_or_nonfinite_gait_names_its_pins():
+    line = ((START, 0), (END, 0))
+    spec = SchemeSpec("singular", (line, ((START, 0), (START, 0)), line))
+    for solve in (lambda: generate_phase(spec, zero_waypoints(STANCE)),
+                  lambda: generate_gait(spec, zero_waypoints(STANCE), zero_waypoints(SWING))):
+        with pytest.raises(SingularSystem, match=r"singular: position@tau=0, position@tau=0$"):
+            solve()
+    # Finite waypoints whose solve overflows: the slot's pins are named too.
+    huge = [Waypoint(t, (-1) ** i * 1e308, 0.0, 0.0, 0.0) for i, t in enumerate(SWING)]
+    with pytest.raises(SingularSystem, match="non-finite coefficients: position@tau=0, "
+                       "velocity@tau=0, acceleration@tau=0, position@tau=1, velocity@tau=1$"):
+        generate_gait(builtin_scheme("434-1"), zero_waypoints(STANCE), huge)
+
+
+def test_scheme_spec_has_three_segments():
+    line = ((START, 0), (END, 0))
+    for count in (2, 4):
+        with pytest.raises(ValueError, match="3 segments"):
+            SchemeSpec("custom", (line,) * count)

@@ -22,11 +22,8 @@ from .errors import ConfigError, NumericalBlowup, PspbError, SingularSystem
 from .metrics import (
     DEFAULT_SAMPLES,
     DEFAULT_VIA_WINDOW,
-    SampledSeries,
-    ade,
+    _rms,
     continuity_report,
-    rmse,
-    sample,
     via_point_rmse,
 )
 from .reference import CsvReference, SinusoidReference, waypoints_from_reference
@@ -267,18 +264,17 @@ def run_compare(config: RunConfig, out: Path) -> None:
         scopes = {"full": traj, "stance": stance, "swing": swing}
         text.append(f"scheme {name}")
         for scope, sub in scopes.items():
-            for order, label in enumerate(QUANTITY_LABELS):
-                gen = sample(sub, config.samples, order)
-                ref_series = SampledSeries(gen.times, ref(gen.times, order), order, gen.unit)
-                r, a = rmse(gen, ref_series), ade(gen, ref_series)
-                error_rows.append([name, scope, label, float(r), float(a)])
+            # All four orders from one grid; ADE is RMSE / sqrt(N) as in metrics.ade.
+            times = np.linspace(sub.t_start, sub.t_end, config.samples)
+            err = evaluate(sub, times, slice(None)) - [ref(times, k) for k in range(4)]
+            for label, r in zip(QUANTITY_LABELS, _rms(err).tolist()):
+                a = r / math.sqrt(config.samples)
+                error_rows.append([name, scope, label, r, a])
                 if scope == "full":
                     text.append(f"  {label:<12} RMSE {_fmt(r):>14}  ADE {_fmt(a):>14}")
-        for order in range(4):
-            for w in via_point_rmse(traj, ref, order, config.via_window):
-                via_rows.append([
-                    name, float(w.via_time), order, float(w.rmse), int(w.clipped),
-                ])
+        vias = via_point_rmse(traj, ref, slice(None), config.via_window)
+        via_rows += [[name, float(w.via_time), order, w.rmse, int(w.clipped)]
+                     for order, windows in enumerate(vias) for w in windows]
     _write_csv(out / "error_report.csv",
                ["scheme", "scope", "quantity", "rmse", "ade"], error_rows)
     _write_csv(out / "via_rmse.csv",

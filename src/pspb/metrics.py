@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SeriesMismatch
+from .poly import MAX_DERIVATIVE
 from .schemes import PiecewiseTrajectory, evaluate
 from .solver import SEGMENT_END, SEGMENT_START
 
@@ -66,9 +67,13 @@ def _check_pair(a: SampledSeries, b: SampledSeries):
         raise SeriesMismatch("series are sampled on different time grids")
 
 
+def _rms(err: np.ndarray):  # over the last axis
+    return np.sqrt(np.mean(err**2, axis=-1))
+
+
 def rmse(a: SampledSeries, b: SampledSeries) -> float:
     _check_pair(a, b)
-    return float(np.sqrt(np.mean((a.values - b.values) ** 2)))
+    return float(_rms(a.values - b.values))
 
 
 def ade(a: SampledSeries, b: SampledSeries) -> float:
@@ -95,28 +100,29 @@ class ViaWindowError:
 def via_point_rmse(
     traj: PiecewiseTrajectory,
     reference: Reference,
-    order: int = 0,
+    order: int | slice = 0,
     window: float = DEFAULT_VIA_WINDOW,
     samples_per_window: int = 21,
-) -> list[ViaWindowError]:
+) -> list[ViaWindowError] | list[list[ViaWindowError]]:
     """RMSE of traj vs reference over [v - window, v + window] per via point.
 
     Windows that would spill past the trajectory domain are clipped and
-    flagged. ``reference`` is called once, as reference(times, order) with
-    one row of times per window.
+    flagged. ``order`` is an int or, as in ``evaluate``, a slice of orders
+    0..3 that returns one list per order from one evaluation. ``reference``
+    is called once per order, as reference(times, order), one row per window.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
-    windows = []
-    for v in traj.via_times:
-        lo, hi = v - window, v + window
-        clipped = lo < traj.t_start or hi > traj.t_end
-        windows.append((v, max(lo, traj.t_start), min(hi, traj.t_end), clipped))
-    times = np.array([np.linspace(lo, hi, samples_per_window)
-                      for _, lo, hi, _ in windows])
-    err = evaluate(traj, times, order) - reference(times, order)
-    return [ViaWindowError(v, float(np.sqrt(np.mean(e**2))), (lo, hi), clipped)
-            for (v, lo, hi, clipped), e in zip(windows, err)]
+    t0, t1, vias = traj.t_start, traj.t_end, traj.via_times
+    lo = [max(v - window, t0) for v in vias]
+    hi = [min(v + window, t1) for v in vias]
+    times = np.linspace(lo, hi, samples_per_window, axis=-1)
+    rows = order if isinstance(order, slice) else slice(order, order + 1)
+    expected = np.array([reference(times, k) for k in range(MAX_DERIVATIVE + 1)[rows]])
+    per_order = [[ViaWindowError(v, float(r), (a, b), v - window < t0 or v + window > t1)
+                  for v, a, b, r in zip(vias, lo, hi, rms)]
+                 for rms in _rms(evaluate(traj, times, rows) - expected)]
+    return per_order if isinstance(order, slice) else per_order[0]
 
 
 @dataclass(frozen=True)

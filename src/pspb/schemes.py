@@ -12,7 +12,7 @@ single side of a via point jump there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -105,11 +105,13 @@ class SchemeSpec:
     def __post_init__(self):
         if len(self.segment_constraints) != 3:
             raise ValueError(f"a phase has 3 segments, got {len(self.segment_constraints)}")
-        for cons in self.segment_constraints:
+        for tau, order in (pin for cons in self.segment_constraints for pin in cons):
             # Pin values come from the waypoints or the mid-point source only.
-            if any(tau not in (START, MID, END) for tau, _ in cons):
-                raise ValueError(f"constraint taus must be START, MID or END, got {cons}")
-            if any(tau == MID and order != 0 for tau, order in cons):
+            if tau not in (START, MID, END):
+                raise ValueError(f"pin {(tau, order)}: tau must be START, MID or END")
+            if order not in range(MAX_DERIVATIVE + 1):
+                raise ValueError(f"pin {(tau, order)}: order must be in 0..{MAX_DERIVATIVE}")
+            if tau == MID and order != 0:
                 raise ValueError("mid-point constraints must be position-only")
 
     @property
@@ -124,8 +126,9 @@ class SchemeSpec:
         return [(p, cond, np.stack([m, m])) for p, (m, cond) in zip(pins, templates)]
 
 
+@cache
 def builtin_scheme(name: str) -> SchemeSpec:
-    """Look up one of 434-1, 434-2, 545-1, 545-2, 656-1, 656-2."""
+    """Look up one of 434-1, 434-2, 545-1, 545-2, 656-1, 656-2, built once per name."""
     try:
         constraints = _SCHEME_TABLES[name]
     except KeyError:

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pspb.cli import _write_csv, main
+from pspb import cli
+from pspb.cli import QUANTITY_LABELS, RunConfig, _write_csv, main
+from pspb.metrics import SampledSeries, ade, rmse, sample, via_point_rmse
 from pspb.reference import CsvReference, SinusoidReference
-from pspb.schemes import SCHEME_NAMES
+from pspb.schemes import SCHEME_NAMES, PiecewiseTrajectory
 
 
 @pytest.fixture
@@ -96,6 +98,68 @@ def test_compare_against_own_reference(tmp_path, config_path):
             )
     assert (out / "via_rmse.csv").exists()
     assert (out / "error_report.txt").exists()
+
+
+def public_compare_tables(doc):
+    """compare's two tables rebuilt one order at a time through the public
+    metrics: sample + rmse/ade per scope, via_point_rmse per order."""
+    config = RunConfig(doc)
+    ref = config.reference
+    errors, vias = [], []
+    for name in config.schemes:
+        traj = config.build_gait(name)
+        scopes = {"full": traj, "stance": PiecewiseTrajectory(traj.segments[:3]),
+                  "swing": PiecewiseTrajectory(traj.segments[3:])}
+        for scope, sub in scopes.items():
+            for order, label in enumerate(QUANTITY_LABELS):
+                gen = sample(sub, config.samples, order)
+                expected = SampledSeries(gen.times, ref(gen.times, order), order)
+                errors.append([name, scope, label, rmse(gen, expected), ade(gen, expected)])
+        for order in range(4):
+            vias += [[name, w.via_time, order, w.rmse, int(w.clipped)]
+                     for w in via_point_rmse(traj, ref, order, config.via_window)]
+    return {"error_report.csv": errors, "via_rmse.csv": vias}
+
+
+def same_cells(row, other):
+    """Equal cell by cell, floats to the last bit."""
+    bits = [np.float64(v).view(np.int64) if isinstance(v, float) else v for v in row]
+    return bits == [np.float64(v).view(np.int64) if isinstance(v, float) else v
+                    for v in other] and list(map(type, row)) == list(map(type, other))
+
+
+@pytest.mark.parametrize("setup", ["default", "off_timing_csv"])
+def test_compare_matches_public_metrics_bitwise(tmp_path, config_path, monkeypatch, setup):
+    doc = BASE
+    if setup == "off_timing_csv":
+        ref = SinusoidReference(30.0, 1.0)
+        lines = ["t,pos,vel"] + [f"{t:.17g},{ref(t, 0):.17g},{ref(t, 1):.17g}"
+                                 for t in np.linspace(0, 1, 401)]
+        (tmp_path / "ref.csv").write_text("\n".join(lines) + "\n")
+        doc = {"stance_times": [0.0, 0.07, 0.41, 0.63], "swing_times": [0.63, 0.71, 0.88, 1.0],
+               "reference": {"csv": str(tmp_path / "ref.csv")}, "samples": 57,
+               "via_window": 0.2}
+    written = {}
+
+    def capture(path, header, rows):
+        written[path.name] = rows
+        write_csv(path, header, rows)
+
+    write_csv = cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", config_path(doc), "--out", str(out)]) == 0
+    expected = public_compare_tables(doc)
+    assert written.keys() == expected.keys()
+    for table, rows in expected.items():
+        assert len(written[table]) == len(rows) == (72 if table == "error_report.csv" else 120)
+        assert all(same_cells(a, b) for a, b in zip(written[table], rows)), table
+        # The file holds exactly what the rows format to.
+        header = (out / table).read_text().split("\n", 1)[0].split(",")
+        write_csv(tmp_path / table, header, rows)
+        assert (out / table).read_bytes() == (tmp_path / table).read_bytes()
+    clipped = sum(row[-1] for row in expected["via_rmse.csv"])
+    assert clipped == (0 if setup == "default" else 48)
 
 
 def test_compare_via_smoothness_ordering(tmp_path, config_path):

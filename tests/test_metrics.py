@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,12 @@ from pspb.metrics import (
 from pspb.reference import PolynomialReference, waypoints_from_reference
 from pspb.schemes import (
     DEFAULT_STANCE_TIMES,
+    DEFAULT_SWING_TIMES,
+    SCHEME_NAMES,
     Waypoint,
     builtin_scheme,
+    evaluate,
+    generate_gait,
     generate_phase,
 )
 
@@ -143,6 +148,38 @@ def test_via_rmse_identically_zero_against_self():
     self_ref = lambda t, order: evaluate(traj, t, order)
     for order in range(4):
         assert all(w.rmse == 0.0 for w in via_point_rmse(traj, self_ref, order))
+
+
+def window_bits(windows):
+    """Each window's floats as int64 bits, sign of zero included, and its flag."""
+    return [(np.array([w.via_time, w.rmse, *w.window]).view(np.int64).tolist(), w.clipped)
+            for w in windows]
+
+
+@pytest.mark.parametrize("window", [0.01, 0.2])
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_via_rmse_slice_stacks_int_orders_bitwise(name, window):
+    ref = PolynomialReference(tuple(np.random.default_rng(7).uniform(-5, 5, 8)))
+    traj = generate_gait(builtin_scheme(name),
+                         waypoints_from_reference(ref, DEFAULT_STANCE_TIMES),
+                         waypoints_from_reference(ref, DEFAULT_SWING_TIMES),
+                         lambda t: ref(t, 0), lambda t: ref(t, 0))
+    stacked = via_point_rmse(traj, ref, slice(None), window)
+    assert len(stacked) == 4
+    for order, windows in enumerate(stacked):
+        assert window_bits(windows) == window_bits(via_point_rmse(traj, ref, order, window))
+    assert [window_bits(w) for w in via_point_rmse(traj, ref, slice(1, 3), window)] == \
+        [window_bits(w) for w in stacked[1:3]]
+    # Each window's RMSE is the one over its own 21-point linspace.
+    for order, windows in enumerate(stacked):
+        for w in windows:
+            t = np.linspace(*w.window, 21)
+            err = evaluate(traj, t, order) - ref(t, order)
+            own = replace(w, rmse=float(np.sqrt(np.mean(err**2))))
+            assert window_bits([w]) == window_bits([own])
+    # 0.2 s reaches past both ends of the 1 s gait from its first and last via points.
+    assert [w.clipped for w in stacked[0]] == ([False] * 5 if window == 0.01
+                                               else [True, False, False, False, True])
 
 
 def test_acceleration_jump_leaves_position_window_small():

@@ -372,7 +372,8 @@ def test_scheme_compiles_its_templates_once(monkeypatch):
 
     monkeypatch.setattr(solver, "_template", counting_template)
     monkeypatch.setattr(schemes, "_template", counting_template)
-    scheme = builtin_scheme("656-2")
+    # A fresh spec: the cached built-in one may have compiled in an earlier test.
+    scheme = SchemeSpec("656-2", builtin_scheme("656-2").segment_constraints)
     assert built == []
     for seed in range(100):
         ref = generic_reference(seed)
@@ -427,3 +428,15 @@ def test_scheme_spec_has_three_segments():
     for count in (2, 4):
         with pytest.raises(ValueError, match="3 segments"):
             SchemeSpec("custom", (line,) * count)
+
+
+def test_builtin_schemes_are_built_once():
+    for name in SCHEME_NAMES:
+        assert builtin_scheme(name) is builtin_scheme(name)
+
+
+@pytest.mark.parametrize("order", [4, -1])
+def test_scheme_spec_rejects_pin_orders_outside_0_to_3(order):
+    line = ((START, 0), (END, 0))
+    with pytest.raises(ValueError, match=rf"pin \(1\.0, {order}\): order must be in 0\.\.3"):
+        SchemeSpec("custom", (line, ((START, 0), (END, order)), line))

@@ -44,6 +44,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+MAX_SAMPLES = 10**6  # per phase; at the cap a profile CSV is about 115 MB per scheme
+
 QUANTITY_LABELS = ("Hip (Pos)", "Hip (Vel)", "Hip (Accel)", "Hip (Jerk)")
 
 
@@ -97,8 +99,8 @@ class RunConfig:
         if self.stance_times[-1] != self.swing_times[0]:
             raise ConfigError("stance_times must end where swing_times begins")
         self.samples = _number(raw.get("samples", DEFAULT_SAMPLES), "samples", int)
-        if self.samples < 2:
-            raise ConfigError(f"samples: need at least 2, got {self.samples}")
+        if not 2 <= self.samples <= MAX_SAMPLES:
+            raise ConfigError(f"samples: need 2 to {MAX_SAMPLES}, got {self.samples}")
         self.via_window = _number(raw.get("via_window", DEFAULT_VIA_WINDOW), "via_window")
         if self.via_window <= 0:
             raise ConfigError("via_window must be positive")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SeriesMismatch
 from .poly import MAX_DERIVATIVE
-from .schemes import PiecewiseTrajectory, evaluate
+from .schemes import PiecewiseTrajectory, _check_order, evaluate
 from .solver import SEGMENT_END, SEGMENT_START
 
 DEFAULT_SAMPLES = 101
@@ -113,6 +113,7 @@ def via_point_rmse(
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
+    _check_order(order)
     t0, t1, vias = traj.t_start, traj.t_end, traj.via_times
     lo = [max(v - window, t0) for v in vias]
     hi = [min(v + window, t1) for v in vias]

@@ -119,11 +119,14 @@ class SchemeSpec:
         return tuple(len(cons) - 1 for cons in self.segment_constraints)
 
     @cached_property
-    def _slots(self):
-        """Per segment: (order, tau) pins, condition number, template stacked per phase."""
+    def _stack(self):
+        """Per segment (pins, cond); its templates identity-padded, stance then swing."""
         pins = [tuple((k, tau) for tau, k in cons) for cons in self.segment_constraints]
         templates = [_template(len(p) - 1, p) for p in pins]
-        return [(p, cond, np.stack([m, m])) for p, (m, cond) in zip(pins, templates)]
+        stack = np.tile(np.eye(max(map(len, pins))), (6, 1, 1))
+        for padded, (m, _) in zip(stack, templates * 2):
+            padded[:len(m), :len(m)] = m
+        return [(p, cond) for p, (_, cond) in zip(pins, templates)], stack
 
 
 @cache
@@ -183,6 +186,7 @@ def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
     orders 0..3. A slice adds a leading axis, one row per order, so a
     float ``t`` returns a numpy float, or a 1-d array for a slice.
     """
+    _check_order(order)
     times = np.asarray(t, dtype=float)
     outside = ~((traj.t_start <= times) & (times <= traj.t_end))
     if outside.any():
@@ -194,6 +198,13 @@ def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
     tau = (times - starts.take(idx)) / powers[1].take(idx)
     rows = (row.take(idx, axis=-1) for row in coeffs[:, order])
     return horner_rows(rows, tau) / powers[order].take(idx, axis=-1)
+
+
+def _check_order(order: int | slice):
+    """A ValueError unless ``order`` is an int in 0..3 or a slice selecting one."""
+    orders = range(MAX_DERIVATIVE + 1)
+    if not (orders[order] if isinstance(order, slice) else order in orders):
+        raise ValueError(f"order {order!r} selects none of the orders 0..{MAX_DERIVATIVE}")
 
 
 MidpointSource = Mapping[int, float] | Callable[[float], float] | None
@@ -231,8 +242,8 @@ def generate_gait(
 
 
 def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
-    """Check and read each (waypoints, midpoints) phase, then solve each slot once."""
-    rhs = ([], [], [])
+    """Check and read each (waypoints, midpoints) phase, then solve them all at once."""
+    rhs, spans = [], []
     for waypoints, midpoints in phases:
         if len(waypoints) != 4:
             raise ValueError(f"a phase needs exactly 4 waypoints, got {len(waypoints)}")
@@ -247,11 +258,11 @@ def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
             )
         for i, cons in enumerate(scheme.segment_constraints):
             duration = times[i + 1] - times[i]
-            rhs[i].append([_pin_value(scheme, i, tau, order, waypoints[i:i + 2], midpoints)
-                           * duration**order for tau, order in cons])
-    solved = [_solve_stacked(*slot, rows, [(w[i].time, w[i + 1].time) for w, _ in phases])
-              for i, (slot, rows) in enumerate(zip(scheme._slots, rhs))]
-    return PiecewiseTrajectory(tuple(seg for phase in zip(*solved) for seg in phase))
+            rhs.append([_pin_value(scheme, i, tau, order, waypoints[i:i + 2], midpoints)
+                        * duration**order for tau, order in cons])
+            spans.append((times[i], times[i + 1]))
+    slots, stack = scheme._stack
+    return PiecewiseTrajectory(tuple(_solve_stacked(slots * len(phases), stack, rhs, spans)))
 
 
 def _pin_value(scheme: SchemeSpec, segment: int, tau: float, order: int, ends, midpoints):

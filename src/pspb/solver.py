@@ -7,8 +7,9 @@ depends only on the degree and the (order, tau) pairs, never on the
 duration or the values. The physical value v enters the right-hand side
 as v * T^k (chain rule). Each distinct template's matrix and condition
 number are therefore built once and cached. A scheme compiles its three
-templates once, so a gait is one stacked dense solve with partial pivoting
-(at most 7x7, degree 6) per segment slot, and ``solve_segment`` a stack of one.
+templates, identity-padded to the widest, into one stack: a gait is one padded
+solve (partial pivoting), and ``solve_segment`` a stack of one; up to width 7
+the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -117,18 +118,20 @@ def solve_segment(
     pins = tuple((c.order, c.tau) for c in constraints)
     matrix, cond = _template(degree, pins)
     rhs = [[c.value * (t_end - t_start)**c.order for c in constraints]]
-    return _solve_stacked(pins, cond, matrix[None], rhs, [(t_start, t_end)])[0]
+    return _solve_stacked([(pins, cond)], matrix[None], rhs, [(t_start, t_end)])[0]
 
 
-def _solve_stacked(pins, cond, matrices, rhs, spans) -> list[SolvedSegment]:
-    """One segment per span: item p of ``matrices``, copies of the pins' template,
-    against row p of ``rhs``. Each item is its own solve, bit-identical to a lone
-    2-d one; one matrix against a multi-column right side would not be."""
+def _solve_stacked(slots, matrices, rhs, spans) -> list[SolvedSegment]:
+    """One segment per span: item p of ``matrices``, the template of ``slots[p] = (pins,
+    cond)`` identity-padded, against row p of ``rhs`` zero-padded. Each item is its own
+    solve, bit-identical to an unpadded 2-d one up to width 7."""
+    rhs = [row + [0.0] * (matrices.shape[-1] - len(row)) for row in rhs]
     solved = np.linalg.solve(matrices[:len(rhs)], np.array(rhs)[..., None])[..., 0].tolist()
-    if not all(math.isfinite(x) for coeffs in solved for x in coeffs):
-        raise SingularSystem(f"solve produced non-finite coefficients: {_describe(pins)}")
-    return [SolvedSegment(Polynomial(tuple(coeffs)), t_start, t_end, cond, pins)
-            for coeffs, (t_start, t_end) in zip(solved, spans)]
+    coeffs = [tuple(x[:len(pins)]) for (pins, _), x in zip(slots, solved)]
+    if bad := [pins for (pins, _), c in zip(slots, coeffs) if not all(map(math.isfinite, c))]:
+        raise SingularSystem(f"solve produced non-finite coefficients: {_describe(bad[0])}")
+    return [SolvedSegment(Polynomial(c), t_start, t_end, cond, pins)
+            for (pins, cond), c, (t_start, t_end) in zip(slots, coeffs, spans)]
 
 
 def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[float]:

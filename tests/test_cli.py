@@ -262,6 +262,9 @@ def test_bad_config_exit_codes(tmp_path, config_path):
         }},
         "csv_short_rows": {"reference": {"csv": str(short_rows)}},
         "csv_repeated_column": {"reference": {"csv": str(repeated)}},
+        # Rejected before anything is allocated: numpy would fail on 7 PiB.
+        "samples_huge": {"schemes": ["434-1"], "reference": {"name": "sinusoid"},
+                         "samples": 10**15},
     }.items():
         path = config_path(cfg, f"{name}.json")
         assert main(["generate", "--config", path, "--out", str(tmp_path)]) == 2, name

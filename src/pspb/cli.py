@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -53,13 +54,23 @@ def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Floats as ``_fmt`` renders them, anything else by ``str``, with each
-    column's format taken from its first-row cell: one ``%`` per table."""
-    row = ",".join("%.9g" if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
-    cells = tuple(v for r in rows for v in r)
-    path.write_text(",".join(header) + "\n" + (row + "\n") * len(rows) % cells,
-                    encoding="utf-8")
+def _write_text(path: Path, text: str) -> None:
+    """Rewrite ``path`` in place, then cut it to length: no ``O_TRUNC``, so
+    no ext4 writeback on close, and the inode, mode and links are kept."""
+    with open(path, "w", encoding="utf-8",
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(text)
+        fh.truncate()
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
+    """Rows (a list of rows or a 2-d array) read as one flat object-cell list:
+    floats as ``_fmt`` renders them, anything else by ``str``, each column's
+    format taken from its first-row cell; one ``%`` per table."""
+    table = np.asarray(rows, dtype=object)
+    row = ",".join("%.9g" if isinstance(v, float) else "%s" for v in table[:1].ravel())
+    cells = tuple(table.ravel().tolist())
+    _write_text(path, ",".join(header) + "\n" + (row + "\n") * len(table) % cells)
 
 
 def _number(value, key: str, kind=float):
@@ -229,12 +240,11 @@ def run_generate(config: RunConfig, out: Path) -> None:
         rows = []
         for phase in _phases(traj):
             times = np.linspace(phase.t_start, phase.t_end, config.samples)
-            values = evaluate(phase, times, slice(None))
-            rows += np.column_stack([times, values.T]).tolist()
+            rows.append(np.column_stack([times, evaluate(phase, times, slice(None)).T]))
         _write_csv(
             out / f"profile_{name}.csv",
             ["t", "position", "velocity", "acceleration", "jerk"],
-            rows,
+            np.concatenate(rows),
         )
         report = continuity_report(traj)
         _write_csv(
@@ -250,7 +260,7 @@ def run_generate(config: RunConfig, out: Path) -> None:
                 ["t", "angle_rad", "velocity_rad_s", "reference_rad"],
                 np.column_stack([result.angle.times, result.angle.values,
                                  result.velocity.values,
-                                 result.reference_angle.values]).tolist(),
+                                 result.reference_angle.values]),
             )
             print(f"{name}: tracking RMSE {result.rmse:.6g} rad")
 
@@ -282,7 +292,7 @@ def run_compare(config: RunConfig, out: Path) -> None:
     _write_csv(out / "via_rmse.csv",
                ["scheme", "via_time", "order", "rmse", "clipped"], via_rows)
     report = "\n".join(text) + "\n"
-    (out / "error_report.txt").write_text(report, encoding="utf-8")
+    _write_text(out / "error_report.txt", report)
     print(report, end="")
 
 

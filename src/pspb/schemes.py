@@ -109,7 +109,7 @@ class SchemeSpec:
             # Pin values come from the waypoints or the mid-point source only.
             if tau not in (START, MID, END):
                 raise ValueError(f"pin {(tau, order)}: tau must be START, MID or END")
-            if order not in range(MAX_DERIVATIVE + 1):
+            if isinstance(order, bool) or order not in range(MAX_DERIVATIVE + 1):
                 raise ValueError(f"pin {(tau, order)}: order must be in 0..{MAX_DERIVATIVE}")
             if tau == MID and order != 0:
                 raise ValueError("mid-point constraints must be position-only")
@@ -201,9 +201,11 @@ def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
 
 
 def _check_order(order: int | slice):
-    """A ValueError unless ``order`` is an int in 0..3 or a slice selecting one."""
+    """A ValueError unless ``order`` is an int in 0..3 (not a bool, which
+    numpy would read as a mask) or a slice selecting one."""
     orders = range(MAX_DERIVATIVE + 1)
-    if not (orders[order] if isinstance(order, slice) else order in orders):
+    if isinstance(order, bool) or not (
+            orders[order] if isinstance(order, slice) else order in orders):
         raise ValueError(f"order {order!r} selects none of the orders 0..{MAX_DERIVATIVE}")
 
 

@@ -140,7 +140,8 @@ def simulate_tracking(
     # stage times computed with rk4_step's arithmetic. Middle stages read row 1.
     starts = times[:-1]
     steps = times[1:] - times[:-1]
-    stage_times = np.stack([starts, starts + steps / 2, starts + steps], axis=1)
+    halves = steps / 2
+    stage_times = np.stack([starts, starts + halves, starts + steps], axis=1)
     stage_refs = np.moveaxis(
         evaluate(traj, np.minimum(stage_times, traj.t_end), slice(3)) * deg, 0, -1
     )  # (step, stage, order)
@@ -152,21 +153,24 @@ def simulate_tracking(
     # is bit-identical (test_stage_reference_table_is_bit_identical pins it).
     # A switched-off feedforward or gravity term adds -0.0, which leaves any
     # float unchanged; the acceleration column becomes feedforward torque.
+    # Each step reads flat lists: h, h/2 and h/6 (divided once per array, the
+    # same bits as per step) and its nine stage references.
     kp, kd, inertia = gains.kp, gains.kd, thigh.inertia_about_joint
     mgc, sin = thigh.mass * GRAVITY * thigh.com, math.sin
     stage_refs[..., 2] = inertia * stage_refs[..., 2] if feedforward else -0.0
     theta, omega = (float(v) * deg for v in evaluate(traj, traj.t_start, slice(2)))
     thetas, omegas = [theta], [omega]
-    for i, h in enumerate(steps.tolist()):
-        (p1, v1, f1), (p2, v2, f2), (p4, v4, f4) = stage_refs[i].tolist()
+    for i, (h, h2, h6, (p1, v1, f1, p2, v2, f2, p4, v4, f4)) in enumerate(zip(
+            steps.tolist(), halves.tolist(), (steps / 6).tolist(),
+            stage_refs.reshape(len(steps), 9).tolist())):
         g = mgc * sin(theta)
         a1 = (kp * (p1 - theta) + kd * (v1 - omega) + f1
               + (g if gravity_compensation else -0.0) - g) / inertia
-        th, om2 = theta + h / 2 * omega, omega + h / 2 * a1
+        th, om2 = theta + h2 * omega, omega + h2 * a1
         g = mgc * sin(th)
         a2 = (kp * (p2 - th) + kd * (v2 - om2) + f2
               + (g if gravity_compensation else -0.0) - g) / inertia
-        th, om3 = theta + h / 2 * om2, omega + h / 2 * a2
+        th, om3 = theta + h2 * om2, omega + h2 * a2
         g = mgc * sin(th)
         a3 = (kp * (p2 - th) + kd * (v2 - om3) + f2
               + (g if gravity_compensation else -0.0) - g) / inertia
@@ -174,8 +178,8 @@ def simulate_tracking(
         g = mgc * sin(th)
         a4 = (kp * (p4 - th) + kd * (v4 - om4) + f4
               + (g if gravity_compensation else -0.0) - g) / inertia
-        theta = theta + h / 6 * (omega + 2 * om2 + 2 * om3 + om4)
-        omega = omega + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        theta = theta + h6 * (omega + 2 * om2 + 2 * om3 + om4)
+        omega = omega + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
         if abs(theta) > BLOWUP_LIMIT or abs(omega) > BLOWUP_LIMIT:
             raise NumericalBlowup(
                 f"state diverged at t={times[i + 1]:.4f}: {SimState(theta, omega)}"

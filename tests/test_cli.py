@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -73,12 +75,35 @@ def test_zero_waypoint_config(tmp_path, config_path):
 
 
 def test_generate_is_deterministic(tmp_path, config_path):
-    cfg = config_path(BASE)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["generate", "--config", cfg, "--out", str(out1)])
-    main(["generate", "--config", cfg, "--out", str(out2)])
-    for f1 in sorted(out1.iterdir()):
-        assert f1.read_bytes() == (out2 / f1.name).read_bytes()
+    # Outputs are rewritten in place and cut to length, so a directory holding
+    # the longer files of a 1000-sample run must end up as a fresh one does.
+    cfg, long = config_path(BASE), config_path({**BASE, "samples": 1000}, "long.json")
+    reused, fresh = tmp_path / "a", tmp_path / "b"
+    for doc, out in ((long, reused), (cfg, reused), (cfg, fresh)):
+        for verb in ("generate", "compare"):
+            assert main([verb, "--config", doc, "--out", str(out)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in reused.iterdir()) == names and len(names) == 15
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_rewrite_keeps_inode_mode_and_hard_links(tmp_path, config_path):
+    cfg = config_path({**BASE, "schemes": ["434-1"]})
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    out.mkdir()
+    target = out / "profile_434-1.csv"
+    target.write_text("stale\n" * 10_000)
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    os.link(target, link)
+    before = target.stat()
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["generate", "--config", cfg, "--out", str(fresh)]) == 0
+    after = target.stat()
+    assert after.st_ino == before.st_ino and after.st_nlink == 2
+    assert stat.S_IMODE(after.st_mode) == 0o640
+    assert link.read_bytes() == target.read_bytes() == (fresh / target.name).read_bytes()
 
 
 def test_compare_against_own_reference(tmp_path, config_path):

@@ -445,14 +445,15 @@ def test_builtin_schemes_are_built_once():
         assert builtin_scheme(name) is builtin_scheme(name)
 
 
-@pytest.mark.parametrize("order", [4, -1, -4, slice(5, 9), slice(4, None)])
+@pytest.mark.parametrize("order", [4, -1, -4, slice(5, 9), slice(4, None), True, False])
 def test_scheme_spec_rejects_pin_orders_outside_0_to_3(order):
     line = ((START, 0), (END, 0))
     with pytest.raises(ValueError, match=re.escape(f"pin {(1.0, order)}: order must be in 0..3")):
         SchemeSpec("custom", (line, ((START, 0), (END, order)), line))
     # Nor is it an order to read: an int used to index the coefficient table
-    # like a sequence (-1 gave the jerk, 4 an IndexError), and an empty slice
-    # returned an empty array.
+    # like a sequence (-1 gave the jerk, 4 an IndexError), an empty slice
+    # returned an empty array, and numpy read a bool as a mask (True gave all
+    # four orders).
     ref = generic_reference(4)
     gait = build_gait("656-1", ref)
     for read in (lambda: evaluate(gait, 0.3, order),

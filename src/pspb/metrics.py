@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SeriesMismatch
-from .poly import MAX_DERIVATIVE
+from .poly import MAX_DERIVATIVE, horner_rows
 from .schemes import PiecewiseTrajectory, _check_order, evaluate
 from .solver import SEGMENT_END, SEGMENT_START
 
@@ -149,12 +149,15 @@ class ContinuityReport:
 
 def continuity_report(traj: PiecewiseTrajectory) -> ContinuityReport:
     """|right limit - left limit| per via point per order, computed
-    analytically from the segment polynomials (sampling could straddle or
-    miss a via time; the polynomials are exact)."""
+    analytically from the trajectory's coefficient table at tau 1 and 0
+    (sampling could straddle or miss a via time; the polynomials are exact)."""
+    _, powers, coeffs = traj._table
+    before = horner_rows(coeffs[..., :-1], SEGMENT_END) / powers[:, :-1]
+    after = horner_rows(coeffs[..., 1:], SEGMENT_START) / powers[:, 1:]
     jumps = []
-    for v, left, right in zip(traj.via_times, traj.segments, traj.segments[1:]):
-        limits = zip(left.kinematics(left.t_end), right.kinematics(right.t_start))
+    for v, left, right, per_order in zip(traj.via_times, traj.segments, traj.segments[1:],
+                                         np.abs(after - before).T.tolist()):
         both = left.pinned_orders(SEGMENT_END) & right.pinned_orders(SEGMENT_START)
-        jumps += [ContinuityJump(v, order, abs(after - before), order in both)
-                  for order, (before, after) in enumerate(limits)]
+        jumps += [ContinuityJump(v, order, jump, order in both)
+                  for order, jump in enumerate(per_order)]
     return ContinuityReport(tuple(jumps))

@@ -3,9 +3,10 @@
 Coefficients are stored in ascending power over tau in [0, 1]. Keeping
 segment time normalized keeps the boundary-value systems well conditioned
 even for very short segments. ``differentiate`` gives the formal
-derivatives. ``horner_rows`` is the one evaluation kernel: ``evaluate`` runs
-it over a trajectory's table of derivative rows, ``horner`` (and so
-``SolvedSegment.kinematics``) over one polynomial's coefficients.
+derivatives of a reference polynomial; a trajectory's table forms its own.
+``horner_rows`` is the one evaluation kernel: ``evaluate`` and
+``continuity_report`` run it over a trajectory's table of derivative rows,
+``horner`` over one polynomial's coefficients.
 """
 
 from __future__ import annotations

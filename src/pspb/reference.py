@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .poly import MAX_DERIVATIVE, Polynomial, differentiate, horner
-from .schemes import Waypoint
+from .schemes import Waypoint, _check_order
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class SinusoidReference:
     period: float = 1.0      # s
 
     def __call__(self, t, order: int = 0):
+        _check_order(order)
         w = 2 * math.pi / self.period
         phase = w * t + order * math.pi / 2
         return self.amplitude * w**order * np.sin(phase)
@@ -49,8 +50,7 @@ class PolynomialReference:
         return tuple(differentiate(polynomial, k) for k in range(MAX_DERIVATIVE + 1))
 
     def __call__(self, t, order: int = 0):
-        if not 0 <= order <= MAX_DERIVATIVE:
-            raise ValueError(f"derivative order must be in [0, {MAX_DERIVATIVE}], got {order}")
+        _check_order(order)
         return horner(self._derivatives[order], t)
 
 
@@ -114,6 +114,7 @@ class CsvReference:
         return cls(data[:, 0], columns)
 
     def __call__(self, t, order: int = 0):
+        _check_order(order)
         return np.interp(t, self.times, self.columns[order])
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -167,14 +168,16 @@ class PiecewiseTrajectory:
 
     @cached_property
     def _table(self):
-        """Segment starts, T**k by (order, segment), and each derivative's
-        coefficients, highest power first, left-padded with zeros to one
-        (power, order, segment) array. Built on first evaluation."""
-        width = max(s.polynomial.degree for s in self.segments) + 1
-        coeffs = np.zeros((width, MAX_DERIVATIVE + 1, len(self.segments)))
-        for i, s in enumerate(self.segments):
-            for k, rows in enumerate(s.derivative_rows):
-                coeffs[width - len(rows):, k, i] = rows
+        """Segment starts, T**k by (order, segment), and the one place that
+        differentiates: order k + 1 from order k as ``i * c`` (``differentiate``'s
+        bits) for all segments at once, stored highest power first and left-padded
+        with zeros into one (power, order, segment) array. Built on first use."""
+        c = np.array(list(zip_longest(*(s.polynomial.coefficients for s in self.segments),
+                                      fillvalue=0.0)))
+        coeffs = np.zeros((len(c), MAX_DERIVATIVE + 1, len(self.segments)))
+        for k in range(MAX_DERIVATIVE + 1):
+            coeffs[k:, k] = c[::-1]
+            c = c[1:] * np.arange(1.0, len(c))[:, None]
         powers = [[s.duration**k for s in self.segments] for k in range(MAX_DERIVATIVE + 1)]
         return np.array([s.t_start for s in self.segments]), np.array(powers), coeffs
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConstraintCountMismatch, SingularSystem
-from .poly import MAX_DERIVATIVE, Polynomial, differentiate, horner_rows
+from .poly import MAX_DERIVATIVE, Polynomial
 
 ORDER_NAMES = ("position", "velocity", "acceleration", "jerk")
 SEGMENT_START = 0.0
@@ -59,7 +59,7 @@ class SolvedSegment:
     pins: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        # kinematics divides by T**3, which must not underflow to zero.
+        # Evaluation divides by T**3, which must not underflow to zero.
         if not self.duration ** MAX_DERIVATIVE > 0:
             raise ValueError(
                 "segment must have t_end > t_start and a duration whose cube is "
@@ -71,21 +71,10 @@ class SolvedSegment:
         return self.t_end - self.t_start
 
     def kinematics(self, t):
-        """Position, velocity, acceleration, jerk at physical time(s) t.
-
-        ``t`` is a float or an array. The polynomial lives on
-        tau = (t - t_start) / T; the k-th physical derivative picks up a
-        1/T^k chain-rule factor.
-        """
-        T = self.duration
-        tau = (t - self.t_start) / T
-        return tuple(horner_rows(c, tau) / T**k for k, c in enumerate(self.derivative_rows))
-
-    @cached_property
-    def derivative_rows(self) -> tuple[tuple[float, ...], ...]:
-        """Coefficients of position through jerk over tau, highest power first."""
-        return tuple(differentiate(self.polynomial, k).coefficients[::-1]
-                     for k in range(MAX_DERIVATIVE + 1))
+        """Position, velocity, acceleration, jerk at physical time(s) t in
+        [t_start, t_end]: this segment evaluated as a one-segment trajectory."""
+        from .schemes import PiecewiseTrajectory, evaluate  # schemes imports this module
+        return tuple(evaluate(PiecewiseTrajectory((self,)), t, slice(None)))
 
     def pinned_orders(self, tau: float) -> frozenset[int]:
         """Derivative orders constrained at normalized time tau."""
@@ -135,9 +124,11 @@ def _solve_stacked(slots, matrices, rhs, spans) -> list[SolvedSegment]:
 
 
 def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[float]:
-    """|achieved - specified| per constraint, in physical units."""
-    taus = np.array([c.tau for c in constraints])
-    achieved = segment.kinematics(segment.t_start + taus * segment.duration)
+    """|achieved - specified| per constraint, in physical units, read on the segment
+    moved to start at 0: t_start + T can round past t_end, but tau * T never passes T."""
+    T = segment.duration
+    at_zero = SolvedSegment(segment.polynomial, 0.0, T, segment.condition_estimate)
+    achieved = at_zero.kinematics(np.array([c.tau for c in constraints]) * T)
     return [abs(float(achieved[c.order][i]) - c.value)
             for i, c in enumerate(constraints)]
 

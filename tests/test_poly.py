@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pspb import poly
+from pspb.errors import OutOfDomain
 from pspb.poly import Polynomial
 from pspb.solver import SolvedSegment
 
@@ -64,6 +65,13 @@ def test_eval_kinematics_cubic_at_zero():
 def test_eval_kinematics_constant():
     out = SolvedSegment(Polynomial((4.2,)), 0.0, 1.7, 1.0).kinematics(0.3)
     assert out == pytest.approx((4.2, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("t", [0.4, 2.1, np.array([1.0, 2.5])])
+def test_eval_kinematics_outside_its_span_raises(t):
+    # kinematics is a one-segment evaluate, so it no longer extrapolates.
+    with pytest.raises(OutOfDomain):
+        SolvedSegment(Polynomial((0, 1)), 0.5, 2.0, 1.0).kinematics(t)
 
 
 def test_eval_kinematics_rejects_bad_duration():

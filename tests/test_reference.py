@@ -87,7 +87,14 @@ def test_polynomial_reference_matches_fresh_derivative(order):
             [horner(want, t) for t in times.tolist()]
 
 
-@pytest.mark.parametrize("order", [-1, 4])
-def test_polynomial_reference_rejects_order(order):
-    with pytest.raises(ValueError, match="derivative order"):
-        PolynomialReference((1.0, 2.0))(0.5, order)
+@pytest.mark.parametrize("order", [-1, 4, 5, True, False])
+@pytest.mark.parametrize("kind", ["sinusoid", "polynomial", "csv"])
+def test_every_reference_rejects_an_order_outside_0_to_3(kind, order, tmp_path):
+    ref = {
+        "sinusoid": SINE,
+        "polynomial": PolynomialReference((1.0, 2.0)),
+        "csv": csv_reference(tmp_path),
+    }[kind]
+    for t in (0.5, np.array([0.25, 0.5])):
+        with pytest.raises(ValueError, match=f"order {order!r} selects none of the orders 0..3"):
+            ref(t, order)

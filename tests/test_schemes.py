@@ -238,16 +238,20 @@ def test_evaluate_array_matches_scalar_bitwise(name):
         assert same_bits(evaluate(traj, windows, order), flat[order].reshape(5, 21))
 
 
-def test_evaluate_pads_low_degree_segments_bitwise():
-    # Degrees 1, 6 and 3: in the trajectory's coefficient table the linear
-    # segment's position row sits under five powers of zero padding.
+def padded_phase():
+    """Degrees 1, 6 and 3: in the trajectory's coefficient table the linear
+    segment's position row sits under five powers of zero padding."""
     spec = SchemeSpec("padded", (
         ((START, 0), (END, 0)),
         ((START, 0), (START, 1), (START, 2), (START, 3), (END, 0), (END, 1), (END, 2)),
         ((START, 0), (START, 1), (END, 0), (END, 1)),
     ))
     assert spec.segment_degrees == (1, 6, 3)
-    traj = generate_phase(spec, waypoints_from_reference(generic_reference(7), STANCE))
+    return generate_phase(spec, waypoints_from_reference(generic_reference(7), STANCE))
+
+
+def test_evaluate_pads_low_degree_segments_bitwise():
+    traj = padded_phase()
     times = np.union1d(np.linspace(traj.t_start, traj.t_end, 41),
                        [traj.t_start, *traj.via_times, traj.t_end])
     table = evaluate(traj, times, slice(None))
@@ -258,6 +262,22 @@ def test_evaluate_pads_low_degree_segments_bitwise():
             poly.horner(poly.differentiate(seg.polynomial, k), tau) / seg.duration**k
             for k in range(4)
         ])
+
+
+@pytest.mark.parametrize("name", [*SCHEME_NAMES, "padded"])
+def test_continuity_jumps_match_the_scalar_oracle_bitwise(name):
+    # Limits read from the table at tau 1 and 0 against Horner on each
+    # segment's formal derivative, one scalar at a time.
+    traj = padded_phase() if name == "padded" else build_gait(name, generic_reference(13))
+    report = continuity_report(traj)
+    assert len(report.jumps) == 4 * len(traj.via_times)
+    for v, left, right in zip(traj.via_times, traj.segments, traj.segments[1:]):
+        for k in range(4):
+            before, after = (
+                poly.horner(poly.differentiate(seg.polynomial, k), tau) / seg.duration**k
+                for seg, tau in ((left, 1.0), (right, 0.0)))
+            jump = report.at(v, k).jump
+            assert type(jump) is float and same_bits(jump, abs(after - before))
 
 
 def test_kinematics_is_a_one_segment_evaluate():

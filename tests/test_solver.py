@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pspb
@@ -212,6 +212,33 @@ def test_round_trip_residuals_property(template):
     rhs_scale = max(abs(x.value) * duration**x.order for x in cons)
     for x, residual in zip(cons, residuals(seg, cons)):
         assert residual <= tolerance * rhs_scale / duration**x.order
+
+
+@st.composite
+def spans(draw):
+    """Ends drawn independently, so t_start + (t_end - t_start) may round past t_end."""
+    t_start = draw(st.floats(-1e3, 1e3))
+    return t_start, draw(st.floats(t_start + 1e-3, t_start + 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@example(template=(4, [c(0, SEGMENT_START, 1.0), c(1, SEGMENT_START, -2.0), c(0, MID, 0.5),
+                       c(0, SEGMENT_END, 4.0), c(1, SEGMENT_END, 0.5)], None),
+         span=(0.10629102970580115, 0.47288309692384983))
+@given(templates(), spans())
+def test_round_trip_residuals_on_spans_off_zero(template, span):
+    # The example's t_start + T rounds past its t_end; residuals must still
+    # read every pin inside the span, and meet the same bound as at t_start 0.
+    degree, cons, _ = template
+    try:
+        seg = solve_segment(degree, cons, *span)
+    except SingularSystem:
+        assume(False)
+    T = seg.duration
+    tolerance = (degree + 1) * np.finfo(float).eps * seg.condition_estimate
+    rhs_scale = max(abs(x.value) * T**x.order for x in cons)
+    for x, residual in zip(cons, residuals(seg, cons), strict=True):
+        assert residual <= tolerance * rhs_scale / T**x.order
 
 
 def test_scale_covariance():

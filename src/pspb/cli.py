@@ -8,6 +8,7 @@ repeated runs with the same config are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -322,7 +323,8 @@ def run_benchmark(config: RunConfig, repetitions: int, out: Path) -> None:
                ["family", "median_s", "mean_s", "repetitions"], rows)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pspb",
         description="Piecewise polynomial gait trajectory generation and analysis",
@@ -335,7 +337,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default="out", help="output directory")
         if verb == "benchmark":
             p.add_argument("--repetitions", type=int, default=1000)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -356,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
             run_compare(config, out)
         else:
             run_benchmark(config, args.repetitions, out)
-    except (SingularSystem, NumericalBlowup) as exc:
+    except (SingularSystem, NumericalBlowup, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

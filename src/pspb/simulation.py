@@ -20,7 +20,7 @@ from .schemes import PiecewiseTrajectory, evaluate
 
 GRAVITY = 9.81  # m/s^2
 BLOWUP_LIMIT = 1e6  # rad or rad/s; beyond this the controller has diverged
-MAX_STEPS = 10**6  # RK4 steps per run; each keeps 12 floats of stage times and references
+MAX_STEPS = 10**6  # RK4 steps per run; about 550 bytes each at peak, mostly 12 float lists
 
 
 @dataclass(frozen=True)
@@ -127,42 +127,41 @@ def simulate_tracking(
     shortest = min(s.duration for s in traj.segments)
     if not 0 < dt <= shortest / 10:
         raise ValueError(f"dt must be in (0, {shortest / 10:g}] for this trajectory")
-    n_steps = round(min((traj.t_end - traj.t_start) / dt, MAX_STEPS + 1))
-    if n_steps > MAX_STEPS:
+    n = round(min((traj.t_end - traj.t_start) / dt, MAX_STEPS + 1))
+    if n > MAX_STEPS:
         raise ValueError(f"dt={dt:g} needs more than {MAX_STEPS} steps for this trajectory")
 
     deg = math.pi / 180.0
-    times = traj.t_start + dt * np.arange(n_steps + 1)
+    times = traj.t_start + dt * np.arange(n + 1)
     times[-1] = traj.t_end
 
-    # The reference at every RK4 stage time, in one array evaluation:
-    # stage_refs[i] holds step i's (pos, vel, acc) at t, t + h/2 and t + h,
-    # stage times computed with rk4_step's arithmetic. Middle stages read row 1.
+    # The reference at each distinct RK4 stage time (rk4_step's arithmetic), in
+    # one array evaluation: the n + 1 grid times, the n midpoints t + h/2, and
+    # t + h where it rounds off the next grid time (near 0, on grids straddling it).
+    # Stage 1 reads grid column i, stage 4 column i + 1 with those patched in.
     starts = times[:-1]
     steps = times[1:] - times[:-1]
     halves = steps / 2
-    stage_times = np.stack([starts, starts + halves, starts + steps], axis=1)
-    stage_refs = np.moveaxis(
-        evaluate(traj, np.minimum(stage_times, traj.t_end), slice(3)) * deg, 0, -1
-    )  # (step, stage, order)
-    # Stage 1 of each step is at times[:-1], so only t_end is read again.
-    reference = np.append(stage_refs[:, 0, 0], evaluate(traj, traj.t_end, 0) * deg)
+    off = np.flatnonzero(starts + steps != times[1:])
+    refs = evaluate(traj, np.minimum(np.concatenate(
+        [times, starts + halves, starts[off] + steps[off]]), traj.t_end), slice(3)) * deg
 
-    # rk4_step over pd_torque, gravity_torque and hip_dynamics, inlined on
-    # Python floats with the same operations in the same order, so the result
-    # is bit-identical (test_stage_reference_table_is_bit_identical pins it).
-    # A switched-off feedforward or gravity term adds -0.0, which leaves any
-    # float unchanged; the acceleration column becomes feedforward torque.
-    # Each step reads flat lists: h, h/2 and h/6 (divided once per array, the
-    # same bits as per step) and its nine stage references.
+    # rk4_step over pd_torque, gravity_torque and hip_dynamics, inlined on Python
+    # floats with the same operations in the same order, so the result is bit-identical
+    # (test_stage_reference_table_is_bit_identical pins it). A switched-off feedforward
+    # or gravity term adds -0.0, which leaves any float unchanged; the acceleration row
+    # becomes feedforward torque. Each step zips flat columns: h, h/2 and h/6 (divided
+    # once per array, the same bits as per step) and pos, vel and torque at its stages.
     kp, kd, inertia = gains.kp, gains.kd, thigh.inertia_about_joint
     mgc, sin = thigh.mass * GRAVITY * thigh.com, math.sin
-    stage_refs[..., 2] = inertia * stage_refs[..., 2] if feedforward else -0.0
+    refs[2] = inertia * refs[2] if feedforward else -0.0
+    stage4 = refs[:, 1:n + 1].copy()
+    stage4[:, off] = refs[:, 2 * n + 1:]
     theta, omega = (float(v) * deg for v in evaluate(traj, traj.t_start, slice(2)))
     thetas, omegas = [theta], [omega]
-    for i, (h, h2, h6, (p1, v1, f1, p2, v2, f2, p4, v4, f4)) in enumerate(zip(
+    for i, (h, h2, h6, p1, v1, f1, p2, v2, f2, p4, v4, f4) in enumerate(zip(
             steps.tolist(), halves.tolist(), (steps / 6).tolist(),
-            stage_refs.reshape(len(steps), 9).tolist())):
+            *refs[:, :n].tolist(), *refs[:, n + 1:2 * n + 1].tolist(), *stage4.tolist())):
         g = mgc * sin(theta)
         a1 = (kp * (p1 - theta) + kd * (v1 - omega) + f1
               + (g if gravity_compensation else -0.0) - g) / inertia
@@ -188,7 +187,7 @@ def simulate_tracking(
         omegas.append(omega)
 
     angle = SampledSeries(times, np.array(thetas), 0, "rad")
-    reference_angle = SampledSeries(times, reference, 0, "rad")
+    reference_angle = SampledSeries(times, refs[0, :n + 1].copy(), 0, "rad")
     return TrackingResult(
         angle=angle,
         velocity=SampledSeries(times, np.array(omegas), 1, "rad/s"),

@@ -345,6 +345,41 @@ def test_non_finite_input_is_config_error(tmp_path, config_path, capsys):
         assert message in capsys.readouterr().err
 
 
+OVERFLOW_CONFIGS = {
+    # duration**order overflows while the phase templates are filled in.
+    "huge_times": {"schemes": ["434-1"], "reference": {"name": "sinusoid"},
+                   "stance_times": [0, 1e300, 2e300, 3e300],
+                   "swing_times": [3e300, 4e300, 5e300, 6e300]},
+    # (2 pi / period)**order overflows in the sinusoid's derivatives.
+    "tiny_period": {"schemes": ["434-1"], "reference": {"name": "sinusoid", "period": 1e-300}},
+}
+
+
+@pytest.mark.parametrize("verb", ["generate", "compare"])
+@pytest.mark.parametrize("name", list(OVERFLOW_CONFIGS))
+def test_overflow_is_a_numerical_error(tmp_path, config_path, capsys, verb, name):
+    path = config_path(OVERFLOW_CONFIGS[name], f"{name}.json")
+    assert main([verb, "--config", path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cached_parser_survives_a_bad_argv(tmp_path, config_path, capsys):
+    cfg = config_path({**BASE, "schemes": ["434-1"]})
+    runs = []
+    for out in ("a", "b"):
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--config", cfg, "--bogus"])
+        runs.append((info.value.code, capsys.readouterr().err))
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        runs.append((0, capsys.readouterr().err))
+    assert cli._parser() is cli._parser()
+    assert runs[:2] == runs[2:] and runs[0][0] == 2
+    assert "unrecognized arguments: --bogus" in runs[0][1]
+    for name in ("profile_434-1.csv", "continuity_434-1.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_csv_reference_derivatives_by_differences(tmp_path):
     ref = SinusoidReference(20.0, 1.0)
     times = np.linspace(0, 1, 801)

@@ -13,6 +13,7 @@ from pspb.schemes import (
     Waypoint,
     builtin_scheme,
     evaluate,
+    generate_gait,
     generate_phase,
 )
 from pspb.simulation import (
@@ -120,14 +121,14 @@ def test_step_cap(monkeypatch):
 
 
 def scalar_reference_tracking(traj, gains, dt, feedforward, gravity_compensation,
-                              thigh=THIGH):
+                              thigh=THIGH, evaluate_at=evaluate):
     """Angles and velocities from one scalar evaluate per RK4 stage, up to
     and including the first state past the blow-up limit."""
     deg = math.pi / 180.0
 
     def deriv(t, state):
         pos, vel, acc = (v * deg for v in
-                         evaluate(traj, min(t, traj.t_end), slice(3)))
+                         evaluate_at(traj, min(t, traj.t_end), slice(3)))
         torque = pd_torque(state, pos, vel, gains, acc if feedforward else None, thigh)
         if gravity_compensation:
             torque += gravity_torque(state.theta, thigh)
@@ -136,7 +137,7 @@ def scalar_reference_tracking(traj, gains, dt, feedforward, gravity_compensation
     n_steps = int(round((traj.t_end - traj.t_start) / dt))
     times = traj.t_start + dt * np.arange(n_steps + 1)
     times[-1] = traj.t_end
-    state = SimState(*(v * deg for v in evaluate(traj, traj.t_start, slice(2))))
+    state = SimState(*(v * deg for v in evaluate_at(traj, traj.t_start, slice(2))))
     thetas, omegas = [state.theta], [state.omega]
     for i in range(n_steps):
         state = rk4_step(deriv, times[i], state, times[i + 1] - times[i])
@@ -192,6 +193,81 @@ def test_stage_reference_table_is_bit_identical_for_trunk(monkeypatch, feedforwa
                                                           gravity_compensation):
     assert_matches_scalar_tracking(monkeypatch, feedforward, gravity_compensation,
                                    TRUNK)
+
+
+def recorded_evaluate_calls(monkeypatch, inner=evaluate):
+    """The (times, order) of every evaluate call simulate_tracking makes;
+    ``inner`` computes the values it gets back."""
+    calls = []
+
+    def recording_evaluate(traj, t, order=0):
+        calls.append((np.array(t, dtype=float), order))
+        return inner(traj, t, order)
+
+    monkeypatch.setattr(simulation, "evaluate", recording_evaluate)
+    return calls
+
+
+def bit_keyed_evaluate(traj, t, order=0):
+    """evaluate plus an offset keyed to the low bits of each time, so two
+    times one ulp apart read visibly different references."""
+    return evaluate(traj, t, order) + np.asarray(t, dtype=float).view(np.int64) % 997 * 1e-9
+
+
+def test_each_distinct_stage_time_is_evaluated_once(monkeypatch):
+    traj = smooth_trajectory()
+    calls = recorded_evaluate_calls(monkeypatch)
+    result = simulate_tracking(traj, gains=PDGains(800, 40))  # default dt
+    times = result.angle.times
+    n = len(times) - 1
+    assert n == 6000 and len(calls) == 2
+    (stages, stage_order), (start, start_order) = calls
+    # One array call: the n + 1 grid times, then the n midpoints t + h/2.
+    assert stage_order == slice(3) and stages.shape == (2 * n + 1,)
+    assert np.array_equal(stages[:n + 1], times)
+    assert np.array_equal(stages[n + 1:], times[:-1] + (times[1:] - times[:-1]) / 2)
+    # Plus the scalar start state.
+    assert start_order == slice(2) and start.shape == () and start == traj.t_start
+
+
+# A grid straddling 0: step 1's t + h rounds one ulp off times[2].
+STRADDLING_STANCE = (-1.2165247109551624e-06, 0.01, 0.02, 0.03)
+STRADDLING_SWING = (0.03, 0.04, 0.05, 0.06)
+STRADDLING_DT = 6.115245573805161e-05
+
+
+@pytest.mark.parametrize("feedforward,gravity_compensation",
+                         list(itertools.product([False, True], repeat=2)))
+def test_stage_four_off_the_grid_is_evaluated_where_rk4_puts_it(
+        monkeypatch, feedforward, gravity_compensation):
+    rng = np.random.default_rng(2)
+    ref = PolynomialReference(tuple(10.0 * rng.uniform(-1, 1, 8)))
+    traj = generate_gait(builtin_scheme("656-1"),
+                         waypoints_from_reference(ref, STRADDLING_STANCE),
+                         waypoints_from_reference(ref, STRADDLING_SWING),
+                         lambda t: ref(t, 0), lambda t: ref(t, 0))
+    gains = PDGains(800, 40)
+    # Values keyed to time bits: a stage 4 that read times[2] instead of its
+    # own t + h would no longer match the scalar oracle.
+    calls = recorded_evaluate_calls(monkeypatch, bit_keyed_evaluate)
+    result = simulate_tracking(traj, gains=gains, dt=STRADDLING_DT, feedforward=feedforward,
+                               gravity_compensation=gravity_compensation)
+    times = result.angle.times
+    n = len(times) - 1
+    ends = times[:-1] + (times[1:] - times[:-1])
+    assert list(np.flatnonzero(ends != times[1:])) == [1]
+    # The off-grid end is read at its own time, once, after the grid and midpoints.
+    stages = calls[0][0]
+    assert len(calls) == 2 and stages.shape == (2 * n + 2,)
+    assert stages[-1] == ends[1] != times[2]
+    want_times, want_theta, want_omega = scalar_reference_tracking(
+        traj, gains, STRADDLING_DT, feedforward, gravity_compensation,
+        evaluate_at=bit_keyed_evaluate)
+    assert np.array_equal(times, want_times)
+    assert np.array_equal(result.angle.values, want_theta)
+    assert np.array_equal(result.velocity.values, want_omega)
+    want_reference = [bit_keyed_evaluate(traj, t, 0) * (math.pi / 180.0) for t in want_times]
+    assert np.array_equal(result.reference_angle.values, want_reference)
 
 
 def test_blowup_detected():

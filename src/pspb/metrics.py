@@ -22,6 +22,7 @@ from .solver import SEGMENT_END, SEGMENT_START
 
 DEFAULT_SAMPLES = 101
 DEFAULT_VIA_WINDOW = 0.01  # seconds either side of a via point
+VIA_WINDOW_SAMPLES = 21  # per via window, endpoints included
 
 # ref(t, order), read like evaluate: a float or an array of times in, the
 # same shape out.
@@ -102,7 +103,6 @@ def via_point_rmse(
     reference: Reference,
     order: int | slice = 0,
     window: float = DEFAULT_VIA_WINDOW,
-    samples_per_window: int = 21,
 ) -> list[ViaWindowError] | list[list[ViaWindowError]]:
     """RMSE of traj vs reference over [v - window, v + window] per via point.
 
@@ -117,7 +117,7 @@ def via_point_rmse(
     t0, t1, vias = traj.t_start, traj.t_end, traj.via_times
     lo = [max(v - window, t0) for v in vias]
     hi = [min(v + window, t1) for v in vias]
-    times = np.linspace(lo, hi, samples_per_window, axis=-1)
+    times = np.linspace(lo, hi, VIA_WINDOW_SAMPLES, axis=-1)
     rows = order if isinstance(order, slice) else slice(order, order + 1)
     expected = np.array([reference(times, k) for k in range(MAX_DERIVATIVE + 1)[rows]])
     per_order = [[ViaWindowError(v, float(r), (a, b), v - window < t0 or v + window > t1)

@@ -18,6 +18,11 @@ from dataclasses import dataclass, field
 MAX_DERIVATIVE = 3  # jerk is the highest order the model cares about
 
 
+def is_order(k) -> bool:
+    """A derivative order is an integer (``__index__``, not a bool) in 0..3."""
+    return hasattr(k, "__index__") and not isinstance(k, bool) and 0 <= k <= MAX_DERIVATIVE
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial c0 + c1*t + ... + cn*t^n.
@@ -55,7 +60,7 @@ def horner_rows(rows, t):
 
 def differentiate(poly: Polynomial, k: int) -> Polynomial:
     """k-th formal derivative, 0 <= k <= 3."""
-    if not 0 <= k <= MAX_DERIVATIVE:
+    if not is_order(k):
         raise ValueError(f"derivative order must be in [0, {MAX_DERIVATIVE}], got {k}")
     coeffs = list(poly.coefficients)
     for _ in range(k):

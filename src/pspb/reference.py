@@ -45,7 +45,7 @@ class PolynomialReference:
 
     @cached_property
     def _derivatives(self) -> tuple[Polynomial, ...]:
-        # Built on first call, like SolvedSegment's, so each call is one Horner pass.
+        # Built on first call, so each call is one Horner pass.
         polynomial = Polynomial(self.coefficients)
         return tuple(differentiate(polynomial, k) for k in range(MAX_DERIVATIVE + 1))
 

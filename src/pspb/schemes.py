@@ -24,7 +24,7 @@ from .errors import (
     OutOfDomain,
     UnknownScheme,
 )
-from .poly import MAX_DERIVATIVE, horner_rows
+from .poly import MAX_DERIVATIVE, horner_rows, is_order
 from .solver import SEGMENT_END, SEGMENT_START, SolvedSegment, _solve_stacked, _template
 
 # Where a constraint sits, as normalized segment time tau.
@@ -110,7 +110,7 @@ class SchemeSpec:
             # Pin values come from the waypoints or the mid-point source only.
             if tau not in (START, MID, END):
                 raise ValueError(f"pin {(tau, order)}: tau must be START, MID or END")
-            if isinstance(order, bool) or order not in range(MAX_DERIVATIVE + 1):
+            if not is_order(order):
                 raise ValueError(f"pin {(tau, order)}: order must be in 0..{MAX_DERIVATIVE}")
             if tau == MID and order != 0:
                 raise ValueError("mid-point constraints must be position-only")
@@ -204,11 +204,9 @@ def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
 
 
 def _check_order(order: int | slice):
-    """A ValueError unless ``order`` is an int in 0..3 (not a bool, which
-    numpy would read as a mask) or a slice selecting one."""
-    orders = range(MAX_DERIVATIVE + 1)
-    if isinstance(order, bool) or not (
-            orders[order] if isinstance(order, slice) else order in orders):
+    """A ValueError unless ``order`` is an order (``is_order``: so not a bool,
+    which numpy would read as a mask) or a slice selecting one."""
+    if not (range(MAX_DERIVATIVE + 1)[order] if isinstance(order, slice) else is_order(order)):
         raise ValueError(f"order {order!r} selects none of the orders 0..{MAX_DERIVATIVE}")
 
 

@@ -157,7 +157,7 @@ def simulate_tracking(
     refs[2] = inertia * refs[2] if feedforward else -0.0
     stage4 = refs[:, 1:n + 1].copy()
     stage4[:, off] = refs[:, 2 * n + 1:]
-    theta, omega = (float(v) * deg for v in evaluate(traj, traj.t_start, slice(2)))
+    theta, omega = refs[:2, 0].tolist()  # the start state: grid column 0 is t_start
     thetas, omegas = [theta], [omega]
     for i, (h, h2, h6, p1, v1, f1, p2, v2, f2, p4, v4, f4) in enumerate(zip(
             steps.tolist(), halves.tolist(), (steps / 6).tolist(),

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConstraintCountMismatch, SingularSystem
-from .poly import MAX_DERIVATIVE, Polynomial
+from .poly import MAX_DERIVATIVE, Polynomial, is_order
 
 ORDER_NAMES = ("position", "velocity", "acceleration", "jerk")
 SEGMENT_START = 0.0
@@ -37,7 +37,7 @@ class Constraint:
     value: float
 
     def __post_init__(self):
-        if not 0 <= self.order <= MAX_DERIVATIVE:
+        if not is_order(self.order):
             raise ValueError(f"constraint order must be in [0, 3], got {self.order}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"constraint tau must be in [0, 1], got {self.tau}")

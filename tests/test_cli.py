@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from pspb import cli
 from pspb.cli import QUANTITY_LABELS, RunConfig, _write_csv, main
 from pspb.metrics import SampledSeries, ade, rmse, sample, via_point_rmse
-from pspb.reference import CsvReference, SinusoidReference
+from pspb.reference import CsvReference, SinusoidReference, waypoints_from_reference
 from pspb.schemes import SCHEME_NAMES, PiecewiseTrajectory
 
 
@@ -211,6 +211,35 @@ def test_compare_needs_reference(tmp_path, config_path):
     }}
     assert main(["compare", "--config", config_path(cfg),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("verb", ["generate", "compare", "benchmark"])
+def test_waypoints_are_sampled_once_per_run(tmp_path, config_path, monkeypatch, verb):
+    # Stance and swing once, shared by all six schemes (and by every benchmark
+    # repetition), and never while the config is parsed.
+    calls = []
+
+    def counting(reference, times):
+        calls.append(times)
+        return waypoints_from_reference(reference, times)
+
+    monkeypatch.setattr(cli, "waypoints_from_reference", counting)
+    RunConfig(BASE)
+    assert calls == []
+    argv = [verb, "--config", config_path(BASE), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--repetitions", "100"] * (verb == "benchmark")) == 0
+    assert len(calls) == 2
+
+
+def test_missing_gait_inputs_fail_at_the_first_build(tmp_path, config_path, capsys):
+    def run(verb, doc):
+        code = main([verb, "--config", config_path(doc), "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    assert run("generate", {"schemes": []}) == (0, "")
+    need = "error: config needs either an explicit waypoint table or a reference\n"
+    assert run("generate", {}) == (2, need)
+    assert run("compare", {}) == (2, "error: compare needs a reference (csv or sinusoid)\n")
 
 
 def test_benchmark_three_rows(tmp_path, config_path):

@@ -45,10 +45,17 @@ def test_differentiate_identity_at_zero():
     assert poly.differentiate(p, 0).coefficients == p.coefficients
 
 
-@pytest.mark.parametrize("k", [-1, 4])
+@pytest.mark.parametrize("k", [-1, 4, 2.0, 1.5, True])
 def test_differentiate_rejects_out_of_range(k):
     with pytest.raises(ValueError):
         poly.differentiate(Polynomial((1, 1)), k)
+
+
+def test_an_order_is_an_integer_in_0_to_3():
+    assert all(map(poly.is_order, [0, 3, np.int64(2), np.uint8(1)]))
+    assert not any(map(poly.is_order, [-1, 4, 2.0, np.float64(2), 1.5, True, False,
+                                       np.True_, "2", None]))
+    assert poly.differentiate(Polynomial((1, 2, 3)), np.int64(2)).coefficients == (6.0,)
 
 
 def test_eval_kinematics_linear_ramp():

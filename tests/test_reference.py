@@ -87,7 +87,7 @@ def test_polynomial_reference_matches_fresh_derivative(order):
             [horner(want, t) for t in times.tolist()]
 
 
-@pytest.mark.parametrize("order", [-1, 4, 5, True, False])
+@pytest.mark.parametrize("order", [-1, 4, 5, True, False, 2.0, 1.5])
 @pytest.mark.parametrize("kind", ["sinusoid", "polynomial", "csv"])
 def test_every_reference_rejects_an_order_outside_0_to_3(kind, order, tmp_path):
     ref = {

@@ -465,7 +465,8 @@ def test_builtin_schemes_are_built_once():
         assert builtin_scheme(name) is builtin_scheme(name)
 
 
-@pytest.mark.parametrize("order", [4, -1, -4, slice(5, 9), slice(4, None), True, False])
+@pytest.mark.parametrize("order", [4, -1, -4, slice(5, 9), slice(4, None), True, False,
+                                   2.0, 1.5])
 def test_scheme_spec_rejects_pin_orders_outside_0_to_3(order):
     line = ((START, 0), (END, 0))
     with pytest.raises(ValueError, match=re.escape(f"pin {(1.0, order)}: order must be in 0..3")):
@@ -473,7 +474,8 @@ def test_scheme_spec_rejects_pin_orders_outside_0_to_3(order):
     # Nor is it an order to read: an int used to index the coefficient table
     # like a sequence (-1 gave the jerk, 4 an IndexError), an empty slice
     # returned an empty array, and numpy read a bool as a mask (True gave all
-    # four orders).
+    # four orders). A float equal to an order is no order either: 2.0 used to
+    # pass every check that compared it with range(4).
     ref = generic_reference(4)
     gait = build_gait("656-1", ref)
     for read in (lambda: evaluate(gait, 0.3, order),

@@ -220,14 +220,16 @@ def test_each_distinct_stage_time_is_evaluated_once(monkeypatch):
     result = simulate_tracking(traj, gains=PDGains(800, 40))  # default dt
     times = result.angle.times
     n = len(times) - 1
-    assert n == 6000 and len(calls) == 2
-    (stages, stage_order), (start, start_order) = calls
+    assert n == 6000 and len(calls) == 1
+    (stages, stage_order), = calls
     # One array call: the n + 1 grid times, then the n midpoints t + h/2.
     assert stage_order == slice(3) and stages.shape == (2 * n + 1,)
     assert np.array_equal(stages[:n + 1], times)
     assert np.array_equal(stages[n + 1:], times[:-1] + (times[1:] - times[:-1]) / 2)
-    # Plus the scalar start state.
-    assert start_order == slice(2) and start.shape == () and start == traj.t_start
+    # The start state is read from grid column 0, at t_start.
+    deg = math.pi / 180.0
+    assert result.angle.values[0] == evaluate(traj, traj.t_start, 0) * deg
+    assert result.velocity.values[0] == evaluate(traj, traj.t_start, 1) * deg
 
 
 # A grid straddling 0: step 1's t + h rounds one ulp off times[2].
@@ -258,7 +260,7 @@ def test_stage_four_off_the_grid_is_evaluated_where_rk4_puts_it(
     assert list(np.flatnonzero(ends != times[1:])) == [1]
     # The off-grid end is read at its own time, once, after the grid and midpoints.
     stages = calls[0][0]
-    assert len(calls) == 2 and stages.shape == (2 * n + 2,)
+    assert len(calls) == 1 and stages.shape == (2 * n + 2,)
     assert stages[-1] == ends[1] != times[2]
     want_times, want_theta, want_omega = scalar_reference_tracking(
         traj, gains, STRADDLING_DT, feedforward, gravity_compensation,

@@ -104,6 +104,14 @@ def test_midpoint_anchor_rejects_derivatives():
         SchemeSpec("mid-velocity", (cubic, mid_velocity, cubic))
 
 
+@pytest.mark.parametrize("order", [-1, 4, 2.0, 1.5, True, False])
+def test_constraint_order_outside_0_to_3_rejected(order):
+    # 1.5 used to fail only inside the solve, and True to be recorded in pins.
+    with pytest.raises(ValueError, match="constraint order"):
+        Constraint(order, SEGMENT_START, 0.0)
+    assert Constraint(np.int64(2), SEGMENT_START, 0.0).order == 2
+
+
 @pytest.mark.parametrize("tau", [-0.1, 1.5, math.nan])
 def test_constraint_tau_outside_segment_rejected(tau):
     with pytest.raises(ValueError, match="tau"):

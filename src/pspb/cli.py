@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import random
 import statistics
 import sys
 import time
@@ -201,11 +202,18 @@ class RunConfig:
         if not (isinstance(spec, dict)
                 and all(isinstance(table, dict) for table in spec.values())):
             raise ConfigError(f"midpoints: expected an object of objects, got {spec!r}")
-        return {
-            phase: {_number(k, f"midpoints.{phase}", int): _number(v, f"midpoints.{phase}")
-                    for k, v in table.items()}
-            for phase, table in spec.items()
-        }
+        out = {}
+        for phase, table in spec.items():
+            key = f"midpoints.{phase}"
+            if phase not in ("stance", "swing"):
+                raise ConfigError(f"{key}: unknown phase {phase!r}; expected stance or swing")
+            out[phase] = {}
+            for k, v in table.items():
+                segment = _number(k, key, int)
+                if segment not in range(3):
+                    raise ConfigError(f"{key}: unknown segment {k!r}; expected 0, 1 or 2")
+                out[phase][segment] = _number(v, key)
+        return out
 
     @functools.cached_property
     def _gait_inputs(self):
@@ -293,26 +301,57 @@ def _phases(traj):
     return PiecewiseTrajectory(traj.segments[:3]), PiecewiseTrajectory(traj.segments[3:])
 
 
+GAITS_PER_ROUND = 10
+BOOTSTRAP_SAMPLES = 500
+
+
 def run_benchmark(config: RunConfig, repetitions: int, out: Path) -> None:
+    """Time ``generate_gait`` for one scheme per family (434-1, 545-1, 656-1) in
+    ``repetitions`` rounds, each ``GAITS_PER_ROUND`` gaits per family, the family
+    order reversed every other round so host drift falls on all of them alike. Each
+    family's step over the one before is the median of its per-round ratios, with a
+    bootstrap 95% interval."""
     if repetitions < 100:
         raise ConfigError(f"benchmark needs >= 100 repetitions, got {repetitions}")
-    rows = []
-    print(f"{'family':<8}{'median (s)':>14}{'mean (s)':>14}   reps")
-    for family in ("434", "545", "656"):
-        name = f"{family}-1"
-        if not any(s.startswith(family) for s in config.schemes):
-            continue
+    names = [f"{family}-1" for family in ("434", "545", "656")
+             if any(s.startswith(family) for s in config.schemes)]
+    for name in names:
         config.build_gait(name)  # untimed: the first build samples the waypoints
-        elapsed = []
-        for _ in range(repetitions):
+    per_gait = {name: [] for name in names}
+    for round_ in range(repetitions):
+        for name in names[::-1] if round_ % 2 else names:
             start = time.perf_counter()
-            config.build_gait(name)
-            elapsed.append(time.perf_counter() - start)
+            for _ in range(GAITS_PER_ROUND):
+                config.build_gait(name)
+            per_gait[name].append((time.perf_counter() - start) / GAITS_PER_ROUND)
+    rows, previous = [], None
+    print(f"{'family':<8}{'median (s)':>14}{'mean (s)':>14}{'reps':>7}   ratio [95% interval]")
+    for name in names:
+        elapsed = per_gait[name]
         med, mean = statistics.median(elapsed), statistics.fmean(elapsed)
-        rows.append([family, float(med), float(mean), repetitions])
-        print(f"{family:<8}{med:>14.6g}{mean:>14.6g}   {repetitions}")
-    _write_csv(out / "benchmark.csv",
-               ["family", "median_s", "mean_s", "repetitions"], rows)
+        line = f"{name[:3]:<8}{med:>14.6g}{mean:>14.6g}{repetitions:>7}"
+        step = ["", "", ""]
+        if previous is not None:
+            ratio, low, high = _ratio_interval(
+                [b / a for a, b in zip(per_gait[previous], elapsed)])
+            step = [_fmt(ratio), _fmt(low), _fmt(high)]
+            line += f"   {ratio:.4f} [{low:.4f}, {high:.4f}]"
+        rows.append([name[:3], float(med), float(mean), repetitions, *step])
+        print(line)
+        previous = name
+    _write_csv(out / "benchmark.csv", ["family", "median_s", "mean_s", "repetitions",
+                                       "ratio_to_previous", "ratio_low", "ratio_high"], rows)
+
+
+def _ratio_interval(ratios: list[float]) -> tuple[float, float, float]:
+    """Median of the per-round ratios, and the 2.5th and 97.5th percentiles of the
+    medians of ``BOOTSTRAP_SAMPLES`` resamples (a fixed seed: the same ratios give
+    the same interval)."""
+    rng = random.Random(0)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios)))
+               for _ in range(BOOTSTRAP_SAMPLES)]
+    cuts = statistics.quantiles(medians, n=40)
+    return statistics.median(ratios), cuts[0], cuts[-1]
 
 
 @functools.cache

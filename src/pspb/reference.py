@@ -33,8 +33,12 @@ class SinusoidReference:
     def __call__(self, t, order: int = 0):
         _check_order(order)
         w = 2 * math.pi / self.period
-        phase = w * t + order * math.pi / 2
-        return self.amplitude * w**order * np.sin(phase)
+        try:
+            scale = self.amplitude * w**order
+        except OverflowError:
+            raise OverflowError(f"sinusoid reference: period {self.period!r} is too short, "
+                                f"(2 pi / period)**{order} overflows") from None
+        return scale * np.sin(w * t + order * math.pi / 2)
 
 
 @dataclass(frozen=True)

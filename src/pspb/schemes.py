@@ -129,6 +129,16 @@ class SchemeSpec:
             padded[:len(m), :len(m)] = m
         return [(p, cond) for p, (_, cond) in zip(pins, templates)], stack
 
+    @cached_property
+    def _plan(self):
+        """Per segment, each pin's source and order, then its mid-point pins' places.
+        The source is int(2 * tau): 0 the start waypoint, 1 a mid-point, 2 the end
+        one; 3 is the zero padding that widens every row to the widest template."""
+        width = max(map(len, self.segment_constraints))
+        return [([(int(2 * tau), k) for tau, k in cons] + [(3, 0)] * (width - len(cons)),
+                 [j for j, (tau, _) in enumerate(cons) if tau == MID])
+                for cons in self.segment_constraints]
+
 
 @cache
 def builtin_scheme(name: str) -> SchemeSpec:
@@ -259,18 +269,29 @@ def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
                 f"each segment must span at least {MIN_SEGMENT_FRACTION:g} of its "
                 f"phase, got waypoint times {times}"
             )
-        for i, cons in enumerate(scheme.segment_constraints):
-            duration = times[i + 1] - times[i]
-            rhs.append([_pin_value(scheme, i, tau, order, waypoints[i:i + 2], midpoints)
-                        * duration**order for tau, order in cons])
+        values = [(w.position, w.velocity, w.acceleration, w.jerk) for w in waypoints]
+        for i, (pins, mids) in enumerate(scheme._plan):
+            ends = values[i], (0.0,), values[i + 1], (0.0,)
+            T = times[i + 1] - times[i]
+            try:  # a missing value (None) or an overflowing power stops this read
+                powers = 1.0, T, T**2, T**3
+                row = [ends[e][k] * powers[k] for e, k in pins]
+            except (TypeError, OverflowError):  # so read pin by pin: the first bad one raises
+                row = [_read_pin(scheme, i, e, k, ends, times, midpoints) for e, k in pins]
+            else:
+                for j in mids:
+                    row[j] = _read_pin(scheme, i, 1, 0, ends, times, midpoints)
+            rhs.append(row)
             spans.append((times[i], times[i + 1]))
     slots, stack = scheme._stack
     return PiecewiseTrajectory(tuple(_solve_stacked(slots * len(phases), stack, rhs, spans)))
 
 
-def _pin_value(scheme: SchemeSpec, segment: int, tau: float, order: int, ends, midpoints):
-    if tau == MID:
-        t_mid = 0.5 * (ends[0].time + ends[1].time)
+def _read_pin(scheme: SchemeSpec, segment: int, source: int, order: int, ends, times,
+              midpoints):
+    """One pin's value times T**order, as the segment's row reads it, but on its own."""
+    if source == 1:
+        t_mid = 0.5 * (times[segment] + times[segment + 1])
         if callable(midpoints):
             return float(midpoints(t_mid))
         if midpoints is not None and segment in midpoints:
@@ -279,14 +300,13 @@ def _pin_value(scheme: SchemeSpec, segment: int, tau: float, order: int, ends, m
             f"scheme {scheme.name} needs a mid-point position for segment "
             f"{segment + 1} (t={t_mid}) and none was supplied"
         )
-    waypoint = ends[0] if tau == START else ends[1]
-    value = waypoint.derivative(order)
+    value = ends[source][order]
     if value is None:
         raise MissingWaypointDerivative(
-            f"scheme {scheme.name} segment {segment + 1} needs derivative "
-            f"order {order} at t={waypoint.time}, but the waypoint does not define it"
+            f"scheme {scheme.name} segment {segment + 1} needs derivative order {order} "
+            f"at t={times[segment + source // 2]}, but the waypoint does not define it"
         )
-    return value
+    return value * (times[segment + 1] - times[segment])**order
 
 
 # Default phase timing (seconds). Stance via times follow the analyzed

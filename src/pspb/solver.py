@@ -112,15 +112,21 @@ def solve_segment(
 
 def _solve_stacked(slots, matrices, rhs, spans) -> list[SolvedSegment]:
     """One segment per span: item p of ``matrices``, the template of ``slots[p] = (pins,
-    cond)`` identity-padded, against row p of ``rhs`` zero-padded. Each item is its own
-    solve, bit-identical to an unpadded 2-d one up to width 7."""
-    rhs = [row + [0.0] * (matrices.shape[-1] - len(row)) for row in rhs]
+    cond)`` identity-padded, against row p of ``rhs``, zero-padded to the same width.
+    Each item is its own solve, bit-identical to an unpadded 2-d one up to width 7. The
+    coefficients are floats checked finite here, so only each span is checked again."""
     solved = np.linalg.solve(matrices[:len(rhs)], np.array(rhs)[..., None])[..., 0].tolist()
     coeffs = [tuple(x[:len(pins)]) for (pins, _), x in zip(slots, solved)]
     if bad := [pins for (pins, _), c in zip(slots, coeffs) if not all(map(math.isfinite, c))]:
         raise SingularSystem(f"solve produced non-finite coefficients: {_describe(bad[0])}")
-    return [SolvedSegment(Polynomial(c), t_start, t_end, cond, pins)
-            for (pins, cond), c, (t_start, t_end) in zip(slots, coeffs, spans)]
+    segments = []
+    for (pins, cond), c, (t_start, t_end) in zip(slots, coeffs, spans):
+        segments.append(segment := object.__new__(SolvedSegment))  # no __init__: no re-checks
+        vars(segment).update(polynomial=object.__new__(Polynomial), t_start=t_start,
+                             t_end=t_end, condition_estimate=cond, pins=pins)
+        vars(segment.polynomial).update(coefficients=c, degree=len(c) - 1)
+        segment.__post_init__()
+    return segments
 
 
 def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[float]:

@@ -242,7 +242,7 @@ def test_missing_gait_inputs_fail_at_the_first_build(tmp_path, config_path, caps
     assert run("compare", {}) == (2, "error: compare needs a reference (csv or sinusoid)\n")
 
 
-def test_benchmark_three_rows(tmp_path, config_path):
+def test_benchmark_three_rows(tmp_path, config_path, capsys):
     out = tmp_path / "out"
     code = main(["benchmark", "--config", config_path(BASE), "--out", str(out),
                  "--repetitions", "100"])
@@ -250,6 +250,23 @@ def test_benchmark_three_rows(tmp_path, config_path):
     rows = read_csv(out / "benchmark.csv")
     assert [r["family"] for r in rows] == ["434", "545", "656"]
     assert all(int(r["repetitions"]) == 100 for r in rows)
+    # Each family after the first has its step over the previous one, inside
+    # its bootstrap interval; the 434 row leaves those cells blank.
+    assert list(rows[0]) == ["family", "median_s", "mean_s", "repetitions",
+                             "ratio_to_previous", "ratio_low", "ratio_high"]
+    assert [rows[0][k] for k in ("ratio_to_previous", "ratio_low", "ratio_high")] == [""] * 3
+    for row in rows[1:]:
+        low, ratio, high = (float(row[k]) for k in ("ratio_low", "ratio_to_previous",
+                                                     "ratio_high"))
+        assert 0 < low <= ratio <= high
+    assert "ratio [95% interval]" in capsys.readouterr().out
+
+
+def test_ratio_interval_is_a_seeded_bootstrap_of_the_median():
+    ratios = [1.0 + 0.01 * ((7 * i) % 13) for i in range(101)]
+    ratio, low, high = cli._ratio_interval(ratios)
+    assert ratio == 1.06 and low <= ratio <= high
+    assert cli._ratio_interval(ratios) == (ratio, low, high)
 
 
 def test_benchmark_rejects_low_repetitions(tmp_path, config_path):
@@ -391,6 +408,26 @@ def test_overflow_is_a_numerical_error(tmp_path, config_path, capsys, verb, name
     assert main([verb, "--config", path, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if name == "tiny_period":
+        assert err == ("error: sinusoid reference: period 1e-300 is too short, "
+                       "(2 pi / period)**2 overflows\n")
+
+
+@pytest.mark.parametrize("midpoints, message", [
+    ({"stnace": {"0": 1}}, "midpoints.stnace: unknown phase 'stnace'; expected stance or swing"),
+    ({"stance": {"0": 1}, "swng": {}}, "midpoints.swng: unknown phase"),
+    ({"swing": {"3": 1}}, "midpoints.swing: unknown segment '3'; expected 0, 1 or 2"),
+    ({"stance": {"-1": 1}}, "midpoints.stance: unknown segment '-1'"),
+], ids=["misspelt_phase", "second_phase_misspelt", "segment_3", "segment_minus_1"])
+def test_unknown_midpoint_keys_are_config_errors(tmp_path, config_path, capsys,
+                                                 midpoints, message):
+    # Unknown keys were dropped, so the pins silently came from the reference.
+    cfg = config_path({**BASE, "schemes": ["434-2"], "midpoints": midpoints})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    good = config_path({**BASE, "schemes": ["434-2"],
+                        "midpoints": {"stance": {"0": 1, "2": 3}}}, "good.json")
+    assert main(["generate", "--config", good, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cached_parser_survives_a_bad_argv(tmp_path, config_path, capsys):

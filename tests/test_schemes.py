@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pspb import poly, schemes, solver
 from pspb.cli import _phases
@@ -32,7 +34,7 @@ from pspb.schemes import (
     generate_gait,
     generate_phase,
 )
-from pspb.solver import Constraint, residuals, solve_segment
+from pspb.solver import Constraint, SolvedSegment, residuals, solve_segment
 
 STANCE = list(DEFAULT_STANCE_TIMES)
 SWING = list(DEFAULT_SWING_TIMES)
@@ -437,6 +439,71 @@ def test_gait_errors_keep_stance_first_order():
                   lambda t: calls.append(("stance", t)) or ref(t, 0),
                   lambda t: calls.append(("swing", t)) or ref(t, 0))
     assert calls == [("stance", 0.06), ("stance", 0.54), ("swing", 0.64), ("swing", 0.96)]
+
+
+def test_gait_segments_equal_their_public_construction():
+    # Segments are filled in without __init__; each must still equal the segment
+    # built through the public constructors, and hold plain float coefficients.
+    rng = np.random.default_rng(29)
+    for name in SCHEME_NAMES:
+        for _ in range(20):
+            gait, _, _ = random_gait(builtin_scheme(name), rng)
+            for seg in gait.segments:
+                coeffs = seg.polynomial.coefficients
+                assert all(type(c) is float for c in coeffs)
+                assert seg == SolvedSegment(poly.Polynomial(coeffs), seg.t_start, seg.t_end,
+                                            seg.condition_estimate, seg.pins)
+                assert seg.polynomial.degree == len(coeffs) - 1 == len(seg.pins) - 1
+
+
+def test_gait_errors_keep_their_pin_order():
+    # 656-2's first segment pins the start acceleration before its mid-point:
+    # with both missing, the derivative, first in pin order, is named.
+    stance = [Waypoint(STANCE[0], 1.0, 0.0)] + zero_waypoints(STANCE[1:])
+    with pytest.raises(MissingWaypointDerivative) as err:
+        generate_gait(builtin_scheme("656-2"), stance, zero_waypoints(SWING))
+    assert str(err.value) == ("scheme 656-2 segment 1 needs derivative order 2 "
+                              "at t=0.0, but the waypoint does not define it")
+    # A mapping without segment 2 (index 2) fails at the third segment.
+    with pytest.raises(MissingWaypointDerivative) as err:
+        generate_phase(builtin_scheme("434-2"), zero_waypoints(STANCE), {0: 1.0, 1: 2.0})
+    assert str(err.value) == ("scheme 434-2 needs a mid-point position for segment 3 "
+                              "(t=0.54) and none was supplied")
+    # Durations whose cube underflows solve to finite coefficients, then fail
+    # the span check.
+    tiny = [t * 1e-110 for t in STANCE]
+    with pytest.raises(ValueError) as err:
+        generate_phase(builtin_scheme("434-1"), zero_waypoints(tiny))
+    assert str(err.value) == ("segment must have t_end > t_start and a duration whose "
+                              f"cube is nonzero, got [{tiny[0]}, {tiny[1]}]")
+    # A NaN value solves to NaN coefficients, named by the first segment's pins.
+    nan = [Waypoint(t, math.nan, 0.0, 0.0, 0.0) for t in STANCE]
+    with pytest.raises(SingularSystem) as err:
+        generate_phase(builtin_scheme("545-1"), nan)
+    assert str(err.value) == (
+        "solve produced non-finite coefficients: position@tau=0, velocity@tau=0, "
+        "acceleration@tau=0, jerk@tau=0, position@tau=1, velocity@tau=1")
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(SCHEME_NAMES),
+       durations=st.lists(st.floats(1e-3, 10), min_size=6, max_size=6),
+       values=st.lists(st.floats(-10, 10), min_size=32, max_size=32))
+def test_gait_matches_per_segment_solves_for_any_duration(name, durations, values):
+    # T**k comes from Python's float power, as in solve_segment; numpy's power
+    # differs from it in the last bit for some durations (a few percent at k = 3).
+    times = list(itertools.accumulate(durations, initial=0.0))
+    rows = [values[4 * i:4 * i + 4] for i in range(8)]
+    stance = [Waypoint(t, *row) for t, row in zip(times[:4], rows)]
+    swing = [Waypoint(t, *row) for t, row in zip(times[3:], rows[4:])]
+    midpoint = math.sin
+    scheme = builtin_scheme(name)
+    gait = generate_gait(scheme, stance, swing, midpoint, midpoint)
+    alone = per_segment_solves(scheme, (stance, swing), midpoint)
+    for got, want in zip(gait.segments, alone, strict=True):
+        assert same_bits(got.polynomial.coefficients, want.polynomial.coefficients)
+        assert (got.t_start, got.t_end, got.pins, got.condition_estimate) == \
+            (want.t_start, want.t_end, want.pins, want.condition_estimate)
 
 
 def test_singular_or_nonfinite_gait_names_its_pins():

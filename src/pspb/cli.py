@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -48,6 +50,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 MAX_SAMPLES = 10**6  # per phase; at the cap a profile CSV is about 115 MB per scheme
+CSV_BLOCK_ROWS = 4096  # rows per `%`: the writer's memory does not grow with the table
 
 QUANTITY_LABELS = ("Hip (Pos)", "Hip (Vel)", "Hip (Accel)", "Hip (Jerk)")
 
@@ -56,23 +59,24 @@ def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
     """Rewrite ``path`` in place, then cut it to length: no ``O_TRUNC``, so
     no ext4 writeback on close, and the inode, mode and links are kept."""
     with open(path, "w", encoding="utf-8",
               opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
-        fh.write(text)
+        fh.writelines(chunks)
         fh.truncate()
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
-    """Rows (a list of rows or a 2-d array) read as one flat object-cell list:
-    floats as ``_fmt`` renders them, anything else by ``str``, each column's
-    format taken from its first-row cell; one ``%`` per table."""
-    table = np.asarray(rows, dtype=object)
-    row = ",".join("%.9g" if isinstance(v, float) else "%s" for v in table[:1].ravel())
-    cells = tuple(table.ravel().tolist())
-    _write_text(path, ",".join(header) + "\n" + (row + "\n") * len(table) % cells)
+    """Rows (a list of rows or a 2-d float array) read as flat cells: floats as
+    ``_fmt`` renders them, anything else by ``str``, each column's format taken
+    from its first-row cell; one ``%`` per block of ``CSV_BLOCK_ROWS`` rows."""
+    table = rows if isinstance(rows, np.ndarray) else np.asarray(rows, dtype=object)
+    row = ",".join("%.9g" if isinstance(v, float) else "%s" for v in table[:1].ravel()) + "\n"
+    blocks = (table[i:i + CSV_BLOCK_ROWS] for i in range(0, len(table), CSV_BLOCK_ROWS))
+    _write_text(path, itertools.chain([",".join(header) + "\n"], (
+        row * len(block) % tuple(block.ravel().tolist()) for block in blocks)))
 
 
 def _number(value, key: str, kind=float):
@@ -292,7 +296,7 @@ def run_compare(config: RunConfig, out: Path) -> None:
     _write_csv(out / "via_rmse.csv",
                ["scheme", "via_time", "order", "rmse", "clipped"], via_rows)
     report = "\n".join(text) + "\n"
-    _write_text(out / "error_report.txt", report)
+    _write_text(out / "error_report.txt", [report])
     print(report, end="")
 
 

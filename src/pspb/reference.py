@@ -34,11 +34,14 @@ class SinusoidReference:
         _check_order(order)
         w = 2 * math.pi / self.period
         try:
-            scale = self.amplitude * w**order
+            power = w**order if math.isfinite(w) else math.inf
         except OverflowError:
+            power = math.inf
+        if not math.isfinite(self.amplitude * power):
             raise OverflowError(f"sinusoid reference: period {self.period!r} is too short, "
-                                f"(2 pi / period)**{order} overflows") from None
-        return scale * np.sin(w * t + order * math.pi / 2)
+                                f"{'' if math.isinf(power) else 'amplitude * '}"
+                                f"(2 pi / period)**{order} overflows")
+        return self.amplitude * power * np.sin(w * t + order * math.pi / 2)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import math
 import os
 import stat
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +400,17 @@ OVERFLOW_CONFIGS = {
                    "swing_times": [3e300, 4e300, 5e300, 6e300]},
     # (2 pi / period)**order overflows in the sinusoid's derivatives.
     "tiny_period": {"schemes": ["434-1"], "reference": {"name": "sinusoid", "period": 1e-300}},
+    # 2 pi / period is already infinite.
+    "infinite_frequency": {"schemes": ["434-1"],
+                           "reference": {"name": "sinusoid", "period": 1e-310}},
+    # amplitude * (2 pi / period)**order overflows without an exception.
+    "huge_amplitude": {"schemes": ["434-1"],
+                       "reference": {"name": "sinusoid", "amplitude": 1e300, "period": 1e-10}},
+}
+SINUSOID_OVERFLOWS = {
+    "tiny_period": "period 1e-300 is too short, (2 pi / period)**2 overflows",
+    "infinite_frequency": "period 1e-310 is too short, (2 pi / period)**0 overflows",
+    "huge_amplitude": "period 1e-10 is too short, amplitude * (2 pi / period)**1 overflows",
 }
 
 
@@ -405,12 +418,14 @@ OVERFLOW_CONFIGS = {
 @pytest.mark.parametrize("name", list(OVERFLOW_CONFIGS))
 def test_overflow_is_a_numerical_error(tmp_path, config_path, capsys, verb, name):
     path = config_path(OVERFLOW_CONFIGS[name], f"{name}.json")
-    assert main([verb, "--config", path, "--out", str(tmp_path / "out")]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([verb, "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    if name == "tiny_period":
-        assert err == ("error: sinusoid reference: period 1e-300 is too short, "
-                       "(2 pi / period)**2 overflows\n")
+    if name in SINUSOID_OVERFLOWS:
+        assert err == f"error: sinusoid reference: {SINUSOID_OVERFLOWS[name]}\n"
 
 
 @pytest.mark.parametrize("midpoints, message", [
@@ -493,6 +508,43 @@ def test_write_csv_matches_per_cell_writer(tmp_path, name):
     header = [f"c{i}" for i in range(len(rows[0]) if rows else 3)]
     _write_csv(tmp_path / "t.csv", header, rows)
     assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(header, rows).encode()
+
+
+def whole_table_csv(header, rows):
+    """The CSV text of one ``%`` over the whole table."""
+    table = np.asarray(rows, dtype=object)
+    row = ",".join("%.9g" if isinstance(v, float) else "%s" for v in table[:1].ravel())
+    return ",".join(header) + "\n" + (row + "\n") * len(table) % tuple(table.ravel().tolist())
+
+
+@pytest.mark.parametrize("kind", ["float_array", "mixed_list"])
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 6, 7])
+def test_write_csv_blocks_match_one_format(tmp_path, monkeypatch, kind, n_rows):
+    # Blocks of 3 rows: tables shorter than, equal to, and crossing block edges.
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+    if kind == "float_array":
+        rows = np.asarray(CSV_TABLES["random"][:n_rows])
+    else:
+        rows = (CSV_TABLES["mixed"] * 4)[:n_rows]
+    header = [f"c{i}" for i in range(len(rows[0]))]
+    _write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == whole_table_csv(header, rows).encode()
+
+
+def test_write_csv_memory_is_bounded_per_row(tmp_path):
+    # Rows are formatted a block at a time, so the writer holds one block's
+    # cells and text, not the whole table's.
+    n = 10**5
+    table = np.random.default_rng(3).standard_normal((n, 4))
+    _write_csv(tmp_path / "t.csv", list("abcd"), table[:10])
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "t.csv", list("abcd"), table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(1 for _ in open(tmp_path / "t.csv")) == n + 1
+    assert peak / n <= 50
 
 
 # JSON values of every type where a config expects one type, NaN and inf

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,16 +215,20 @@ def bit_keyed_evaluate(traj, t, order=0):
     return evaluate(traj, t, order) + np.asarray(t, dtype=float).view(np.int64) % 997 * 1e-9
 
 
-def test_each_distinct_stage_time_is_evaluated_once(monkeypatch):
+@pytest.mark.parametrize("feedforward", [False, True])
+def test_each_distinct_stage_time_is_evaluated_once(monkeypatch, feedforward):
     traj = smooth_trajectory()
     calls = recorded_evaluate_calls(monkeypatch)
-    result = simulate_tracking(traj, gains=PDGains(800, 40))  # default dt
+    result = simulate_tracking(traj, gains=PDGains(800, 40),  # default dt
+                               feedforward=feedforward)
     times = result.angle.times
     n = len(times) - 1
     assert n == 6000 and len(calls) == 1
     (stages, stage_order), = calls
-    # One array call: the n + 1 grid times, then the n midpoints t + h/2.
-    assert stage_order == slice(3) and stages.shape == (2 * n + 1,)
+    # One array call: the n + 1 grid times, then the n midpoints t + h/2; the
+    # acceleration only when feedforward needs it.
+    assert stage_order == (slice(3) if feedforward else slice(2))
+    assert stages.shape == (2 * n + 1,)
     assert np.array_equal(stages[:n + 1], times)
     assert np.array_equal(stages[n + 1:], times[:-1] + (times[1:] - times[:-1]) / 2)
     # The start state is read from grid column 0, at t_start.
@@ -272,19 +277,38 @@ def test_stage_four_off_the_grid_is_evaluated_where_rk4_puts_it(
     assert np.array_equal(result.reference_angle.values, want_reference)
 
 
-def test_blowup_detected():
+@pytest.mark.parametrize("feedforward", [False, True])
+def test_blowup_detected(feedforward):
     # positive feedback: negative gains are rejected, so destabilize
     # with an absurd kd on a tiny dt budget instead
     traj = smooth_trajectory(amplitude=50.0)
     gains = PDGains(1e9, 0)
     with pytest.raises(NumericalBlowup) as info:
-        simulate_tracking(traj, gains=gains, dt=1e-3)
-    # The message names the first step past the limit and its state.
-    times, thetas, omegas = scalar_reference_tracking(traj, gains, 1e-3, False, False)
+        simulate_tracking(traj, gains=gains, dt=1e-3, feedforward=feedforward)
+    # The message names the first step past the limit and its state, on the
+    # inlined PD loop and on the rk4_step path alike.
+    times, thetas, omegas = scalar_reference_tracking(traj, gains, 1e-3, feedforward, False)
     assert len(times) < round((traj.t_end - traj.t_start) / 1e-3) + 1
     assert str(info.value) == (
         f"state diverged at t={times[-1]:.4f}: {SimState(float(thetas[-1]), float(omegas[-1]))}"
     )
+
+
+def test_tracking_memory_is_bounded_per_step():
+    # Angles go into flat buffers and the reference is read from memoryviews,
+    # so the peak stays a few float columns per step, not lists of floats.
+    traj = smooth_trajectory()
+    n = 10**5
+    dt = (traj.t_end - traj.t_start) / n
+    simulate_tracking(traj, dt=100 * dt)  # builds the trajectory's table first
+    tracemalloc.start()
+    try:
+        result = simulate_tracking(traj, dt=dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.angle.times) == n + 1
+    assert peak / n <= 200
 
 
 def free_swing_final_state(dt, t_final=0.5, theta0=1.0):

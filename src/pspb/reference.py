@@ -33,15 +33,17 @@ class SinusoidReference:
     def __call__(self, t, order: int = 0):
         _check_order(order)
         w = 2 * math.pi / self.period
-        try:
-            power = w**order if math.isfinite(w) else math.inf
-        except OverflowError:
-            power = math.inf
-        if not math.isfinite(self.amplitude * power):
+        if math.isinf(w):
             raise OverflowError(f"sinusoid reference: period {self.period!r} is too short, "
-                                f"{'' if math.isinf(power) else 'amplitude * '}"
-                                f"(2 pi / period)**{order} overflows")
-        return self.amplitude * power * np.sin(w * t + order * math.pi / 2)
+                                f"2 pi / period is infinite")
+        try:
+            scale = self.amplitude * w**order
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise OverflowError(f"sinusoid reference: amplitude {self.amplitude!r} * "
+                                f"(2 pi / period {self.period!r})**{order} overflows")
+        return scale * np.sin(w * t + order * math.pi / 2)
 
 
 @dataclass(frozen=True)

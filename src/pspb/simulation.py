@@ -150,46 +150,43 @@ def simulate_tracking(
         slice(3) if feedforward else slice(2)) * deg
     stage4 = refs[:, 1:n + 1].copy()
     stage4[:, off] = refs[:, 2 * n + 1:]
-    columns = refs[:, :n], refs[:, n + 1:2 * n + 1], stage4
 
-    # With feedforward or gravity compensation, rk4_step over pd_torque, gravity_torque
-    # and hip_dynamics, each stage reading the next (pos, vel[, acc]) stage column.
-    stages = itertools.chain.from_iterable((s1, s2, s2, s4) for s1, s2, s4 in zip(
-        *(zip(*map(memoryview, part)) for part in columns)))
-
-    def deriv(t, state):
-        pos, vel, *acc = next(stages)
-        torque = pd_torque(state, pos, vel, gains, *acc, thigh=thigh)
-        if gravity_compensation:
-            torque += gravity_torque(state.theta, thigh)
-        return hip_dynamics(state, torque, thigh)
-
-    # The plain PD law is those calls inlined on Python floats in the same order, so
-    # bit-identical (test_stage_reference_table_is_bit_identical pins it). A step reads
+    # rk4_step over pd_torque, gravity_torque and hip_dynamics, inlined on Python
+    # floats with the same operations in the same order, so the result is bit-identical
+    # (test_stage_reference_table_is_bit_identical pins it). A switched-off feedforward
+    # or gravity term adds -0.0, which leaves any float unchanged. Each step reads
     # memoryviews: h, h/2 and h/6 (divided once per array, the same bits as per step),
-    # then pos and vel at stage 1, stages 2 and 3, and stage 4.
+    # then pos, vel and feedforward torque at stage 1, stages 2 and 3, and stage 4.
     kp, kd, inertia = gains.kp, gains.kd, thigh.inertia_about_joint
     mgc, sin = thigh.mass * GRAVITY * thigh.com, math.sin
+    columns = [memoryview(a) for a in (steps, halves, steps / 6)]
+    for part in refs[:, :n], refs[:, n + 1:2 * n + 1], stage4:
+        columns += [memoryview(part[0]), memoryview(part[1]),
+                    memoryview(inertia * part[2]) if feedforward else itertools.repeat(-0.0)]
     theta, omega = refs[:2, 0].tolist()  # the start state: grid column 0 is t_start
     thetas, omegas = array("d", [theta]), array("d", [omega])
-    for i, (h, h2, h6, p1, v1, p2, v2, p4, v4) in enumerate(zip(*map(memoryview, (
-            steps, halves, steps / 6, *(part[k] for part in columns for k in range(2)))))):
-        if feedforward or gravity_compensation:
-            state = rk4_step(deriv, times[i], SimState(theta, omega), h)
-            theta, omega = state.theta, state.omega
-        else:
-            a1 = (kp * (p1 - theta) + kd * (v1 - omega) - mgc * sin(theta)) / inertia
-            th, om2 = theta + h2 * omega, omega + h2 * a1
-            a2 = (kp * (p2 - th) + kd * (v2 - om2) - mgc * sin(th)) / inertia
-            th, om3 = theta + h2 * om2, omega + h2 * a2
-            a3 = (kp * (p2 - th) + kd * (v2 - om3) - mgc * sin(th)) / inertia
-            th, om4 = theta + h * om3, omega + h * a3
-            a4 = (kp * (p4 - th) + kd * (v4 - om4) - mgc * sin(th)) / inertia
-            theta = theta + h6 * (omega + 2 * om2 + 2 * om3 + om4)
-            omega = omega + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        if abs(theta) > BLOWUP_LIMIT or abs(omega) > BLOWUP_LIMIT:
+    high, low = BLOWUP_LIMIT, -BLOWUP_LIMIT  # abs(x) > limit as two compares, no calls
+    for h, h2, h6, p1, v1, f1, p2, v2, f2, p4, v4, f4 in zip(*columns):
+        g = mgc * sin(theta)
+        a1 = (kp * (p1 - theta) + kd * (v1 - omega) + f1
+              + (g if gravity_compensation else -0.0) - g) / inertia
+        th, om2 = theta + h2 * omega, omega + h2 * a1
+        g = mgc * sin(th)
+        a2 = (kp * (p2 - th) + kd * (v2 - om2) + f2
+              + (g if gravity_compensation else -0.0) - g) / inertia
+        th, om3 = theta + h2 * om2, omega + h2 * a2
+        g = mgc * sin(th)
+        a3 = (kp * (p2 - th) + kd * (v2 - om3) + f2
+              + (g if gravity_compensation else -0.0) - g) / inertia
+        th, om4 = theta + h * om3, omega + h * a3
+        g = mgc * sin(th)
+        a4 = (kp * (p4 - th) + kd * (v4 - om4) + f4
+              + (g if gravity_compensation else -0.0) - g) / inertia
+        theta = theta + h6 * (omega + 2 * om2 + 2 * om3 + om4)
+        omega = omega + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        if theta > high or theta < low or omega > high or omega < low:
             raise NumericalBlowup(
-                f"state diverged at t={times[i + 1]:.4f}: {SimState(theta, omega)}"
+                f"state diverged at t={times[len(thetas)]:.4f}: {SimState(theta, omega)}"
             )
         thetas.append(theta)
         omegas.append(omega)

@@ -408,9 +408,9 @@ OVERFLOW_CONFIGS = {
                        "reference": {"name": "sinusoid", "amplitude": 1e300, "period": 1e-10}},
 }
 SINUSOID_OVERFLOWS = {
-    "tiny_period": "period 1e-300 is too short, (2 pi / period)**2 overflows",
-    "infinite_frequency": "period 1e-310 is too short, (2 pi / period)**0 overflows",
-    "huge_amplitude": "period 1e-10 is too short, amplitude * (2 pi / period)**1 overflows",
+    "tiny_period": "amplitude 30.0 * (2 pi / period 1e-300)**2 overflows",
+    "infinite_frequency": "period 1e-310 is too short, 2 pi / period is infinite",
+    "huge_amplitude": "amplitude 1e+300 * (2 pi / period 1e-10)**1 overflows",
 }
 
 

@@ -285,8 +285,8 @@ def test_blowup_detected(feedforward):
     gains = PDGains(1e9, 0)
     with pytest.raises(NumericalBlowup) as info:
         simulate_tracking(traj, gains=gains, dt=1e-3, feedforward=feedforward)
-    # The message names the first step past the limit and its state, on the
-    # inlined PD loop and on the rk4_step path alike.
+    # The message names the first step past the limit and its state, with the
+    # feedforward term read from its column or standing in as -0.0.
     times, thetas, omegas = scalar_reference_tracking(traj, gains, 1e-3, feedforward, False)
     assert len(times) < round((traj.t_end - traj.t_start) / 1e-3) + 1
     assert str(info.value) == (

@@ -79,145 +79,138 @@ def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> 
         row * len(block) % tuple(block.ravel().tolist()) for block in blocks)))
 
 
-def _number(value, key: str, kind=float):
-    """``kind(value)`` if that is a finite number, else a ConfigError.
+def _number(value, path: str, kind=float, low=-math.inf, high=math.inf):
+    """``kind(value)`` if that is a finite number in ``(low, high]``, else a ConfigError.
 
     A JSON true/false is not a number, and a float must convert exactly
     (``samples: 2.7`` is an error, not 2).
     """
     if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
     if not math.isfinite(number):
-        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     if isinstance(value, float) and number != value:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if not low < number <= high:
+        raise ConfigError(f"{path}: need a number in ({low}, {high}], got {value!r}")
     return number
 
 
+def _check(test, what: str):
+    """A reader that passes on a value ``test`` accepts, or names ``what`` it expected."""
+    def read(value, path):
+        if not test(value):
+            raise ConfigError(f"{path}: expected {what}, got {value!r}")
+        return value
+    return read
+
+
+def _list(read, what: str, sizes=range(sys.maxsize)):
+    """A reader for a JSON list of ``what``, each item read by ``read``."""
+    items = _check(lambda value: isinstance(value, list) and len(value) in sizes,
+                   f"a list of {what}")
+    return lambda value, path: [read(item, path) for item in items(value, path)]
+
+
+def _times(value, path: str) -> list[float]:
+    times = _list(_number, "4 times", {4})(value, path)
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError(f"{path}: times must be strictly increasing: {times}")
+    return times
+
+
+def _reference(value, path: str):
+    """The path of a CSV file, which takes no other key, or a sinusoid."""
+    if isinstance(value, dict) and "csv" in value:
+        return Path(_read(CSV, value, path)["csv"])
+    fields = _read(SINUSOID, value, path)
+    return SinusoidReference(fields["amplitude"], fields["period"])
+
+
+class _Mark(str):
+    """A value no reader takes, and why: a key missing from, or repeated in, its object."""
+
+
+MISSING, REPEATED = _Mark("missing key"), _Mark("repeated key")
+
+# Each key of a JSON object: its default and its reader, a function of the value
+# and its path, or the table of a nested object. An absent key whose default is
+# None is left out; one whose default is MISSING is an error.
+POSITIVE = functools.partial(_number, low=0)
+SCHEME = _check(lambda name: name in SCHEME_NAMES, f"one of {', '.join(SCHEME_NAMES)}")
+ROW = _list(_number, "2 to 5 numbers [t, pos, vel, acc, jerk]", range(2, 6))
+WAYPOINTS = _list(lambda row, path: Waypoint(*ROW(row, path)), "4 rows", {4})
+SEGMENTS = {str(segment): (None, _number) for segment in range(3)}
+CSV = {"csv": (None, _check(lambda file: isinstance(file, str) and Path(file).exists(),
+                            "the path of a file"))}
+SINUSOID = {"name": (MISSING, _check(lambda name: name == "sinusoid", "'sinusoid'")),
+            "amplitude": (30.0, _number), "period": (1.0, POSITIVE)}
+CONFIG = {
+    "schemes": (list(SCHEME_NAMES), _list(SCHEME, "scheme names")),
+    "stance_times": (list(DEFAULT_STANCE_TIMES), _times),
+    "swing_times": (list(DEFAULT_SWING_TIMES), _times),
+    "samples": (DEFAULT_SAMPLES,
+                functools.partial(_number, kind=int, low=1, high=MAX_SAMPLES)),
+    "via_window": (DEFAULT_VIA_WINDOW, POSITIVE),
+    "reference": (None, _reference),
+    "waypoints": (None, {"stance": (MISSING, WAYPOINTS), "swing": (MISSING, WAYPOINTS)}),
+    "midpoints": (None, {"stance": (None, SEGMENTS), "swing": (None, SEGMENTS)}),
+    "sim": ({}, {"enabled": (False, _check(lambda on: isinstance(on, bool), "a boolean")),
+                 "kp": (500.0, _number), "kd": (50.0, _number), "dt": (1e-4, _number)}),
+}
+
+
+def _read(table: dict, doc, path: str = "") -> dict:
+    """``doc`` read through ``table``, each key by its reader, an absent one from
+    its default. A key the table does not name is a ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config root'}: expected a JSON object, got {doc!r}")
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in table:
+            raise ConfigError(
+                f"{prefix}{key}: unknown key {key!r}; expected {', '.join(table)}")
+    out = {}
+    for key, (default, read) in table.items():
+        value = doc.get(key, default)
+        if isinstance(value, _Mark):
+            raise ConfigError(f"{prefix}{key}: {value}")
+        if value is not None or key in doc:
+            out[key] = (_read(read, value, prefix + key) if isinstance(read, dict)
+                        else read(value, prefix + key))
+    return out
+
+
+def _json_object(pairs: list) -> dict:
+    """A JSON object from its key-value pairs, a repeated key's value ``REPEATED``."""
+    doc = {}
+    for key, value in pairs:
+        doc[key] = REPEATED if key in doc else value
+    return doc
+
+
 class RunConfig:
-    """Validated view over the JSON config document."""
+    """Validated view over the JSON config document, one attribute per ``CONFIG`` key."""
 
     def __init__(self, raw: dict):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        self.schemes = raw.get("schemes", list(SCHEME_NAMES))
-        if not (isinstance(self.schemes, list)
-                and all(isinstance(s, str) for s in self.schemes)):
-            raise ConfigError(f"schemes: expected a list of names, got {self.schemes}")
-        unknown = [s for s in self.schemes if s not in SCHEME_NAMES]
-        if unknown:
-            raise ConfigError(f"schemes: unknown scheme(s) {unknown}")
-        self.stance_times = self._times(raw, "stance_times", DEFAULT_STANCE_TIMES)
-        self.swing_times = self._times(raw, "swing_times", DEFAULT_SWING_TIMES)
+        self.reference = self.waypoints = self.midpoints = None
+        vars(self).update(_read(CONFIG, raw))
         if self.stance_times[-1] != self.swing_times[0]:
             raise ConfigError("stance_times must end where swing_times begins")
-        self.samples = _number(raw.get("samples", DEFAULT_SAMPLES), "samples", int)
-        if not 2 <= self.samples <= MAX_SAMPLES:
-            raise ConfigError(f"samples: need 2 to {MAX_SAMPLES}, got {self.samples}")
-        self.via_window = _number(raw.get("via_window", DEFAULT_VIA_WINDOW), "via_window")
-        if self.via_window <= 0:
-            raise ConfigError("via_window must be positive")
-        self.reference = self._reference(
-            raw.get("reference"), (self.stance_times[0], self.swing_times[-1])
-        )
-        self.waypoints = self._waypoints(raw.get("waypoints"))
-        self.midpoints = self._midpoints(raw.get("midpoints"))
-        sim = raw.get("sim", {})
-        if not isinstance(sim, dict):
-            raise ConfigError(f"sim must be a JSON object, got {sim!r}")
-        self.sim_enabled = sim.get("enabled", False)
-        if not isinstance(self.sim_enabled, bool):
-            raise ConfigError(f"sim.enabled: expected a boolean, got {self.sim_enabled!r}")
-        self.gains = PDGains(_number(sim.get("kp", 500.0), "sim.kp"),
-                             _number(sim.get("kd", 50.0), "sim.kd"))
-        self.sim_dt = _number(sim.get("dt", 1e-4), "sim.dt")
-
-    @staticmethod
-    def _times(raw, key, default):
-        times = raw.get(key, default)
-        if not isinstance(times, (list, tuple)):
-            raise ConfigError(f"{key}: expected a list of 4 times, got {times!r}")
-        times = [_number(t, key) for t in times]
-        if len(times) != 4:
-            raise ConfigError(f"{key}: need exactly 4 times, got {len(times)}")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError(f"{key}: times must be strictly increasing: {times}")
-        return times
-
-    @staticmethod
-    def _reference(spec, span):
-        if spec is None:
-            return None
-        if not isinstance(spec, dict):
-            raise ConfigError(f"reference must be a JSON object, got {spec!r}")
-        if "csv" in spec:
-            if not isinstance(spec["csv"], str):
-                raise ConfigError(f"reference.csv: expected a path, got {spec['csv']!r}")
-            path = Path(spec["csv"])
-            if not path.exists():
-                raise ConfigError(f"reference.csv: file not found: {path}")
-            ref = CsvReference.from_file(path)
+        self.gains = PDGains(self.sim["kp"], self.sim["kd"])
+        ref = self.reference
+        if isinstance(ref, Path):  # read once the whole config has passed
+            self.reference = ref = CsvReference.from_file(ref)
+            span = (self.stance_times[0], self.swing_times[-1])
             if not ref.times[0] <= span[0] <= span[1] <= ref.times[-1]:
                 raise ConfigError(
                     f"reference.csv: times [{ref.times[0]:g}, {ref.times[-1]:g}] "
                     f"do not cover the gait [{span[0]:g}, {span[1]:g}]"
                 )
-            return ref
-        if spec.get("name") == "sinusoid":
-            amplitude = _number(spec.get("amplitude", 30.0), "reference.amplitude")
-            period = _number(spec.get("period", 1.0), "reference.period")
-            if period <= 0:
-                raise ConfigError(f"reference.period: must be positive, got {period}")
-            return SinusoidReference(amplitude, period)
-        raise ConfigError(f"reference: expected 'csv' or name 'sinusoid', got {spec}")
-
-    @staticmethod
-    def _waypoints(spec):
-        if spec is None:
-            return None
-        if not isinstance(spec, dict):
-            raise ConfigError(f"waypoints must be a JSON object, got {spec!r}")
-        out = {}
-        for phase in ("stance", "swing"):
-            if phase not in spec:
-                raise ConfigError(f"waypoints: missing {phase!r} table")
-            rows = spec[phase]
-            if not isinstance(rows, list) or len(rows) != 4:
-                raise ConfigError(f"waypoints.{phase}: need a list of 4 rows, got {rows!r}")
-            wps = []
-            for row in rows:
-                if not isinstance(row, list) or not 2 <= len(row) <= 5:
-                    raise ConfigError(
-                        f"waypoints.{phase}: a row is [t, pos, vel, acc, jerk] with "
-                        f"vel, acc and jerk optional, got {row!r}"
-                    )
-                wps.append(Waypoint(*(_number(x, f"waypoints.{phase}") for x in row)))
-            out[phase] = wps
-        return out
-
-    @staticmethod
-    def _midpoints(spec):
-        if spec is None:
-            return None
-        if not (isinstance(spec, dict)
-                and all(isinstance(table, dict) for table in spec.values())):
-            raise ConfigError(f"midpoints: expected an object of objects, got {spec!r}")
-        out = {}
-        for phase, table in spec.items():
-            key = f"midpoints.{phase}"
-            if phase not in ("stance", "swing"):
-                raise ConfigError(f"{key}: unknown phase {phase!r}; expected stance or swing")
-            out[phase] = {}
-            for k, v in table.items():
-                segment = _number(k, key, int)
-                if segment not in range(3):
-                    raise ConfigError(f"{key}: unknown segment {k!r}; expected 0, 1 or 2")
-                out[phase][segment] = _number(v, key)
-        return out
 
     @functools.cached_property
     def _gait_inputs(self):
@@ -232,7 +225,9 @@ class RunConfig:
             waypoints = [waypoints_from_reference(ref, times)
                          for times in (self.stance_times, self.swing_times)]
         sampled = None if ref is None else lambda t: ref(t, 0)
-        return (*waypoints, *(tables.get(phase, sampled) for phase in ("stance", "swing")))
+        pins = {phase: {int(segment): x for segment, x in table.items()}
+                for phase, table in tables.items()}
+        return (*waypoints, *(pins.get(phase, sampled) for phase in ("stance", "swing")))
 
     def build_gait(self, scheme_name: str):
         return generate_gait(builtin_scheme(scheme_name), *self._gait_inputs)
@@ -257,8 +252,8 @@ def run_generate(config: RunConfig, out: Path) -> None:
             [[j.via_time, j.order, j.jump, int(j.constrained_both_sides)]
              for j in report.jumps],
         )
-        if config.sim_enabled:
-            result = simulate_tracking(traj, gains=config.gains, dt=config.sim_dt)
+        if config.sim["enabled"]:
+            result = simulate_tracking(traj, gains=config.gains, dt=config.sim["dt"])
             _write_csv(
                 out / f"tracking_{name}.csv",
                 ["t", "angle_rad", "velocity_rad_s", "reference_rad"],
@@ -379,7 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"),
+                         object_pairs_hook=_json_object)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO

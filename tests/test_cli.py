@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -24,7 +25,7 @@ from pspb.schemes import SCHEME_NAMES, PiecewiseTrajectory
 def config_path(tmp_path):
     def write(doc, name="config.json"):
         path = tmp_path / name
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         return str(path)
 
     return write
@@ -428,18 +429,36 @@ def test_overflow_is_a_numerical_error(tmp_path, config_path, capsys, verb, name
         assert err == f"error: sinusoid reference: {SINUSOID_OVERFLOWS[name]}\n"
 
 
-@pytest.mark.parametrize("midpoints, message", [
-    ({"stnace": {"0": 1}}, "midpoints.stnace: unknown phase 'stnace'; expected stance or swing"),
-    ({"stance": {"0": 1}, "swng": {}}, "midpoints.swng: unknown phase"),
-    ({"swing": {"3": 1}}, "midpoints.swing: unknown segment '3'; expected 0, 1 or 2"),
-    ({"stance": {"-1": 1}}, "midpoints.stance: unknown segment '-1'"),
-], ids=["misspelt_phase", "second_phase_misspelt", "segment_3", "segment_minus_1"])
-def test_unknown_midpoint_keys_are_config_errors(tmp_path, config_path, capsys,
-                                                 midpoints, message):
-    # Unknown keys were dropped, so the pins silently came from the reference.
-    cfg = config_path({**BASE, "schemes": ["434-2"], "midpoints": midpoints})
-    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert message in capsys.readouterr().err
+@pytest.mark.parametrize("config, message", [
+    ({"midpoints": {"stnace": {"0": 1}}},
+     "midpoints.stnace: unknown key 'stnace'; expected stance, swing"),
+    ({"midpoints": {"stance": {"0": 1}, "swng": {}}}, "midpoints.swng: unknown key 'swng'"),
+    ({"midpoints": {"swing": {"3": 1}}}, "midpoints.swing.3: unknown key '3'; expected 0, 1, 2"),
+    ({"midpoints": {"stance": {"-1": 1}}}, "midpoints.stance.-1: unknown key '-1'"),
+    ({"midpoints": {"stance": {"0": 1, "00": 5, "2": 3}}}, "midpoints.stance.00: unknown key '00'"),
+    ({"midpoints": {"stance": {" 1": 1}}}, "midpoints.stance. 1: unknown key ' 1'"),
+    ('{"midpoints": {"stance": {"0": 1, "0": 5, "2": 3}}}', "midpoints.stance.0: repeated key"),
+    ('{"samples": 7, "samples": 9}', "samples: repeated key"),
+    ({"reference": {"name": "sinusoid", "amplitud": 5}, "sampels": 7, "sim": {"enabeld": True}},
+     "sampels: unknown key 'sampels'"),
+    ({"reference": {"name": "sinusoid", "amplitud": 5}}, "reference.amplitud: unknown key 'amplitud'"),
+    ({"sim": {"enabeld": True}}, "sim.enabeld: unknown key 'enabeld'"),
+    ({"reference": {"csv": "ref.csv", "name": "sinusoid"}},
+     "reference.name: unknown key 'name'; expected csv"),
+], ids=["misspelt_phase", "second_phase_misspelt", "segment_3", "segment_minus_1", "segment_00",
+        "segment_space_1", "repeated_segment", "repeated_root_key", "roadmap_misspelt",
+        "misspelt_amplitude", "misspelt_enabled", "csv_with_name"])
+def test_unknown_midpoint_keys_are_config_errors(tmp_path, config_path, capsys, config, message):
+    # Each used to exit 0: unknown keys were dropped, so the run took defaults
+    # and the reference's pins; a repeated key's last value won; a CSV beside a
+    # name won without a word. A JSON text is spliced into the base config's
+    # members, so that it can repeat a key.
+    base = {**BASE, "schemes": ["434-2"]}
+    doc = ({**base, **config} if isinstance(config, dict)
+           else json.dumps(base)[:-1] + ", " + config[1:])
+    assert main(["generate", "--config", config_path(doc), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
     good = config_path({**BASE, "schemes": ["434-2"],
                         "midpoints": {"stance": {"0": 1, "2": 3}}}, "good.json")
     assert main(["generate", "--config", good, "--out", str(tmp_path / "out")]) == 0
@@ -565,12 +584,20 @@ def _rows(times, value, min_size):
                        .map(lambda v, t=t: [t, *v]) for t in times)).map(list)
 
 
+# Keys that no table names at each level of a config.
+MISSPELT = {"root": ["sampels", "Schemes", "sim "], "reference": ["amplitud", "nmae", "CSV"],
+            "sim": ["enabeld", "KP"], "waypoints": ["stnace", "Swing"],
+            "midpoints": ["stnace", "swing "], "segments": ["00", " 1", "3"]}
+
+
 @st.composite
 def configs(draw):
     """A valid config with some fields left out and a few corrupted, or now
-    and then a root that is not an object. "@CSV" stands for a reference file."""
+    and then a root that is not an object, and whether a misspelt key was put
+    in at one level (root, reference, sim, waypoints, midpoints or one of its
+    segment tables). "@CSV" stands for a reference file."""
     if draw(st.integers(0, 9)) == 0:
-        return draw(ANY)
+        return draw(ANY), False
     # Phase boundary at 0.6 s, as in the defaults, so either list may be left out.
     stance, swing = (st.lists(st.floats(lo, hi, exclude_min=lo > 0, exclude_max=hi < 2),
                               min_size=3, max_size=3, unique=True).map(sorted)
@@ -625,7 +652,16 @@ def configs(draw):
         kind = draw(st.sampled_from(["valid"] * 5 + ["absent"] * 2 + ["bad"]))
         if kind != "absent":
             doc[key] = draw(valid if kind == "valid" else invalid)
-    return doc
+    if draw(st.integers(0, 3)):
+        return doc, False
+    doc = copy.deepcopy(doc)  # st.just hands out one object to every example
+    tables = [("root", doc)] + [(level, doc.get(level))
+                                for level in ("reference", "sim", "waypoints", "midpoints")]
+    if isinstance(doc.get("midpoints"), dict):
+        tables += [("segments", table) for table in doc["midpoints"].values()]
+    level, table = draw(st.sampled_from([(level, t) for level, t in tables if isinstance(t, dict)]))
+    table[draw(st.sampled_from(MISSPELT[level]))] = draw(ANY)
+    return doc, True
 
 
 @pytest.fixture(scope="module")
@@ -639,10 +675,11 @@ def fuzz_csv(tmp_path_factory):
 
 
 @settings(max_examples=60, deadline=None)
-@given(verb=st.sampled_from(["generate", "compare"]), doc=configs())
-def test_any_config_exits_with_a_documented_code(fuzz_csv, verb, doc):
+@given(verb=st.sampled_from(["generate", "compare"]), drawn=configs())
+def test_any_config_exits_with_a_documented_code(fuzz_csv, verb, drawn):
+    doc, misspelt = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(doc).replace("@CSV", str(fuzz_csv)))
         code = main([verb, "--config", str(path), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2, 3, 4)
+    assert (code == 2) if misspelt else (code in (0, 2, 3, 4))

@@ -80,19 +80,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> 
 
 
 def _number(value, path: str, kind=float, low=-math.inf, high=math.inf):
-    """``kind(value)`` if that is a finite number in ``(low, high]``, else a ConfigError.
-
-    A JSON true/false is not a number, and a float must convert exactly
-    (``samples: 2.7`` is an error, not 2).
+    """``kind(value)`` if ``value`` is a finite JSON number in ``(low, high]``, else a
+    ConfigError. A true/false or a numeric string is not a number, and a float must
+    convert exactly (``samples: 2.7`` is an error, not 2).
     """
-    if isinstance(value, bool):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
-    if not math.isfinite(number):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf or an int no float holds
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    number = kind(value)
     if isinstance(value, float) and number != value:
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if not low < number <= high:
@@ -379,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

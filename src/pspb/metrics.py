@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SeriesMismatch
-from .poly import MAX_DERIVATIVE, horner_rows
+from .poly import MAX_DERIVATIVE
 from .schemes import PiecewiseTrajectory, _check_order, evaluate
 from .solver import SEGMENT_END, SEGMENT_START
 
@@ -148,12 +148,11 @@ class ContinuityReport:
 
 
 def continuity_report(traj: PiecewiseTrajectory) -> ContinuityReport:
-    """|right limit - left limit| per via point per order, computed
-    analytically from the trajectory's coefficient table at tau 1 and 0
-    (sampling could straddle or miss a via time; the polynomials are exact)."""
-    _, powers, coeffs = traj._table
-    before = horner_rows(coeffs[..., :-1], SEGMENT_END) / powers[:, :-1]
-    after = horner_rows(coeffs[..., 1:], SEGMENT_START) / powers[:, 1:]
+    """|right limit - left limit| per via point per order, computed analytically
+    at tau 1 on segments 0..n-2 and tau 0 on 1..n-1 (sampling could straddle or
+    miss a via time; the polynomials are exact)."""
+    before = traj._at(np.arange(len(traj.segments) - 1), SEGMENT_END, slice(None))
+    after = traj._at(np.arange(1, len(traj.segments)), SEGMENT_START, slice(None))
     jumps = []
     for v, left, right, per_order in zip(traj.via_times, traj.segments, traj.segments[1:],
                                          np.abs(after - before).T.tolist()):

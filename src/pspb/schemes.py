@@ -120,24 +120,21 @@ class SchemeSpec:
         return tuple(len(cons) - 1 for cons in self.segment_constraints)
 
     @cached_property
-    def _stack(self):
-        """Per segment (pins, cond); its templates identity-padded, stance then swing."""
+    def _compiled(self):
+        """(pins, cond) of all six segments, stance then swing, their templates
+        identity-padded into one stack, and per segment each pin's source and order,
+        then its mid-point pins' places. The source is int(2 * tau): 0 the start
+        waypoint, 1 a mid-point, 2 the end one; 3 pads every row to the widest."""
         pins = [tuple((k, tau) for tau, k in cons) for cons in self.segment_constraints]
         templates = [_template(len(p) - 1, p) for p in pins]
-        stack = np.tile(np.eye(max(map(len, pins))), (6, 1, 1))
+        width = max(map(len, pins))
+        stack = np.tile(np.eye(width), (6, 1, 1))
         for padded, (m, _) in zip(stack, templates * 2):
             padded[:len(m), :len(m)] = m
-        return [(p, cond) for p, (_, cond) in zip(pins, templates)], stack
-
-    @cached_property
-    def _plan(self):
-        """Per segment, each pin's source and order, then its mid-point pins' places.
-        The source is int(2 * tau): 0 the start waypoint, 1 a mid-point, 2 the end
-        one; 3 is the zero padding that widens every row to the widest template."""
-        width = max(map(len, self.segment_constraints))
-        return [([(int(2 * tau), k) for tau, k in cons] + [(3, 0)] * (width - len(cons)),
+        plan = [([(int(2 * tau), k) for tau, k in cons] + [(3, 0)] * (width - len(cons)),
                  [j for j, (tau, _) in enumerate(cons) if tau == MID])
                 for cons in self.segment_constraints]
+        return [(p, cond) for p, (_, cond) in zip(pins, templates)] * 2, stack, plan
 
 
 @cache
@@ -191,6 +188,19 @@ class PiecewiseTrajectory:
         powers = [[s.duration**k for s in self.segments] for k in range(MAX_DERIVATIVE + 1)]
         return np.array([s.t_start for s in self.segments]), np.array(powers), coeffs
 
+    def _locate(self, times):
+        """Each time's segment index, right-continuous at via times, and its tau."""
+        starts, powers, _ = self._table
+        idx = np.searchsorted(starts[1:], times, side="right")
+        return idx, (times - starts.take(idx)) / powers[1].take(idx)
+
+    def _at(self, idx, tau, order: int | slice):
+        """Order(s) at normalized time ``tau`` on segments ``idx``, divided by T**k:
+        Horner over their table rows, one power at a time and only the orders asked."""
+        _, powers, coeffs = self._table
+        rows = (row.take(idx, axis=-1) for row in coeffs[:, order])
+        return horner_rows(rows, tau) / powers[order].take(idx, axis=-1)
+
 
 def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
     """Derivative order(s) at time(s) t; right-continuous at via times.
@@ -205,12 +215,7 @@ def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
     if outside.any():
         raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
                           f"[{traj.t_start}, {traj.t_end}]")
-    # One power at a time, only the orders asked: no temporary outgrows the result.
-    starts, powers, coeffs = traj._table
-    idx = np.searchsorted(starts[1:], times, side="right")
-    tau = (times - starts.take(idx)) / powers[1].take(idx)
-    rows = (row.take(idx, axis=-1) for row in coeffs[:, order])
-    return horner_rows(rows, tau) / powers[order].take(idx, axis=-1)
+    return traj._at(*traj._locate(times), order)
 
 
 def _check_order(order: int | slice):
@@ -255,7 +260,9 @@ def generate_gait(
 
 
 def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
-    """Check and read each (waypoints, midpoints) phase, then solve them all at once."""
+    """Check and read each (waypoints, midpoints) phase, then solve them all at once.
+    The scheme's compile is read first, so a singular one raises before any phase."""
+    slots, stack, plan = scheme._compiled
     rhs, spans = [], []
     for waypoints, midpoints in phases:
         if len(waypoints) != 4:
@@ -270,7 +277,7 @@ def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
                 f"phase, got waypoint times {times}"
             )
         values = [(w.position, w.velocity, w.acceleration, w.jerk) for w in waypoints]
-        for i, (pins, mids) in enumerate(scheme._plan):
+        for i, (pins, mids) in enumerate(plan):
             ends = values[i], (0.0,), values[i + 1], (0.0,)
             T = times[i + 1] - times[i]
             try:  # a missing value (None) or an overflowing power stops this read
@@ -283,8 +290,7 @@ def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
                     row[j] = _read_pin(scheme, i, 1, 0, ends, times, midpoints)
             rhs.append(row)
             spans.append((times[i], times[i + 1]))
-    slots, stack = scheme._stack
-    return PiecewiseTrajectory(tuple(_solve_stacked(slots * len(phases), stack, rhs, spans)))
+    return PiecewiseTrajectory(tuple(_solve_stacked(slots, stack, rhs, spans)))
 
 
 def _read_pin(scheme: SchemeSpec, segment: int, source: int, order: int, ends, times,

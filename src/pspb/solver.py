@@ -130,13 +130,11 @@ def _solve_stacked(slots, matrices, rhs, spans) -> list[SolvedSegment]:
 
 
 def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[float]:
-    """|achieved - specified| per constraint, in physical units, read on the segment
-    moved to start at 0: t_start + T can round past t_end, but tau * T never passes T."""
-    T = segment.duration
-    at_zero = SolvedSegment(segment.polynomial, 0.0, T, segment.condition_estimate)
-    achieved = at_zero.kinematics(np.array([c.tau for c in constraints]) * T)
-    return [abs(float(achieved[c.order][i]) - c.value)
-            for i, c in enumerate(constraints)]
+    """|achieved - specified| per constraint, in physical units, each read at its own
+    tau, so no time is formed that could round past t_end."""
+    from .schemes import PiecewiseTrajectory  # schemes imports this module
+    traj = PiecewiseTrajectory((segment,))
+    return [abs(float(traj._at(0, c.tau, c.order)) - c.value) for c in constraints]
 
 
 def _describe(pins: tuple[tuple[int, float], ...]) -> str:

@@ -277,7 +277,7 @@ def test_benchmark_rejects_low_repetitions(tmp_path, config_path):
                  "--out", str(tmp_path / "o"), "--repetitions", "10"]) == 2
 
 
-def test_bad_config_exit_codes(tmp_path, config_path):
+def test_bad_config_exit_codes(tmp_path, config_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["generate", "--config", missing, "--out", str(tmp_path)]) == 4
 
@@ -339,9 +339,25 @@ def test_bad_config_exit_codes(tmp_path, config_path):
         # Rejected before anything is allocated: numpy would fail on 7 PiB.
         "samples_huge": {"schemes": ["434-1"], "reference": {"name": "sinusoid"},
                          "samples": 10**15},
+        # A number must be a JSON number, and one no float holds is refused before
+        # any conversion can overflow.
+        "samples_string": {"samples": "7", "schemes": ["434-1"],
+                           "reference": {"name": "sinusoid", "period": 1.0}},
+        "period_string": {"schemes": ["434-1"],
+                          "reference": {"name": "sinusoid", "period": "1.0"}},
+        "kp_string": {**BASE, "schemes": ["434-1"], "sim": {"kp": "500"}},
+        "samples_400_digits": {**BASE, "schemes": ["434-1"], "samples": int("9" * 400)},
     }.items():
         path = config_path(cfg, f"{name}.json")
         assert main(["generate", "--config", path, "--out", str(tmp_path)]) == 2, name
+
+    # Nested past the parser's recursion limit: a config error, not a traceback.
+    deep = config_path("[" * 100000 + "]" * 100000, "deep.json")
+    capsys.readouterr()
+    assert main(["generate", "--config", deep, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_csv_reference_roundtrip(tmp_path, config_path):
@@ -593,9 +609,11 @@ MISSPELT = {"root": ["sampels", "Schemes", "sim "], "reference": ["amplitud", "n
 @st.composite
 def configs(draw):
     """A valid config with some fields left out and a few corrupted, or now
-    and then a root that is not an object, and whether a misspelt key was put
-    in at one level (root, reference, sim, waypoints, midpoints or one of its
-    segment tables). "@CSV" stands for a reference file."""
+    and then a root that is not an object, and whether it must be refused: one
+    valid number of samples, via_window, reference.period or sim.kp was made its
+    JSON string or a 400-digit integer, or a misspelt key was put in at one level
+    (root, reference, sim, waypoints, midpoints or one of its segment tables).
+    "@CSV" stands for a reference file."""
     if draw(st.integers(0, 9)) == 0:
         return draw(ANY), False
     # Phase boundary at 0.6 s, as in the defaults, so either list may be left out.
@@ -647,14 +665,22 @@ def configs(draw):
                 "dt": SAFE_DT})),
         ),
     }
-    doc = {}
+    doc, kinds = {}, {}
     for key, (valid, invalid) in fields.items():
-        kind = draw(st.sampled_from(["valid"] * 5 + ["absent"] * 2 + ["bad"]))
-        if kind != "absent":
-            doc[key] = draw(valid if kind == "valid" else invalid)
+        kinds[key] = draw(st.sampled_from(["valid"] * 5 + ["absent"] * 2 + ["bad"]))
+        if kinds[key] != "absent":
+            doc[key] = draw(valid if kinds[key] == "valid" else invalid)
+    doc = copy.deepcopy(doc)  # st.just hands out one object to every example
+    numbers = [(doc, field) if key is None else (doc[field], key)
+               for field, key in (("samples", None), ("via_window", None),
+                                  ("reference", "period"), ("sim", "kp"))
+               if kinds[field] == "valid" and (key is None or key in doc[field])]
+    if numbers and draw(st.integers(0, 5)) == 0:
+        table, key = draw(st.sampled_from(numbers))
+        table[key] = draw(st.sampled_from([json.dumps(table[key]), int("9" * 400)]))
+        return doc, True
     if draw(st.integers(0, 3)):
         return doc, False
-    doc = copy.deepcopy(doc)  # st.just hands out one object to every example
     tables = [("root", doc)] + [(level, doc.get(level))
                                 for level in ("reference", "sim", "waypoints", "midpoints")]
     if isinstance(doc.get("midpoints"), dict):

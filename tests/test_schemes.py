@@ -509,8 +509,10 @@ def test_gait_matches_per_segment_solves_for_any_duration(name, durations, value
 def test_singular_or_nonfinite_gait_names_its_pins():
     line = ((START, 0), (END, 0))
     spec = SchemeSpec("singular", (line, ((START, 0), (START, 0)), line))
+    # The compile is read before any phase, so a three-waypoint phase names the pins too.
     for solve in (lambda: generate_phase(spec, zero_waypoints(STANCE)),
-                  lambda: generate_gait(spec, zero_waypoints(STANCE), zero_waypoints(SWING))):
+                  lambda: generate_gait(spec, zero_waypoints(STANCE), zero_waypoints(SWING)),
+                  lambda: generate_phase(spec, zero_waypoints(STANCE[:3]))):
         with pytest.raises(SingularSystem, match=r"singular: position@tau=0, position@tau=0$"):
             solve()
     # Finite waypoints whose solve overflows: the first bad segment's pins are named too.

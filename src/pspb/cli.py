@@ -230,18 +230,15 @@ class RunConfig:
 
 
 def run_generate(config: RunConfig, out: Path) -> None:
-    for name in config.schemes:
-        traj = config.build_gait(name)
-        rows = []
-        for phase in _phases(traj):
-            times = np.linspace(phase.t_start, phase.t_end, config.samples)
-            rows.append(np.column_stack([times, evaluate(phase, times, slice(None)).T]))
+    gaits = tuple(config.build_gait(name) for name in config.schemes)
+    grids = list(_grids(zip(*map(_phases, gaits)), config.samples))
+    for i, (name, traj, report) in enumerate(zip(config.schemes, gaits,
+                                                 continuity_report(gaits))):
         _write_csv(
             out / f"profile_{name}.csv",
             ["t", "position", "velocity", "acceleration", "jerk"],
-            np.concatenate(rows),
+            np.concatenate([np.column_stack([t, values[:, i].T]) for t, values in grids]),
         )
-        report = continuity_report(traj)
         _write_csv(
             out / f"continuity_{name}.csv",
             ["via_time", "order", "jump", "constrained_both_sides"],
@@ -264,24 +261,23 @@ def run_compare(config: RunConfig, out: Path) -> None:
     if config.reference is None:
         raise ConfigError("compare needs a reference (csv or sinusoid)")
     ref = config.reference
+    gaits = tuple(config.build_gait(name) for name in config.schemes)
+    # Per scope, every scheme's four orders on one grid; ADE is RMSE / sqrt(N).
+    scopes = [_rms(values - np.array([ref(times, k) for k in range(4)])[:, None])
+              for times, values in _grids(zip(*[(g, *_phases(g)) for g in gaits]),
+                                          config.samples)]
+    vias = via_point_rmse(gaits, ref, slice(None), config.via_window)
     error_rows, via_rows, text = [], [], []
-    for name in config.schemes:
-        traj = config.build_gait(name)
-        stance, swing = _phases(traj)
-        scopes = {"full": traj, "stance": stance, "swing": swing}
+    for i, (name, windows) in enumerate(zip(config.schemes, vias)):
         text.append(f"scheme {name}")
-        for scope, sub in scopes.items():
-            # All four orders from one grid; ADE is RMSE / sqrt(N) as in metrics.ade.
-            times = np.linspace(sub.t_start, sub.t_end, config.samples)
-            err = evaluate(sub, times, slice(None)) - [ref(times, k) for k in range(4)]
-            for label, r in zip(QUANTITY_LABELS, _rms(err).tolist()):
+        for scope, rms in zip(("full", "stance", "swing"), scopes):
+            for label, r in zip(QUANTITY_LABELS, rms[:, i].tolist()):
                 a = r / math.sqrt(config.samples)
                 error_rows.append([name, scope, label, r, a])
                 if scope == "full":
                     text.append(f"  {label:<12} RMSE {_fmt(r):>14}  ADE {_fmt(a):>14}")
-        vias = via_point_rmse(traj, ref, slice(None), config.via_window)
         via_rows += [[name, float(w.via_time), order, w.rmse, int(w.clipped)]
-                     for order, windows in enumerate(vias) for w in windows]
+                     for order, per_order in enumerate(windows) for w in per_order]
     _write_csv(out / "error_report.csv",
                ["scheme", "scope", "quantity", "rmse", "ade"], error_rows)
     _write_csv(out / "via_rmse.csv",
@@ -294,6 +290,13 @@ def run_compare(config: RunConfig, out: Path) -> None:
 def _phases(traj):
     """The stance and swing halves of a six-segment gait."""
     return PiecewiseTrajectory(traj.segments[:3]), PiecewiseTrajectory(traj.segments[3:])
+
+
+def _grids(scopes, samples: int):
+    """Per scope, a tuple of trajectories on one span, its grid and one read of them."""
+    for trajs in scopes:
+        times = np.linspace(trajs[0].t_start, trajs[0].t_end, samples)
+        yield times, evaluate(trajs, times, slice(None))
 
 
 GAITS_PER_ROUND = 10
@@ -375,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, >4,300 digits, too deep
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

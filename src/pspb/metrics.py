@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SeriesMismatch
 from .poly import MAX_DERIVATIVE
-from .schemes import PiecewiseTrajectory, _check_order, evaluate
+from .schemes import PiecewiseTrajectory, _check_order, _read_table, _stack, evaluate
 from .solver import SEGMENT_END, SEGMENT_START
 
 DEFAULT_SAMPLES = 101
@@ -99,31 +99,40 @@ class ViaWindowError:
 
 
 def via_point_rmse(
-    traj: PiecewiseTrajectory,
+    traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...],
     reference: Reference,
     order: int | slice = 0,
     window: float = DEFAULT_VIA_WINDOW,
-) -> list[ViaWindowError] | list[list[ViaWindowError]]:
+) -> list:
     """RMSE of traj vs reference over [v - window, v + window] per via point.
 
     Windows that would spill past the trajectory domain are clipped and
     flagged. ``order`` is an int or, as in ``evaluate``, a slice of orders
     0..3 that returns one list per order from one evaluation. ``reference``
     is called once per order, as reference(times, order), one row per window.
+    A tuple of trajectories sharing one span and one set of via times is read
+    in the same calls, and returns one result per trajectory.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
     _check_order(order)
-    t0, t1, vias = traj.t_start, traj.t_end, traj.via_times
+    trajs = traj if isinstance(traj, tuple) else (traj,)
+    if len(shapes := {(one.t_start, one.t_end, one.via_times) for one in trajs}) > 1:
+        raise ValueError(f"a tuple must share one span and via times, got {shapes}")
+    if not trajs:
+        return []
+    (t0, t1, vias), = shapes
     lo = [max(v - window, t0) for v in vias]
     hi = [min(v + window, t1) for v in vias]
     times = np.linspace(lo, hi, VIA_WINDOW_SAMPLES, axis=-1)
     rows = order if isinstance(order, slice) else slice(order, order + 1)
     expected = np.array([reference(times, k) for k in range(MAX_DERIVATIVE + 1)[rows]])
-    per_order = [[ViaWindowError(v, float(r), (a, b), v - window < t0 or v + window > t1)
-                  for v, a, b, r in zip(vias, lo, hi, rms)]
-                 for rms in _rms(evaluate(traj, times, rows) - expected)]
-    return per_order if isinstance(order, slice) else per_order[0]
+    rms = _rms(evaluate(trajs, times, rows) - expected[:, None])  # (order, trajectory, via)
+    results = [[[ViaWindowError(v, float(r), (a, b), v - window < t0 or v + window > t1)
+                 for v, a, b, r in zip(vias, lo, hi, per_order)]
+                for per_order in per_traj] for per_traj in rms.swapaxes(0, 1)]
+    results = [per_traj if isinstance(order, slice) else per_traj[0] for per_traj in results]
+    return results if isinstance(traj, tuple) else results[0]
 
 
 @dataclass(frozen=True)
@@ -147,16 +156,20 @@ class ContinuityReport:
         raise KeyError((via_time, order))
 
 
-def continuity_report(traj: PiecewiseTrajectory) -> ContinuityReport:
-    """|right limit - left limit| per via point per order, computed analytically
-    at tau 1 on segments 0..n-2 and tau 0 on 1..n-1 (sampling could straddle or
-    miss a via time; the polynomials are exact)."""
-    before = traj._at(np.arange(len(traj.segments) - 1), SEGMENT_END, slice(None))
-    after = traj._at(np.arange(1, len(traj.segments)), SEGMENT_START, slice(None))
-    jumps = []
-    for v, left, right, per_order in zip(traj.via_times, traj.segments, traj.segments[1:],
-                                         np.abs(after - before).T.tolist()):
-        both = left.pinned_orders(SEGMENT_END) & right.pinned_orders(SEGMENT_START)
-        jumps += [ContinuityJump(v, order, jump, order in both)
-                  for order, jump in enumerate(per_order)]
-    return ContinuityReport(tuple(jumps))
+def continuity_report(traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...]):
+    """|right limit - left limit| per via point per order, exact at tau 1 on each segment
+    but the last and tau 0 on the next (sampling could straddle or miss a via time). A
+    tuple of trajectories is read in one call, and gives one report per trajectory."""
+    trajs, table, rows = _stack(traj)
+    end, start = _read_table(table, np.arange(len(table[0])),
+                             np.reshape([SEGMENT_END, SEGMENT_START], (2, 1, 1)), slice(None))
+    jumps = np.abs(start[:, 1:] - end[:, :-1]).T.tolist()  # from row i to row i + 1
+    reports = []
+    for one, (first, _) in zip(trajs, rows):
+        report = []
+        for seg, nxt, per_order in zip(one.segments, one.segments[1:], jumps[first:]):
+            both = seg.pinned_orders(SEGMENT_END) & nxt.pinned_orders(SEGMENT_START)
+            report += [ContinuityJump(nxt.t_start, order, jump, order in both)
+                       for order, jump in enumerate(per_order)]
+        reports.append(ContinuityReport(tuple(report)))
+    return reports if isinstance(traj, tuple) else reports[0]

@@ -4,8 +4,8 @@ Coefficients are stored in ascending power over tau in [0, 1]. Keeping
 segment time normalized keeps the boundary-value systems well conditioned
 even for very short segments. ``differentiate`` gives the formal
 derivatives of a reference polynomial; a trajectory's table forms its own.
-``horner_rows`` is the one evaluation kernel: a trajectory's ``_at``, which
-``evaluate``, ``continuity_report`` and ``residuals`` call, runs it over the
+``horner_rows`` is the one evaluation kernel: ``schemes._read_table``, which
+``evaluate``, ``continuity_report`` and ``residuals`` call, runs it over a
 table of derivative rows, ``horner`` over one polynomial's coefficients.
 """
 

@@ -173,49 +173,63 @@ class PiecewiseTrajectory:
     def via_times(self) -> tuple[float, ...]:
         return tuple(s.t_start for s in self.segments[1:])
 
-    @cached_property
-    def _table(self):
-        """Segment starts, T**k by (order, segment), and the one place that
-        differentiates: order k + 1 from order k as ``i * c`` (``differentiate``'s
-        bits) for all segments at once, stored highest power first and left-padded
-        with zeros into one (power, order, segment) array. Built on first use."""
-        c = np.array(list(zip_longest(*(s.polynomial.coefficients for s in self.segments),
-                                      fillvalue=0.0)))
-        coeffs = np.zeros((len(c), MAX_DERIVATIVE + 1, len(self.segments)))
-        for k in range(MAX_DERIVATIVE + 1):
-            coeffs[k:, k] = c[::-1]
-            c = c[1:] * np.arange(1.0, len(c))[:, None]
-        powers = [[s.duration**k for s in self.segments] for k in range(MAX_DERIVATIVE + 1)]
-        return np.array([s.t_start for s in self.segments]), np.array(powers), coeffs
-
-    def _locate(self, times):
-        """Each time's segment index, right-continuous at via times, and its tau."""
-        starts, powers, _ = self._table
-        idx = np.searchsorted(starts[1:], times, side="right")
-        return idx, (times - starts.take(idx)) / powers[1].take(idx)
-
-    def _at(self, idx, tau, order: int | slice):
-        """Order(s) at normalized time ``tau`` on segments ``idx``, divided by T**k:
-        Horner over their table rows, one power at a time and only the orders asked."""
-        _, powers, coeffs = self._table
-        rows = (row.take(idx, axis=-1) for row in coeffs[:, order])
-        return horner_rows(rows, tau) / powers[order].take(idx, axis=-1)
+    _table = cached_property(lambda self: _build_table(self.segments))  # on first use
 
 
-def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
+def _build_table(segments):
+    """Segment starts, T**k by (order, segment), and the one place that differentiates:
+    order k + 1 from order k as ``i * c`` (``differentiate``'s bits), all segments at once,
+    highest power first, zero-padded on the left into one (power, order, segment) array."""
+    c = np.array(list(zip_longest(*(s.polynomial.coefficients for s in segments),
+                                  fillvalue=0.0)), ndmin=2)
+    coeffs = np.zeros((len(c), MAX_DERIVATIVE + 1, len(segments)))
+    for k in range(MAX_DERIVATIVE + 1):
+        coeffs[k:, k] = c[::-1]
+        c = c[1:] * np.arange(1.0, len(c))[:, None]
+    powers = [[s.duration**k for s in segments] for k in range(MAX_DERIVATIVE + 1)]
+    return np.array([s.t_start for s in segments]), np.array(powers), coeffs
+
+
+def _read_table(table, idx, tau, order: int | slice):
+    """Order(s) at normalized time ``tau`` on segments ``idx``, divided by T**k: the only
+    reader of a table, Horner over its rows one power at a time, only the orders asked."""
+    _, powers, coeffs = table
+    rows = (row.take(idx, axis=-1) for row in coeffs[:, order])
+    return horner_rows(rows, tau) / powers[order].take(idx, axis=-1)
+
+
+def _stack(traj):
+    """A trajectory or a tuple's: its table (cached, or stacked) and each one's rows in it."""
+    if not isinstance(traj, tuple):
+        return (traj,), traj._table, [(0, len(traj.segments))]
+    ends = np.cumsum([0] + [len(one.segments) for one in traj])
+    return traj, _build_table([s for one in traj for s in one.segments]), zip(ends, ends[1:])
+
+
+def evaluate(traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...], t,
+             order: int | slice = 0):
     """Derivative order(s) at time(s) t; right-continuous at via times.
 
     ``t`` is a float or an array; ``order`` is an int or a slice of the
     orders 0..3. A slice adds a leading axis, one row per order, so a
-    float ``t`` returns a numpy float, or a 1-d array for a slice.
+    float ``t`` returns a numpy float, or a 1-d array for a slice. A tuple of
+    trajectories is read at the same times from one table stacked over all their
+    segments: a trajectory axis follows any order axis.
     """
     _check_order(order)
     times = np.asarray(t, dtype=float)
-    outside = ~((traj.t_start <= times) & (times <= traj.t_end))
-    if outside.any():
-        raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
-                          f"[{traj.t_start}, {traj.t_end}]")
-    return traj._at(*traj._locate(times), order)
+    trajs, table, rows = _stack(traj)
+    starts, powers, _ = table
+    idx = []
+    for one, (first, end) in zip(trajs, rows):
+        outside = ~((one.t_start <= times) & (times <= one.t_end))
+        if outside.any():
+            raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
+                              f"[{one.t_start}, {one.t_end}]")
+        idx.append(np.searchsorted(starts[first + 1:end], times, side="right") + first)
+    idx = (np.array(idx, np.intp).reshape(len(trajs), *times.shape) if isinstance(traj, tuple)
+           else idx[0])  # a tuple's (trajectory, *times.shape) indices, the empty tuple's too
+    return _read_table(table, idx, (times - starts.take(idx)) / powers[1].take(idx), order)
 
 
 def _check_order(order: int | slice):

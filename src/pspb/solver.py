@@ -132,9 +132,9 @@ def _solve_stacked(slots, matrices, rhs, spans) -> list[SolvedSegment]:
 def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[float]:
     """|achieved - specified| per constraint, in physical units, each read at its own
     tau, so no time is formed that could round past t_end."""
-    from .schemes import PiecewiseTrajectory  # schemes imports this module
-    traj = PiecewiseTrajectory((segment,))
-    return [abs(float(traj._at(0, c.tau, c.order)) - c.value) for c in constraints]
+    from .schemes import _build_table, _read_table  # schemes imports this module
+    table = _build_table((segment,))
+    return [abs(float(_read_table(table, 0, c.tau, c.order)) - c.value) for c in constraints]
 
 
 def _describe(pins: tuple[tuple[int, float], ...]) -> str:

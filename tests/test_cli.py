@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pspb import cli
+from pspb import cli, schemes
 from pspb.cli import QUANTITY_LABELS, RunConfig, _write_csv, main
 from pspb.metrics import SampledSeries, ade, rmse, sample, via_point_rmse
 from pspb.reference import CsvReference, SinusoidReference, waypoints_from_reference
@@ -234,6 +235,44 @@ def test_waypoints_are_sampled_once_per_run(tmp_path, config_path, monkeypatch, 
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("verb, reads", [("generate", 3), ("compare", 4)])
+def test_each_grid_is_read_once_for_every_scheme(tmp_path, config_path, monkeypatch,
+                                                 verb, reads):
+    # generate reads the stance and the swing grid and the via-point limits;
+    # compare the full, stance and swing grids and the via windows, and samples
+    # the reference once per grid and order. Each read builds one table and
+    # runs the kernel once, for one scheme as for six. Explicit waypoints and
+    # mid-points leave the reference to the metrics alone.
+    ref = SinusoidReference()
+    doc = {**BASE, "waypoints": {
+        phase: [[t, *(float(ref(t, k)) for k in range(4))] for t in times]
+        for phase, times in (("stance", [0.0, 0.12, 0.48, 0.6]),
+                             ("swing", [0.6, 0.68, 0.92, 1.0]))},
+        "midpoints": {phase: {"0": 1.0, "1": 2.0, "2": 3.0} for phase in ("stance", "swing")}}
+    counts = {}
+
+    def counting(name, function):
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(schemes, "_build_table", counting("tables", schemes._build_table))
+    monkeypatch.setattr(schemes, "horner_rows", counting("reads", schemes.horner_rows))
+    monkeypatch.setattr(SinusoidReference, "__call__",
+                        counting("reference", SinusoidReference.__call__))
+    seen = []
+    for names in (["656-2"], list(SCHEME_NAMES)):
+        counts.clear()
+        path = config_path({**doc, "schemes": names})
+        assert main([verb, "--config", path, "--out", str(tmp_path / "out")]) == 0
+        seen.append(dict(counts))
+    want = {"tables": reads, "reads": reads}
+    if verb == "compare":
+        want["reference"] = 16
+    assert seen == [want, want]
+
+
 def test_missing_gait_inputs_fail_at_the_first_build(tmp_path, config_path, capsys):
     def run(verb, doc):
         code = main([verb, "--config", config_path(doc), "--out", str(tmp_path / "o")])
@@ -243,6 +282,12 @@ def test_missing_gait_inputs_fail_at_the_first_build(tmp_path, config_path, caps
     need = "error: config needs either an explicit waypoint table or a reference\n"
     assert run("generate", {}) == (2, need)
     assert run("compare", {}) == (2, "error: compare needs a reference (csv or sinusoid)\n")
+    # No scheme: nothing is evaluated, and compare writes its tables' headers only.
+    assert run("compare", {"schemes": [], "reference": {"name": "sinusoid"}}) == (0, "")
+    files = {p.name: p.read_text() for p in (tmp_path / "o").iterdir()}
+    assert files == {"error_report.csv": "scheme,scope,quantity,rmse,ade\n",
+                     "via_rmse.csv": "scheme,via_time,order,rmse,clipped\n",
+                     "error_report.txt": "\n"}
 
 
 def test_benchmark_three_rows(tmp_path, config_path, capsys):
@@ -351,13 +396,22 @@ def test_bad_config_exit_codes(tmp_path, config_path, capsys):
         path = config_path(cfg, f"{name}.json")
         assert main(["generate", "--config", path, "--out", str(tmp_path)]) == 2, name
 
-    # Nested past the parser's recursion limit: a config error, not a traceback.
-    deep = config_path("[" * 100000 + "]" * 100000, "deep.json")
-    capsys.readouterr()
-    assert main(["generate", "--config", deep, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    # Nested past the parser's recursion limit, bytes that are not UTF-8, and an
+    # integer of more than the 4,300 digits int() converts (a ValueError that is no
+    # JSONDecodeError; a Python without that limit parses it and _number refuses
+    # it): each a config error in one line, not a traceback.
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"samples": "\xe9"}'.encode("latin-1"))
+    limited = hasattr(sys, "get_int_max_str_digits")
+    for path, invalid in ((config_path("[" * 100000 + "]" * 100000, "deep.json"), True),
+                          (str(latin1), True),
+                          (config_path('{"samples": ' + "1" * 5000 + "}", "n.json"), limited)):
+        capsys.readouterr()
+        assert main(["generate", "--config", path, "--out", str(tmp_path)]) == 2, path
+        err = capsys.readouterr().err
+        prefix = "error: config is not valid JSON: " if invalid else "error: samples: "
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 def test_csv_reference_roundtrip(tmp_path, config_path):

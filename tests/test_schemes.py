@@ -589,15 +589,21 @@ def between_656_1(pins):
     return SchemeSpec("middle", (outer[0], pins, outer[2]))
 
 
-def random_gait(scheme, rng):
-    """A gait of ``scheme`` on a random degree-7 reference and random via
-    times, with the phases and mid-point source it was solved from."""
+def random_phases(rng):
+    """A random degree-7 reference, stance and swing waypoints on it at random
+    via times, and its mid-point source."""
     ref = PolynomialReference(tuple(rng.uniform(-5, 5, 8)))
     stance = waypoints_from_reference(
         ref, [0.0, rng.uniform(0.08, 0.2), rng.uniform(0.4, 0.52), 0.6])
     swing = waypoints_from_reference(
         ref, [0.6, rng.uniform(0.64, 0.72), rng.uniform(0.88, 0.96), 1.0])
-    midpoint = lambda t: ref(t, 0)
+    return ref, stance, swing, lambda t: ref(t, 0)
+
+
+def random_gait(scheme, rng):
+    """A gait of ``scheme`` on ``random_phases``, with the phases and mid-point
+    source it was solved from."""
+    _, stance, swing, midpoint = random_phases(rng)
     return generate_gait(scheme, stance, swing, midpoint, midpoint), (stance, swing), midpoint
 
 
@@ -700,3 +706,58 @@ def test_gait_coefficients_match_an_exact_solve():
                 assert residual <= 2 * eps * scale
                 error = max(abs(c - e) for c, e in zip(got, exact))
                 assert error <= 2 * eps * seg.condition_estimate * max(map(abs, exact))
+
+
+EVERY_SPEC = [builtin_scheme(name) for name in SCHEME_NAMES] + list(WIDE_SPECS)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tuple_forms_match_one_call_per_trajectory_bitwise(seed):
+    # Gaits of every built-in scheme and of the wide specs on the same phases,
+    # then their stance halves and their swing halves: each tuple read in one
+    # call gives each trajectory's own call's bits, in order.
+    ref, stance, swing, midpoint = random_phases(np.random.default_rng(seed))
+    gaits = tuple(generate_gait(spec, stance, swing, midpoint, midpoint)
+                  for spec in EVERY_SPEC)
+    for trajs in (gaits, *zip(*map(_phases, gaits))):
+        first = trajs[0]
+        grid = np.concatenate([np.linspace(first.t_start, first.t_end, 41), first.via_times])
+        for t in (grid, grid[:40].reshape(5, 8), first.via_times[0], first.t_end):
+            for order in (*range(4), slice(None), slice(1, 3)):
+                axis = 1 if isinstance(order, slice) else 0
+                assert same_bits(evaluate(trajs, t, order),
+                                 np.stack([evaluate(one, t, order) for one in trajs], axis))
+        for order, window in ((0, 0.01), (3, 0.01), (slice(None), 0.01), (slice(None), 0.2)):
+            assert repr(via_point_rmse(trajs, ref, order, window)) == repr(
+                [via_point_rmse(one, ref, order, window) for one in trajs])
+        assert repr(continuity_report(trajs)) == repr(list(map(continuity_report, trajs)))
+
+
+def test_tuple_forms_of_no_trajectory_are_empty():
+    times = np.linspace(0.0, 1.0, 7)
+    assert evaluate((), times, slice(None)).shape == (4, 0, 7)
+    assert evaluate((), times, 2).shape == (0, 7)
+    assert via_point_rmse((), generic_reference(), slice(None)) == []
+    assert continuity_report(()) == []
+
+
+def test_tuple_out_of_domain_names_the_span_it_misses():
+    gait = build_gait("434-1", generic_reference(2))
+    stance, swing = _phases(gait)
+    for t, missed in ((0.3, swing), (0.8, stance)):
+        span = f"t={t} outside trajectory span [{missed.t_start}, {missed.t_end}]"
+        with pytest.raises(OutOfDomain, match=re.escape(span)):
+            evaluate((gait, stance, swing), np.array([0.6, t]), slice(None))
+
+
+def test_via_point_rmse_reads_a_tuple_only_on_one_span_and_via_times():
+    rng = np.random.default_rng(5)
+    ref, stance, swing, midpoint = random_phases(rng)
+    scheme = builtin_scheme("545-1")
+    gait = generate_gait(scheme, stance, swing, midpoint, midpoint)
+    other, _, _ = random_gait(scheme, rng)  # the same span, other via times
+    assert (other.t_start, other.t_end) == (gait.t_start, gait.t_end)
+    assert other.via_times != gait.via_times
+    for trajs in ((gait, other), _phases(gait)):
+        with pytest.raises(ValueError, match="must share one span and via times"):
+            via_point_rmse(trajs, ref, slice(None))

@@ -8,6 +8,7 @@ repeated runs with the same config are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -18,7 +19,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .errors import ConfigError, NumericalBlowup, PspbError, SingularSystem
 from .metrics import (
     DEFAULT_SAMPLES,
     DEFAULT_VIA_WINDOW,
-    _rms,
     continuity_report,
     via_point_rmse,
 )
@@ -36,7 +36,6 @@ from .schemes import (
     DEFAULT_STANCE_TIMES,
     DEFAULT_SWING_TIMES,
     SCHEME_NAMES,
-    PiecewiseTrajectory,
     Waypoint,
     builtin_scheme,
     evaluate,
@@ -59,24 +58,32 @@ def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def _write_text(path: Path, chunks: Iterable[str]) -> None:
-    """Rewrite ``path`` in place, then cut it to length: no ``O_TRUNC``, so
-    no ext4 writeback on close, and the inode, mode and links are kept."""
-    with open(path, "w", encoding="utf-8",
-              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
-        fh.writelines(chunks)
-        fh.truncate()
+def _write_text(paths: list[Path], chunks: Iterable[Iterable[str]]) -> None:
+    """Rewrite each path in place with its string of every chunk, then cut it to length:
+    no ``O_TRUNC``, so no ext4 writeback on close, and the inode, mode and links are kept."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8", opener=lambda p, flags:
+                                          os.open(p, flags & ~os.O_TRUNC, 0o666)))
+                 for path in paths]
+        for chunk in chunks:
+            for fh, text in zip(files, chunk):
+                fh.write(text)
+        for fh in files:
+            fh.truncate()
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
+def _csv_blocks(rows: list[list] | np.ndarray) -> Iterator[str]:
     """Rows (a list of rows or a 2-d float array) read as flat cells: floats as
     ``_fmt`` renders them, anything else by ``str``, each column's format taken
     from its first-row cell; one ``%`` per block of ``CSV_BLOCK_ROWS`` rows."""
     table = rows if isinstance(rows, np.ndarray) else np.asarray(rows, dtype=object)
     row = ",".join("%.9g" if isinstance(v, float) else "%s" for v in table[:1].ravel()) + "\n"
     blocks = (table[i:i + CSV_BLOCK_ROWS] for i in range(0, len(table), CSV_BLOCK_ROWS))
-    _write_text(path, itertools.chain([",".join(header) + "\n"], (
-        row * len(block) % tuple(block.ravel().tolist()) for block in blocks)))
+    return (row * len(block) % tuple(block.ravel().tolist()) for block in blocks)
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
+    _write_text([path], zip(itertools.chain([",".join(header) + "\n"], _csv_blocks(rows))))
 
 
 def _number(value, path: str, kind=float, low=-math.inf, high=math.inf):
@@ -231,14 +238,14 @@ class RunConfig:
 
 def run_generate(config: RunConfig, out: Path) -> None:
     gaits = tuple(config.build_gait(name) for name in config.schemes)
-    grids = list(_grids(zip(*map(_phases, gaits)), config.samples))
-    for i, (name, traj, report) in enumerate(zip(config.schemes, gaits,
-                                                 continuity_report(gaits))):
-        _write_csv(
-            out / f"profile_{name}.csv",
-            ["t", "position", "velocity", "acceleration", "jerk"],
-            np.concatenate([np.column_stack([t, values[:, i].T]) for t, values in grids]),
-        )
+    reports = continuity_report(gaits)
+    # Every scheme's profile at once: each grid block, read once for all, goes to each file.
+    blocks = (("".join(_csv_blocks(np.column_stack([times, one.T])))
+               for one in values.swapaxes(0, 1)) for trajs in zip(*map(_phases, gaits))
+              for _, times, values in _grid(trajs, config.samples))
+    _write_text([out / f"profile_{name}.csv" for name in config.schemes], itertools.chain(
+        [["t,position,velocity,acceleration,jerk\n"] * len(gaits)], blocks))
+    for name, traj, report in zip(config.schemes, gaits, reports):
         _write_csv(
             out / f"continuity_{name}.csv",
             ["via_time", "order", "jump", "constrained_both_sides"],
@@ -262,10 +269,14 @@ def run_compare(config: RunConfig, out: Path) -> None:
         raise ConfigError("compare needs a reference (csv or sinusoid)")
     ref = config.reference
     gaits = tuple(config.build_gait(name) for name in config.schemes)
-    # Per scope, every scheme's four orders on one grid; ADE is RMSE / sqrt(N).
-    scopes = [_rms(values - np.array([ref(times, k) for k in range(4)])[:, None])
-              for times, values in _grids(zip(*[(g, *_phases(g)) for g in gaits]),
-                                          config.samples)]
+    # Per scope, every scheme's squared errors in all orders, read in blocks into one array
+    # (192 bytes per sample for six schemes), then _rms's mean and root; ADE is RMSE / sqrt(N).
+    squares, scopes = np.empty((4, len(gaits), config.samples)), []
+    for trajs in zip(*[(g, *_phases(g)) for g in gaits]):
+        for rows, times, values in _grid(trajs, config.samples):
+            expected = np.array([ref(times, k) for k in range(4)])
+            squares[..., rows] = (values - expected[:, None])**2
+        scopes.append(np.sqrt(np.mean(squares, axis=-1)))
     vias = via_point_rmse(gaits, ref, slice(None), config.via_window)
     error_rows, via_rows, text = [], [], []
     for i, (name, windows) in enumerate(zip(config.schemes, vias)):
@@ -283,20 +294,27 @@ def run_compare(config: RunConfig, out: Path) -> None:
     _write_csv(out / "via_rmse.csv",
                ["scheme", "via_time", "order", "rmse", "clipped"], via_rows)
     report = "\n".join(text) + "\n"
-    _write_text(out / "error_report.txt", [report])
+    _write_text([out / "error_report.txt"], [[report]])
     print(report, end="")
 
 
 def _phases(traj):
-    """The stance and swing halves of a six-segment gait."""
-    return PiecewiseTrajectory(traj.segments[:3]), PiecewiseTrajectory(traj.segments[3:])
+    """The stance and swing halves of a six-segment gait: its rows 0-2 and 3-5."""
+    return traj._rows(slice(3)), traj._rows(slice(3, 6))
 
 
-def _grids(scopes, samples: int):
-    """Per scope, a tuple of trajectories on one span, its grid and one read of them."""
-    for trajs in scopes:
-        times = np.linspace(trajs[0].t_start, trajs[0].t_end, samples)
-        yield times, evaluate(trajs, times, slice(None))
+def _grid(trajs, samples: int):
+    """A tuple of trajectories on one span, read in blocks of ``CSV_BLOCK_ROWS`` of its
+    ``samples`` times (``np.linspace``'s bits; its branch for a step that underflows to zero
+    is not needed, as no T**3 is zero): per block, its rows, times and one read of them."""
+    start, stop = trajs[0].t_start, trajs[0].t_end
+    step = (stop - start) / (samples - 1)
+    for first in range(0, samples, CSV_BLOCK_ROWS):
+        rows = slice(first, min(first + CSV_BLOCK_ROWS, samples))
+        times = np.arange(rows.start, rows.stop, dtype=float) * step + start
+        if rows.stop == samples:
+            times[-1] = stop
+        yield rows, times, evaluate(trajs, times, slice(None))
 
 
 GAITS_PER_ROUND = 10

@@ -167,9 +167,11 @@ def continuity_report(traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...
     reports = []
     for one, (first, _) in zip(trajs, rows):
         report = []
-        for seg, nxt, per_order in zip(one.segments, one.segments[1:], jumps[first:]):
-            both = seg.pinned_orders(SEGMENT_END) & nxt.pinned_orders(SEGMENT_START)
-            report += [ContinuityJump(nxt.t_start, order, jump, order in both)
+        for (pins, _), (after, _), (via, _), per_order in zip(
+                one._slots, one._slots[1:], one._spans[1:], jumps[first:]):
+            both = ({k for k, at in pins if at == SEGMENT_END}
+                    & {k for k, at in after if at == SEGMENT_START})
+            report += [ContinuityJump(via, order, jump, order in both)
                        for order, jump in enumerate(per_order)]
         reports.append(ContinuityReport(tuple(report)))
     return reports if isinstance(traj, tuple) else reports[0]

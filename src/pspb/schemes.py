@@ -24,7 +24,7 @@ from .errors import (
     OutOfDomain,
     UnknownScheme,
 )
-from .poly import MAX_DERIVATIVE, horner_rows, is_order
+from .poly import MAX_DERIVATIVE, Polynomial, horner_rows, is_order
 from .solver import SEGMENT_END, SEGMENT_START, SolvedSegment, _solve_stacked, _template
 
 # Where a constraint sits, as normalized segment time tau.
@@ -149,45 +149,70 @@ def builtin_scheme(name: str) -> SchemeSpec:
     return SchemeSpec(name, tuple(tuple(c) for c in constraints))
 
 
-@dataclass(frozen=True)
 class PiecewiseTrajectory:
-    """Ordered, contiguous solved segments; evaluation is right-continuous
-    at via times."""
+    """Ordered, contiguous solved segments; evaluation is right-continuous at via times.
+    Held as their zero-padded (segment, width) ascending coefficients, (t_start, t_end)
+    spans and (pins, cond) slots: a solved gait builds ``segments`` only on first use."""
 
-    segments: tuple[SolvedSegment, ...]
-
-    def __post_init__(self):
-        for left, right in zip(self.segments, self.segments[1:]):
+    def __init__(self, segments: Sequence[SolvedSegment]):
+        self.segments = segments = tuple(segments)
+        for left, right in zip(segments, segments[1:]):
             if left.t_end != right.t_start:
                 raise ValueError("segments must be contiguous")
+        coeffs = zip_longest(*(s.polynomial.coefficients for s in segments), fillvalue=0.0)
+        self._coeffs = np.array(list(coeffs), ndmin=2).T
+        self._spans = [(s.t_start, s.t_end) for s in segments]
+        self._slots = [(s.pins, s.condition_estimate) for s in segments]
+
+    @classmethod
+    def _of(cls, coeffs: np.ndarray, spans: list, slots: list) -> PiecewiseTrajectory:
+        """A trajectory on a solve's arrays, with no segment objects."""
+        traj = cls.__new__(cls)
+        traj._coeffs, traj._spans, traj._slots = coeffs, spans, slots
+        return traj
+
+    def _rows(self, rows: slice) -> PiecewiseTrajectory:
+        """Segments ``rows`` as a trajectory on views of these arrays."""
+        return self._of(self._coeffs[rows], self._spans[rows], self._slots[rows])
+
+    @cached_property
+    def segments(self) -> tuple[SolvedSegment, ...]:
+        """Built on first use. Each holds this table and its row in it, set past
+        ``__init__`` (so ``replace`` drops it), and no reference to this trajectory."""
+        table, segments = self._table, []
+        for i, (c, (pins, cond)) in enumerate(zip(self._coeffs, self._slots)):
+            segment = SolvedSegment(Polynomial(tuple(c[:len(pins)].tolist())), *self._spans[i],
+                                    cond, pins)
+            object.__setattr__(segment, "_row", (table, i))
+            segments.append(segment)
+        return tuple(segments)
 
     @property
     def t_start(self) -> float:
-        return self.segments[0].t_start
+        return self._spans[0][0]
 
     @property
     def t_end(self) -> float:
-        return self.segments[-1].t_end
+        return self._spans[-1][1]
 
     @property
     def via_times(self) -> tuple[float, ...]:
-        return tuple(s.t_start for s in self.segments[1:])
+        return tuple(t for t, _ in self._spans[1:])
 
-    _table = cached_property(lambda self: _build_table(self.segments))  # on first use
+    _table = cached_property(lambda self: _build_table(self._coeffs, self._spans))
 
 
-def _build_table(segments):
+def _build_table(coeffs: np.ndarray, spans):
     """Segment starts, T**k by (order, segment), and the one place that differentiates:
     order k + 1 from order k as ``i * c`` (``differentiate``'s bits), all segments at once,
     highest power first, zero-padded on the left into one (power, order, segment) array."""
-    c = np.array(list(zip_longest(*(s.polynomial.coefficients for s in segments),
-                                  fillvalue=0.0)), ndmin=2)
-    coeffs = np.zeros((len(c), MAX_DERIVATIVE + 1, len(segments)))
+    c = coeffs.T
+    table = np.zeros((len(c), MAX_DERIVATIVE + 1, len(spans)))
     for k in range(MAX_DERIVATIVE + 1):
-        coeffs[k:, k] = c[::-1]
+        table[k:, k] = c[::-1]
         c = c[1:] * np.arange(1.0, len(c))[:, None]
-    powers = [[s.duration**k for s in segments] for k in range(MAX_DERIVATIVE + 1)]
-    return np.array([s.t_start for s in segments]), np.array(powers), coeffs
+    powers = [[(b - a)**k for a, b in spans] for k in range(MAX_DERIVATIVE + 1)]
+    return np.array([a for a, _ in spans]), np.array(powers), table
 
 
 def _read_table(table, idx, tau, order: int | slice):
@@ -199,11 +224,16 @@ def _read_table(table, idx, tau, order: int | slice):
 
 
 def _stack(traj):
-    """A trajectory or a tuple's: its table (cached, or stacked) and each one's rows in it."""
+    """A trajectory or a tuple's: its table (cached, or built once over all their
+    coefficients, zero-padded to the widest) and each one's rows in it."""
     if not isinstance(traj, tuple):
-        return (traj,), traj._table, [(0, len(traj.segments))]
-    ends = np.cumsum([0] + [len(one.segments) for one in traj])
-    return traj, _build_table([s for one in traj for s in one.segments]), zip(ends, ends[1:])
+        return (traj,), traj._table, [(0, len(traj._spans))]
+    ends = np.cumsum([0] + [len(one._spans) for one in traj])
+    coeffs = np.zeros((ends[-1], max((one._coeffs.shape[1] for one in traj), default=1)))
+    for one, first, end in zip(traj, ends, ends[1:]):
+        coeffs[first:end, :one._coeffs.shape[1]] = one._coeffs
+    spans = [span for one in traj for span in one._spans]
+    return traj, _build_table(coeffs, spans), zip(ends, ends[1:])
 
 
 def evaluate(traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...], t,
@@ -222,14 +252,18 @@ def evaluate(traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...], t,
     starts, powers, _ = table
     idx = []
     for one, (first, end) in zip(trajs, rows):
-        outside = ~((one.t_start <= times) & (times <= one.t_end))
-        if outside.any():
-            raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
-                              f"[{one.t_start}, {one.t_end}]")
+        _check_domain(times, one.t_start, one.t_end)
         idx.append(np.searchsorted(starts[first + 1:end], times, side="right") + first)
     idx = (np.array(idx, np.intp).reshape(len(trajs), *times.shape) if isinstance(traj, tuple)
            else idx[0])  # a tuple's (trajectory, *times.shape) indices, the empty tuple's too
     return _read_table(table, idx, (times - starts.take(idx)) / powers[1].take(idx), order)
+
+
+def _check_domain(times: np.ndarray, t_start: float, t_end: float):
+    outside = ~((t_start <= times) & (times <= t_end))
+    if outside.any():
+        raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
+                          f"[{t_start}, {t_end}]")
 
 
 def _check_order(order: int | slice):
@@ -302,9 +336,10 @@ def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
             else:
                 for j in mids:
                     row[j] = _read_pin(scheme, i, 1, 0, ends, times, midpoints)
-            rhs.append(row)
+            rhs += row
             spans.append((times[i], times[i + 1]))
-    return PiecewiseTrajectory(tuple(_solve_stacked(slots, stack, rhs, spans)))
+    slots = slots[:len(spans)]
+    return PiecewiseTrajectory._of(_solve_stacked(slots, stack, rhs, spans), spans, slots)
 
 
 def _read_pin(scheme: SchemeSpec, segment: int, source: int, order: int, ends, times,

@@ -126,7 +126,7 @@ def simulate_tracking(
 
     The initial state matches the trajectory's initial angle and velocity.
     """
-    shortest = min(s.duration for s in traj.segments)
+    shortest = min(t_end - t_start for t_start, t_end in traj._spans)
     if not 0 < dt <= shortest / 10:
         raise ValueError(f"dt must be in (0, {shortest / 10:g}] for this trajectory")
     n = round(min((traj.t_end - traj.t_start) / dt, MAX_STEPS + 1))

@@ -15,7 +15,7 @@ the two agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -57,14 +57,11 @@ class SolvedSegment:
     t_end: float
     condition_estimate: float
     pins: tuple[tuple[int, float], ...] = ()
+    # A gait's segment: the gait's coefficient table and its row there (not the gait).
+    _row: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Evaluation divides by T**3, which must not underflow to zero.
-        if not self.duration ** MAX_DERIVATIVE > 0:
-            raise ValueError(
-                "segment must have t_end > t_start and a duration whose cube is "
-                f"nonzero, got [{self.t_start}, {self.t_end}]"
-            )
+        _check_span(self.t_start, self.t_end)
 
     @property
     def duration(self) -> float:
@@ -72,13 +69,29 @@ class SolvedSegment:
 
     def kinematics(self, t):
         """Position, velocity, acceleration, jerk at physical time(s) t in
-        [t_start, t_end]: this segment evaluated as a one-segment trajectory."""
-        from .schemes import PiecewiseTrajectory, evaluate  # schemes imports this module
-        return tuple(evaluate(PiecewiseTrajectory((self,)), t, slice(None)))
+        [t_start, t_end], read as ``evaluate`` reads a one-segment trajectory."""
+        from .schemes import _check_domain, _read_table  # schemes imports this module
+        times = np.asarray(t, dtype=float)
+        _check_domain(times, self.t_start, self.t_end)
+        table, row = self._table_row()
+        tau = (times - table[0][row]) / table[1][1][row]
+        return tuple(_read_table(table, np.full(times.shape, row), tau, slice(None)))
+
+    def _table_row(self):
+        """The coefficient table holding it and its row: its gait's, or one of its own."""
+        from .schemes import _build_table  # schemes imports this module
+        return self._row or (_build_table(np.array([self.polynomial.coefficients]),
+                                          [(self.t_start, self.t_end)]), 0)
 
     def pinned_orders(self, tau: float) -> frozenset[int]:
         """Derivative orders constrained at normalized time tau."""
         return frozenset(order for order, at in self.pins if at == tau)
+
+
+def _check_span(t_start: float, t_end: float):
+    if not (t_end - t_start) ** MAX_DERIVATIVE > 0:  # evaluation divides by T**3
+        raise ValueError("segment must have t_end > t_start and a duration whose cube is "
+                         f"nonzero, got [{t_start}, {t_end}]")
 
 
 @lru_cache(maxsize=256)
@@ -106,35 +119,33 @@ def solve_segment(
     """Solve the boundary-value system for one segment."""
     pins = tuple((c.order, c.tau) for c in constraints)
     matrix, cond = _template(degree, pins)
-    rhs = [[c.value * (t_end - t_start)**c.order for c in constraints]]
-    return _solve_stacked([(pins, cond)], matrix[None], rhs, [(t_start, t_end)])[0]
+    rhs = [c.value * (t_end - t_start)**c.order for c in constraints]
+    coeffs = _solve_stacked([(pins, cond)], matrix[None], rhs, [(t_start, t_end)])
+    return SolvedSegment(Polynomial(tuple(coeffs[0].tolist())), t_start, t_end, cond, pins)
 
 
-def _solve_stacked(slots, matrices, rhs, spans) -> list[SolvedSegment]:
-    """One segment per span: item p of ``matrices``, the template of ``slots[p] = (pins,
-    cond)`` identity-padded, against row p of ``rhs``, zero-padded to the same width.
-    Each item is its own solve, bit-identical to an unpadded 2-d one up to width 7. The
-    coefficients are floats checked finite here, so only each span is checked again."""
-    solved = np.linalg.solve(matrices[:len(rhs)], np.array(rhs)[..., None])[..., 0].tolist()
-    coeffs = [tuple(x[:len(pins)]) for (pins, _), x in zip(slots, solved)]
-    if bad := [pins for (pins, _), c in zip(slots, coeffs) if not all(map(math.isfinite, c))]:
-        raise SingularSystem(f"solve produced non-finite coefficients: {_describe(bad[0])}")
-    segments = []
-    for (pins, cond), c, (t_start, t_end) in zip(slots, coeffs, spans):
-        segments.append(segment := object.__new__(SolvedSegment))  # no __init__: no re-checks
-        vars(segment).update(polynomial=object.__new__(Polynomial), t_start=t_start,
-                             t_end=t_end, condition_estimate=cond, pins=pins)
-        vars(segment.polynomial).update(coefficients=c, degree=len(c) - 1)
-        segment.__post_init__()
-    return segments
+def _solve_stacked(slots, matrices, rhs, spans) -> np.ndarray:
+    """(span, width) ascending coefficients: item p of ``matrices``, the template of
+    ``slots[p] = (pins, cond)`` identity-padded, against row p of the flat ``rhs``, each
+    row zero-padded to the width. Each item is its own solve, bit-identical to an unpadded
+    2-d one up to width 7; its padding solves to +0.0. Checked finite, then each span as
+    ``SolvedSegment`` checks it."""
+    n = len(spans)
+    coeffs = np.linalg.solve(matrices[:n], np.array(rhs).reshape(n, -1, 1))[..., 0]
+    if not np.isfinite(coeffs).all():  # a row's padding is finite if the rest of it is
+        bad = next(pins for (pins, _), row in zip(slots, coeffs) if not np.isfinite(row).all())
+        raise SingularSystem(f"solve produced non-finite coefficients: {_describe(bad)}")
+    for span in spans:
+        _check_span(*span)
+    return coeffs
 
 
 def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[float]:
     """|achieved - specified| per constraint, in physical units, each read at its own
     tau, so no time is formed that could round past t_end."""
-    from .schemes import _build_table, _read_table  # schemes imports this module
-    table = _build_table((segment,))
-    return [abs(float(_read_table(table, 0, c.tau, c.order)) - c.value) for c in constraints]
+    from .schemes import _read_table  # schemes imports this module
+    return [abs(float(_read_table(*segment._table_row(), c.tau, c.order)) - c.value)
+            for c in constraints]
 
 
 def _describe(pins: tuple[tuple[int, float], ...]) -> str:

@@ -3,7 +3,9 @@ import csv
 import json
 import math
 import os
+import shutil
 import stat
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -15,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pspb import cli, schemes
+from pspb import cli, poly, schemes, solver
 from pspb.cli import QUANTITY_LABELS, RunConfig, _write_csv, main
 from pspb.metrics import SampledSeries, ade, rmse, sample, via_point_rmse
 from pspb.reference import CsvReference, SinusoidReference, waypoints_from_reference
-from pspb.schemes import SCHEME_NAMES, PiecewiseTrajectory
+from pspb.schemes import SCHEME_NAMES, PiecewiseTrajectory, evaluate
 
 
 @pytest.fixture
@@ -189,6 +191,19 @@ def test_compare_matches_public_metrics_bitwise(tmp_path, config_path, monkeypat
         assert (out / table).read_bytes() == (tmp_path / table).read_bytes()
     clipped = sum(row[-1] for row in expected["via_rmse.csv"])
     assert clipped == (0 if setup == "default" else 48)
+
+
+def test_compare_in_blocks_matches_public_metrics_bitwise(tmp_path, config_path,
+                                                          monkeypatch):
+    # Grids read in blocks of 7 samples: compare's RMSEs are still the whole grid's.
+    written, write_csv = {}, cli._write_csv
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows:
+                        written.update({path.name: rows}) or write_csv(path, header, rows))
+    assert main(["compare", "--config", config_path(BASE), "--out", str(tmp_path / "o")]) == 0
+    rows = public_compare_tables(BASE)["error_report.csv"]
+    assert len(rows) == 72
+    assert all(same_cells(a, b) for a, b in zip(written["error_report.csv"], rows, strict=True))
 
 
 def test_compare_via_smoothness_ordering(tmp_path, config_path):
@@ -763,3 +778,115 @@ def test_any_config_exits_with_a_documented_code(fuzz_csv, verb, drawn):
         path.write_text(json.dumps(doc).replace("@CSV", str(fuzz_csv)))
         code = main([verb, "--config", str(path), "--out", str(Path(tmp) / "out")])
     assert (code == 2) if misspelt else (code in (0, 2, 3, 4))
+
+
+def test_the_verbs_build_no_segment_objects(tmp_path, config_path, monkeypatch):
+    # generate (tracking on) and compare read each gait's coefficient arrays: no
+    # SolvedSegment or Polynomial is built, and no gait builds its ``segments``.
+    gaits, built, build = [], [], cli.generate_gait
+    monkeypatch.setattr(cli, "generate_gait",
+                        lambda *args: gaits.append(build(*args)) or gaits[-1])
+    for cls in (solver.SolvedSegment, poly.Polynomial):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, init=cls.__post_init__: built.append(self) or init(self))
+    doc = {**BASE, "sim": {"enabled": True, "dt": 1e-3}}
+    for verb in ("generate", "compare"):
+        assert main([verb, "--config", config_path(doc), "--out", str(tmp_path / verb)]) == 0
+    assert len(gaits) == 12 and built == []
+    assert not any("segments" in vars(gait) for gait in gaits)
+
+
+def same_bits(a, b):
+    """Equal to the last bit, the sign of zero included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def one_segment(t_start, t_end):
+    return PiecewiseTrajectory((solver.solve_segment(
+        3, [solver.Constraint(k, tau, 1.0 + k) for k in (0, 1) for tau in (0.0, 1.0)],
+        t_start, t_end),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-1e3, 1e3), span=st.floats(1e-6, 1e3), samples=st.integers(2, 40))
+def test_grid_blocks_are_linspace_read_in_blocks(start, span, samples):
+    # _grid's blocks join to np.linspace's times, each block read as the whole grid
+    # would be: blocks of 7 here, so grids shorter than, equal to and across blocks.
+    trajs = (one_segment(start, start + span),)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+        blocks = list(cli._grid(trajs, samples))
+    times = np.linspace(start, start + span, samples)
+    assert [(rows.start, rows.stop) for rows, _, _ in blocks] == \
+        [(i, min(i + 7, samples)) for i in range(0, samples, 7)]
+    assert same_bits(np.concatenate([t for _, t, _ in blocks]), times)
+    assert same_bits(np.concatenate([v for _, _, v in blocks], axis=-1),
+                     evaluate(trajs, times, slice(None)))
+
+
+def test_generate_and_compare_write_the_same_bytes_in_any_block_size(tmp_path, config_path,
+                                                                    monkeypatch):
+    doc = config_path({**BASE, "samples": 30, "sim": {"enabled": True, "dt": 1e-3}})
+    for rows in (cli.CSV_BLOCK_ROWS, 7, 1):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", rows)
+        for verb in ("generate", "compare"):
+            assert main([verb, "--config", doc, "--out", str(tmp_path / str(rows))]) == 0
+    first = {p.name: p.read_bytes() for p in (tmp_path / str(cli.CSV_BLOCK_ROWS)).iterdir()}
+    assert len(first) == 21
+    for rows in (7, 1):
+        assert {p.name: p.read_bytes() for p in (tmp_path / str(rows)).iterdir()} == first
+
+
+def peak_bytes(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verb_memory_is_bounded_per_block_of_samples(tmp_path, config_path, capsys):
+    # Six schemes. generate holds one block of samples at a time, so its peak does not
+    # grow with the grid; compare holds one (order, scheme, sample) array of squared
+    # errors, 192 bytes per sample, and one block of the rest.
+    peaks = {}
+    for verb in ("generate", "compare"):
+        for samples in (3 * cli.CSV_BLOCK_ROWS, 10**5):
+            argv = [verb, "--config", config_path({**BASE, "samples": samples}),
+                    "--out", str(tmp_path / "out")]
+            if samples < 10**5:
+                main(argv)  # warm: imports, compiles and caches are not per sample
+            peaks[verb, samples] = peak_bytes(argv)
+    capsys.readouterr()
+    assert peaks["generate", 10**5] <= 1.05 * peaks["generate", 3 * cli.CSV_BLOCK_ROWS]
+    assert peaks["generate", 10**5] / 10**5 <= 50
+    assert peaks["compare", 10**5] / 10**5 <= 250
+
+
+def test_generate_at_the_sample_cap_runs_in_a_bounded_address_space(tmp_path, config_path):
+    # A child process limits its own address space to 500 MiB, then runs generate for
+    # six schemes at MAX_SAMPLES per phase: a whole grid's (order, scheme, sample)
+    # array is 183 MiB, and reading it whole needed more than the limit.
+    pytest.importorskip("resource")
+    limit = 500 * 2**20
+    child = ("import resource, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+             "from pspb.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    try:
+        run = subprocess.run(
+            [sys.executable, "-c", child, "generate", "--config",
+             config_path({**BASE, "samples": cli.MAX_SAMPLES}), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+        with open(out / "profile_656-2.csv", "rb") as fh:
+            assert sum(block.count(b"\n") for block in iter(lambda: fh.read(2**20), b"")) \
+                == 2 * cli.MAX_SAMPLES + 1
+    finally:
+        shutil.rmtree(out, ignore_errors=True)

@@ -34,6 +34,7 @@ from pspb.schemes import (
     generate_gait,
     generate_phase,
 )
+from pspb.simulation import simulate_tracking
 from pspb.solver import Constraint, SolvedSegment, residuals, solve_segment
 
 STANCE = list(DEFAULT_STANCE_TIMES)
@@ -442,8 +443,9 @@ def test_gait_errors_keep_stance_first_order():
 
 
 def test_gait_segments_equal_their_public_construction():
-    # Segments are filled in without __init__; each must still equal the segment
-    # built through the public constructors, and hold plain float coefficients.
+    # Segments are built from the gait's coefficient array on first use; each must
+    # equal the segment built through the public constructors, and hold plain float
+    # coefficients.
     rng = np.random.default_rng(29)
     for name in SCHEME_NAMES:
         for _ in range(20):
@@ -761,3 +763,93 @@ def test_via_point_rmse_reads_a_tuple_only_on_one_span_and_via_times():
     for trajs in ((gait, other), _phases(gait)):
         with pytest.raises(ValueError, match="must share one span and via times"):
             via_point_rmse(trajs, ref, slice(None))
+
+
+def free(seg):
+    """``seg`` through the public constructor: a segment with no gait table behind it."""
+    return SolvedSegment(seg.polynomial, seg.t_start, seg.t_end, seg.condition_estimate, seg.pins)
+
+
+def same_reads(got, want):
+    """Bit-identical and of the same types (numpy floats stay numpy floats)."""
+    return [type(x) for x in got] == [type(x) for x in want] and same_bits(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(EVERY_SPEC), seed=st.integers(0, 2**32 - 1))
+def test_a_solved_gait_reads_like_one_built_from_its_segments(spec, seed):
+    # A solved gait holds its solve's coefficient array, spans and slots. The same
+    # gait built from free copies of its segments, and each segment alone, read the
+    # same bits: evaluate, continuity_report, via_point_rmse, kinematics, residuals
+    # and the two halves _phases takes as row ranges of the gait's arrays.
+    rng = np.random.default_rng(seed)
+    ref, stance, swing, midpoint = random_phases(rng)
+    gait = generate_gait(spec, stance, swing, midpoint, midpoint)
+    rebuilt = PiecewiseTrajectory(tuple(map(free, gait.segments)))
+    times = np.sort(rng.uniform(gait.t_start, gait.t_end, 29))
+    for t in (times, gait.via_times[1], gait.t_end):
+        for order in (0, 2, slice(None)):
+            got, want = evaluate(gait, t, order), evaluate(rebuilt, t, order)
+            assert type(got) is type(want) and same_bits(got, want)
+    assert repr(continuity_report(gait)) == repr(continuity_report(rebuilt))
+    assert repr(via_point_rmse(gait, ref, slice(None))) == repr(
+        via_point_rmse(rebuilt, ref, slice(None)))
+    for seg, alone in zip(gait.segments, rebuilt.segments, strict=True):
+        for t in (np.linspace(seg.t_start, seg.t_end, 5), seg.t_start, seg.t_end):
+            assert same_reads(seg.kinematics(t), alone.kinematics(t))
+        pins = [Constraint(k, tau, 1.0) for k, tau in seg.pins]
+        assert repr(residuals(seg, pins)) == repr(residuals(alone, pins))
+    for half, part in zip(_phases(gait), (rebuilt.segments[:3], rebuilt.segments[3:])):
+        whole = PiecewiseTrajectory(part)
+        t = np.linspace(half.t_start, half.t_end, 13)
+        assert same_bits(evaluate(half, t, slice(None)), evaluate(whole, t, slice(None)))
+        assert repr(continuity_report(half)) == repr(continuity_report(whole))
+        assert (half.t_start, half.t_end, half.via_times) == \
+            (whole.t_start, whole.t_end, whole.via_times)
+
+
+def test_solving_and_reading_a_gait_builds_no_segment_objects(monkeypatch):
+    # Solving, evaluating (one gait, a tuple, the halves), the continuity and via
+    # metrics, sampling and tracking read the gait's arrays: no SolvedSegment or
+    # Polynomial is built until ``segments`` is read.
+    ref, stance, swing, midpoint = random_phases(np.random.default_rng(4))
+    built = []
+    for cls in (SolvedSegment, poly.Polynomial):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, init=cls.__post_init__: built.append(self) or init(self))
+    gaits = tuple(generate_gait(builtin_scheme(name), stance, swing, midpoint, midpoint)
+                  for name in SCHEME_NAMES)
+    halves = [half for gait in gaits for half in _phases(gait)]
+    for trajs in (*gaits, gaits, *halves, tuple(halves[::2]), tuple(halves[1::2])):
+        first = trajs[0] if isinstance(trajs, tuple) else trajs
+        evaluate(trajs, np.linspace(first.t_start, first.t_end, 9), slice(None))
+        continuity_report(trajs)
+    via_point_rmse(gaits, ref, slice(None))
+    sample(gaits[0], 11, 3)
+    simulate_tracking(gaits[-1], dt=1e-3)
+    assert built == []
+    assert not any("segments" in vars(traj) for traj in (*gaits, *halves))
+    assert len(gaits[0].segments) == 6 and len(built) == 12  # built on request only
+
+
+def test_a_short_span_fails_after_every_row_is_read():
+    # The span check runs after the solve, as it did when each segment was built: a
+    # swing waypoint missing a derivative is named before a stance span whose cube
+    # underflows, and so are non-finite coefficients.
+    tiny = [t * 1e-110 for t in STANCE]
+    swing = [Waypoint(tiny[-1], 0.0, 0.0, 0.0, 0.0), Waypoint(0.68, 0.0),
+             *zero_waypoints(SWING[2:])]
+    for name in ("434-1", "656-1"):
+        with pytest.raises(MissingWaypointDerivative) as err:
+            generate_gait(builtin_scheme(name), zero_waypoints(tiny), swing)
+        assert str(err.value) == (f"scheme {name} segment 1 needs derivative order 1 "
+                                  "at t=0.68, but the waypoint does not define it")
+        with pytest.raises(ValueError) as err:
+            generate_gait(builtin_scheme(name), zero_waypoints(tiny),
+                          zero_waypoints([tiny[-1], *SWING[1:]]))
+        assert str(err.value) == ("segment must have t_end > t_start and a duration whose "
+                                  f"cube is nonzero, got [{tiny[0]}, {tiny[1]}]")
+    nan = [Waypoint(t, math.nan, 0.0, 0.0, 0.0) for t in SWING[1:]]
+    with pytest.raises(SingularSystem, match="^solve produced non-finite coefficients: "):
+        generate_gait(builtin_scheme("545-1"), zero_waypoints(tiny),
+                      [Waypoint(tiny[-1], 0.0, 0.0, 0.0, 0.0), *nan])

@@ -58,16 +58,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-def _write_text(paths: list[Path], chunks: Iterable[Iterable[str]]) -> None:
-    """Rewrite each path in place with its string of every chunk, then cut it to length:
-    no ``O_TRUNC``, so no ext4 writeback on close, and the inode, mode and links are kept."""
+def _write_text(paths: list[Path], chunks: Iterable[Iterable[Iterable[str]]]) -> None:
+    """Rewrite each path in place with its strings from every chunk (one iterable of them per
+    path, read as it is written), then cut it to length: no ``O_TRUNC``, so no ext4
+    writeback on close, and the inode, mode and links are kept."""
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "w", encoding="utf-8", opener=lambda p, flags:
                                           os.open(p, flags & ~os.O_TRUNC, 0o666)))
                  for path in paths]
         for chunk in chunks:
-            for fh, text in zip(files, chunk):
-                fh.write(text)
+            for fh, texts in zip(files, chunk):
+                fh.writelines(texts)
         for fh in files:
             fh.truncate()
 
@@ -82,8 +83,11 @@ def _csv_blocks(rows: list[list] | np.ndarray) -> Iterator[str]:
     return (row * len(block) % tuple(block.ravel().tolist()) for block in blocks)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
-    _write_text([path], zip(itertools.chain([",".join(header) + "\n"], _csv_blocks(rows))))
+def _write_csv(paths: list[Path], header: list[str], tables: Iterable[Iterable]) -> None:
+    """Each path's header, then its table from each item of ``tables`` (one table per path,
+    rows as ``_csv_blocks`` reads them): each table is formatted a block at a time."""
+    head = [[",".join(header) + "\n"]] * len(paths)
+    _write_text(paths, itertools.chain([head], (map(_csv_blocks, item) for item in tables)))
 
 
 def _number(value, path: str, kind=float, low=-math.inf, high=math.inf):
@@ -240,26 +244,24 @@ def run_generate(config: RunConfig, out: Path) -> None:
     gaits = tuple(config.build_gait(name) for name in config.schemes)
     reports = continuity_report(gaits)
     # Every scheme's profile at once: each grid block, read once for all, goes to each file.
-    blocks = (("".join(_csv_blocks(np.column_stack([times, one.T])))
-               for one in values.swapaxes(0, 1)) for trajs in zip(*map(_phases, gaits))
-              for _, times, values in _grid(trajs, config.samples))
-    _write_text([out / f"profile_{name}.csv" for name in config.schemes], itertools.chain(
-        [["t,position,velocity,acceleration,jerk\n"] * len(gaits)], blocks))
+    _write_csv([out / f"profile_{name}.csv" for name in config.schemes],
+               ["t", "position", "velocity", "acceleration", "jerk"],
+               ((np.column_stack([times, one.T]) for one in values.swapaxes(0, 1))
+                for trajs in zip(*map(_phases, gaits))
+                for _, times, values in _grid(trajs, config.samples)))
     for name, traj, report in zip(config.schemes, gaits, reports):
-        _write_csv(
-            out / f"continuity_{name}.csv",
-            ["via_time", "order", "jump", "constrained_both_sides"],
-            [[j.via_time, j.order, j.jump, int(j.constrained_both_sides)]
-             for j in report.jumps],
-        )
+        jumps = [[j.via_time, j.order, j.jump, int(j.constrained_both_sides)]
+                 for j in report.jumps]
+        _write_csv([out / f"continuity_{name}.csv"],
+                   ["via_time", "order", "jump", "constrained_both_sides"], [[jumps]])
         if config.sim["enabled"]:
             result = simulate_tracking(traj, gains=config.gains, dt=config.sim["dt"])
             _write_csv(
-                out / f"tracking_{name}.csv",
+                [out / f"tracking_{name}.csv"],
                 ["t", "angle_rad", "velocity_rad_s", "reference_rad"],
-                np.column_stack([result.angle.times, result.angle.values,
-                                 result.velocity.values,
-                                 result.reference_angle.values]),
+                [[np.column_stack([result.angle.times, result.angle.values,
+                                   result.velocity.values,
+                                   result.reference_angle.values])]],
             )
             print(f"{name}: tracking RMSE {result.rmse:.6g} rad")
 
@@ -289,12 +291,12 @@ def run_compare(config: RunConfig, out: Path) -> None:
                     text.append(f"  {label:<12} RMSE {_fmt(r):>14}  ADE {_fmt(a):>14}")
         via_rows += [[name, float(w.via_time), order, w.rmse, int(w.clipped)]
                      for order, per_order in enumerate(windows) for w in per_order]
-    _write_csv(out / "error_report.csv",
-               ["scheme", "scope", "quantity", "rmse", "ade"], error_rows)
-    _write_csv(out / "via_rmse.csv",
-               ["scheme", "via_time", "order", "rmse", "clipped"], via_rows)
+    _write_csv([out / "error_report.csv"],
+               ["scheme", "scope", "quantity", "rmse", "ade"], [[error_rows]])
+    _write_csv([out / "via_rmse.csv"],
+               ["scheme", "via_time", "order", "rmse", "clipped"], [[via_rows]])
     report = "\n".join(text) + "\n"
-    _write_text([out / "error_report.txt"], [[report]])
+    _write_text([out / "error_report.txt"], [[[report]]])
     print(report, end="")
 
 
@@ -305,14 +307,14 @@ def _phases(traj):
 
 def _grid(trajs, samples: int):
     """A tuple of trajectories on one span, read in blocks of ``CSV_BLOCK_ROWS`` of its
-    ``samples`` times (``np.linspace``'s bits; its branch for a step that underflows to zero
-    is not needed, as no T**3 is zero): per block, its rows, times and one read of them."""
+    ``samples`` times (``np.linspace``'s bits, one sample its start; no T**3 is zero, so no
+    step underflows): per block, its rows, times and one read of them."""
     start, stop = trajs[0].t_start, trajs[0].t_end
-    step = (stop - start) / (samples - 1)
+    step = (stop - start) / max(samples - 1, 1)
     for first in range(0, samples, CSV_BLOCK_ROWS):
         rows = slice(first, min(first + CSV_BLOCK_ROWS, samples))
         times = np.arange(rows.start, rows.stop, dtype=float) * step + start
-        if rows.stop == samples:
+        if rows.stop == samples > 1:
             times[-1] = stop
         yield rows, times, evaluate(trajs, times, slice(None))
 
@@ -355,8 +357,8 @@ def run_benchmark(config: RunConfig, repetitions: int, out: Path) -> None:
         rows.append([name[:3], float(med), float(mean), repetitions, *step])
         print(line)
         previous = name
-    _write_csv(out / "benchmark.csv", ["family", "median_s", "mean_s", "repetitions",
-                                       "ratio_to_previous", "ratio_low", "ratio_high"], rows)
+    _write_csv([out / "benchmark.csv"], ["family", "median_s", "mean_s", "repetitions",
+                                         "ratio_to_previous", "ratio_low", "ratio_high"], [[rows]])
 
 
 def _ratio_interval(ratios: list[float]) -> tuple[float, float, float]:

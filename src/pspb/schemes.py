@@ -159,8 +159,7 @@ class PiecewiseTrajectory:
         for left, right in zip(segments, segments[1:]):
             if left.t_end != right.t_start:
                 raise ValueError("segments must be contiguous")
-        coeffs = zip_longest(*(s.polynomial.coefficients for s in segments), fillvalue=0.0)
-        self._coeffs = np.array(list(coeffs), ndmin=2).T
+        self._coeffs = _padded(s.polynomial.coefficients for s in segments)
         self._spans = [(s.t_start, s.t_end) for s in segments]
         self._slots = [(s.pins, s.condition_estimate) for s in segments]
 
@@ -177,14 +176,12 @@ class PiecewiseTrajectory:
 
     @cached_property
     def segments(self) -> tuple[SolvedSegment, ...]:
-        """Built on first use. Each holds this table and its row in it, set past
-        ``__init__`` (so ``replace`` drops it), and no reference to this trajectory."""
-        table, segments = self._table, []
+        """Built on first use, each given a one-row view of these arrays as its ``_view``."""
+        segments = []
         for i, (c, (pins, cond)) in enumerate(zip(self._coeffs, self._slots)):
-            segment = SolvedSegment(Polynomial(tuple(c[:len(pins)].tolist())), *self._spans[i],
-                                    cond, pins)
-            object.__setattr__(segment, "_row", (table, i))
-            segments.append(segment)
+            segments.append(SolvedSegment(Polynomial(tuple(c[:len(pins)].tolist())),
+                                          *self._spans[i], cond, pins))
+            vars(segments[-1])["_view"] = self._rows(slice(i, i + 1))
         return tuple(segments)
 
     @property
@@ -224,16 +221,19 @@ def _read_table(table, idx, tau, order: int | slice):
 
 
 def _stack(traj):
-    """A trajectory or a tuple's: its table (cached, or built once over all their
-    coefficients, zero-padded to the widest) and each one's rows in it."""
+    """A trajectory or a tuple's: its table (cached, or built once over all their rows)
+    and each one's rows in it."""
     if not isinstance(traj, tuple):
         return (traj,), traj._table, [(0, len(traj._spans))]
     ends = np.cumsum([0] + [len(one._spans) for one in traj])
-    coeffs = np.zeros((ends[-1], max((one._coeffs.shape[1] for one in traj), default=1)))
-    for one, first, end in zip(traj, ends, ends[1:]):
-        coeffs[first:end, :one._coeffs.shape[1]] = one._coeffs
+    coeffs = _padded(row for one in traj for row in one._coeffs.tolist())
     spans = [span for one in traj for span in one._spans]
     return traj, _build_table(coeffs, spans), zip(ends, ends[1:])
+
+
+def _padded(rows) -> np.ndarray:
+    """Ascending coefficient rows zero-padded to the widest, as one (row, width) array."""
+    return np.array(list(zip_longest(*rows, fillvalue=0.0)), ndmin=2).T
 
 
 def evaluate(traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...], t,
@@ -252,18 +252,14 @@ def evaluate(traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...], t,
     starts, powers, _ = table
     idx = []
     for one, (first, end) in zip(trajs, rows):
-        _check_domain(times, one.t_start, one.t_end)
+        outside = ~((one.t_start <= times) & (times <= one.t_end))
+        if outside.any():
+            raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
+                              f"[{one.t_start}, {one.t_end}]")
         idx.append(np.searchsorted(starts[first + 1:end], times, side="right") + first)
     idx = (np.array(idx, np.intp).reshape(len(trajs), *times.shape) if isinstance(traj, tuple)
            else idx[0])  # a tuple's (trajectory, *times.shape) indices, the empty tuple's too
     return _read_table(table, idx, (times - starts.take(idx)) / powers[1].take(idx), order)
-
-
-def _check_domain(times: np.ndarray, t_start: float, t_end: float):
-    outside = ~((t_start <= times) & (times <= t_end))
-    if outside.any():
-        raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
-                          f"[{t_start}, {t_end}]")
 
 
 def _check_order(order: int | slice):

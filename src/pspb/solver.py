@@ -15,8 +15,8 @@ the two agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,8 +57,6 @@ class SolvedSegment:
     t_end: float
     condition_estimate: float
     pins: tuple[tuple[int, float], ...] = ()
-    # A gait's segment: the gait's coefficient table and its row there (not the gait).
-    _row: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_span(self.t_start, self.t_end)
@@ -69,19 +67,16 @@ class SolvedSegment:
 
     def kinematics(self, t):
         """Position, velocity, acceleration, jerk at physical time(s) t in
-        [t_start, t_end], read as ``evaluate`` reads a one-segment trajectory."""
-        from .schemes import _check_domain, _read_table  # schemes imports this module
-        times = np.asarray(t, dtype=float)
-        _check_domain(times, self.t_start, self.t_end)
-        table, row = self._table_row()
-        tau = (times - table[0][row]) / table[1][1][row]
-        return tuple(_read_table(table, np.full(times.shape, row), tau, slice(None)))
+        [t_start, t_end]: this segment evaluated as a one-segment trajectory."""
+        from .schemes import evaluate  # schemes imports this module
+        return tuple(evaluate(self._view, t, slice(None)))
 
-    def _table_row(self):
-        """The coefficient table holding it and its row: its gait's, or one of its own."""
-        from .schemes import _build_table  # schemes imports this module
-        return self._row or (_build_table(np.array([self.polynomial.coefficients]),
-                                          [(self.t_start, self.t_end)]), 0)
+    @cached_property
+    def _view(self):
+        """This segment as a one-row trajectory. A gait's segment is given a view of its
+        row of the gait's arrays instead (not the gait: no reference cycle)."""
+        from .schemes import PiecewiseTrajectory  # schemes imports this module
+        return PiecewiseTrajectory((self,))._rows(slice(None))  # its arrays, not itself
 
     def pinned_orders(self, tau: float) -> frozenset[int]:
         """Derivative orders constrained at normalized time tau."""
@@ -126,10 +121,9 @@ def solve_segment(
 
 def _solve_stacked(slots, matrices, rhs, spans) -> np.ndarray:
     """(span, width) ascending coefficients: item p of ``matrices``, the template of
-    ``slots[p] = (pins, cond)`` identity-padded, against row p of the flat ``rhs``, each
-    row zero-padded to the width. Each item is its own solve, bit-identical to an unpadded
-    2-d one up to width 7; its padding solves to +0.0. Checked finite, then each span as
-    ``SolvedSegment`` checks it."""
+    ``slots[p] = (pins, cond)`` identity-padded, solved against row p of the flat ``rhs``
+    (its padding solves to +0.0; bit-identical to an unpadded solve up to width 7).
+    Checked finite, then each span as ``SolvedSegment`` checks it."""
     n = len(spans)
     coeffs = np.linalg.solve(matrices[:n], np.array(rhs).reshape(n, -1, 1))[..., 0]
     if not np.isfinite(coeffs).all():  # a row's padding is finite if the rest of it is
@@ -144,8 +138,8 @@ def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[flo
     """|achieved - specified| per constraint, in physical units, each read at its own
     tau, so no time is formed that could round past t_end."""
     from .schemes import _read_table  # schemes imports this module
-    return [abs(float(_read_table(*segment._table_row(), c.tau, c.order)) - c.value)
-            for c in constraints]
+    table = segment._view._table
+    return [abs(float(_read_table(table, 0, c.tau, c.order)) - c.value) for c in constraints]
 
 
 def _describe(pins: tuple[tuple[int, float], ...]) -> str:

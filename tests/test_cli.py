@@ -172,9 +172,10 @@ def test_compare_matches_public_metrics_bitwise(tmp_path, config_path, monkeypat
                "via_window": 0.2}
     written = {}
 
-    def capture(path, header, rows):
+    def capture(paths, header, tables):
+        (path,), ((rows,),) = paths, tables
         written[path.name] = rows
-        write_csv(path, header, rows)
+        write_csv(paths, header, tables)
 
     write_csv = cli._write_csv
     monkeypatch.setattr(cli, "_write_csv", capture)
@@ -187,7 +188,7 @@ def test_compare_matches_public_metrics_bitwise(tmp_path, config_path, monkeypat
         assert all(same_cells(a, b) for a, b in zip(written[table], rows)), table
         # The file holds exactly what the rows format to.
         header = (out / table).read_text().split("\n", 1)[0].split(",")
-        write_csv(tmp_path / table, header, rows)
+        write_csv([tmp_path / table], header, [[rows]])
         assert (out / table).read_bytes() == (tmp_path / table).read_bytes()
     clipped = sum(row[-1] for row in expected["via_rmse.csv"])
     assert clipped == (0 if setup == "default" else 48)
@@ -198,8 +199,8 @@ def test_compare_in_blocks_matches_public_metrics_bitwise(tmp_path, config_path,
     # Grids read in blocks of 7 samples: compare's RMSEs are still the whole grid's.
     written, write_csv = {}, cli._write_csv
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
-    monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows:
-                        written.update({path.name: rows}) or write_csv(path, header, rows))
+    monkeypatch.setattr(cli, "_write_csv", lambda paths, header, tables: written.update(
+        {paths[0].name: tables[0][0]}) or write_csv(paths, header, tables))
     assert main(["compare", "--config", config_path(BASE), "--out", str(tmp_path / "o")]) == 0
     rows = public_compare_tables(BASE)["error_report.csv"]
     assert len(rows) == 72
@@ -610,7 +611,7 @@ CSV_TABLES = {
 def test_write_csv_matches_per_cell_writer(tmp_path, name):
     rows = CSV_TABLES[name]
     header = [f"c{i}" for i in range(len(rows[0]) if rows else 3)]
-    _write_csv(tmp_path / "t.csv", header, rows)
+    _write_csv([tmp_path / "t.csv"], header, [[rows]])
     assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(header, rows).encode()
 
 
@@ -631,7 +632,7 @@ def test_write_csv_blocks_match_one_format(tmp_path, monkeypatch, kind, n_rows):
     else:
         rows = (CSV_TABLES["mixed"] * 4)[:n_rows]
     header = [f"c{i}" for i in range(len(rows[0]))]
-    _write_csv(tmp_path / "t.csv", header, rows)
+    _write_csv([tmp_path / "t.csv"], header, [[rows]])
     assert (tmp_path / "t.csv").read_bytes() == whole_table_csv(header, rows).encode()
 
 
@@ -640,10 +641,10 @@ def test_write_csv_memory_is_bounded_per_row(tmp_path):
     # cells and text, not the whole table's.
     n = 10**5
     table = np.random.default_rng(3).standard_normal((n, 4))
-    _write_csv(tmp_path / "t.csv", list("abcd"), table[:10])
+    _write_csv([tmp_path / "t.csv"], list("abcd"), [[table[:10]]])
     tracemalloc.start()
     try:
-        _write_csv(tmp_path / "t.csv", list("abcd"), table)
+        _write_csv([tmp_path / "t.csv"], list("abcd"), [[table]])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -809,7 +810,7 @@ def one_segment(t_start, t_end):
 
 
 @settings(max_examples=200, deadline=None)
-@given(start=st.floats(-1e3, 1e3), span=st.floats(1e-6, 1e3), samples=st.integers(2, 40))
+@given(start=st.floats(-1e3, 1e3), span=st.floats(1e-6, 1e3), samples=st.integers(1, 40))
 def test_grid_blocks_are_linspace_read_in_blocks(start, span, samples):
     # _grid's blocks join to np.linspace's times, each block read as the whole grid
     # would be: blocks of 7 here, so grids shorter than, equal to and across blocks.
@@ -823,6 +824,16 @@ def test_grid_blocks_are_linspace_read_in_blocks(start, span, samples):
     assert same_bits(np.concatenate([t for _, t, _ in blocks]), times)
     assert same_bits(np.concatenate([v for _, _, v in blocks], axis=-1),
                      evaluate(trajs, times, slice(None)))
+
+
+@pytest.mark.parametrize("verb", ["generate", "compare"])
+def test_one_sample_per_phase_is_a_config_error(tmp_path, config_path, capsys, verb):
+    # A grid is read at its two ends, so samples must exceed 1 (_grid itself reads a
+    # one-sample grid as np.linspace does, at its start).
+    doc = config_path({**BASE, "samples": 1})
+    assert main([verb, "--config", doc, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", "error: samples: need a number in (1, 1000000], got 1\n")
+    assert list(tmp_path.glob("out/*")) == []
 
 
 def test_generate_and_compare_write_the_same_bytes_in_any_block_size(tmp_path, config_path,

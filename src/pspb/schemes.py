@@ -176,12 +176,14 @@ class PiecewiseTrajectory:
 
     @cached_property
     def segments(self) -> tuple[SolvedSegment, ...]:
-        """Built on first use, each given a one-row view of these arrays as its ``_view``."""
+        """Built on first use. Each is given as its ``_view`` a one-row view of these arrays
+        and of this table (not of this trajectory: no reference cycle)."""
         segments = []
         for i, (c, (pins, cond)) in enumerate(zip(self._coeffs, self._slots)):
             segments.append(SolvedSegment(Polynomial(tuple(c[:len(pins)].tolist())),
                                           *self._spans[i], cond, pins))
-            vars(segments[-1])["_view"] = self._rows(slice(i, i + 1))
+            view = vars(segments[-1])["_view"] = self._rows(slice(i, i + 1))
+            view._table = tuple(part[..., i:i + 1] for part in self._table)
         return tuple(segments)
 
     @property

@@ -74,7 +74,7 @@ class SolvedSegment:
     @cached_property
     def _view(self):
         """This segment as a one-row trajectory. A gait's segment is given a view of its
-        row of the gait's arrays instead (not the gait: no reference cycle)."""
+        row of the gait's arrays and table instead (not the gait: no reference cycle)."""
         from .schemes import PiecewiseTrajectory  # schemes imports this module
         return PiecewiseTrajectory((self,))._rows(slice(None))  # its arrays, not itself
 

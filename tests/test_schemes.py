@@ -853,3 +853,23 @@ def test_a_short_span_fails_after_every_row_is_read():
     with pytest.raises(SingularSystem, match="^solve produced non-finite coefficients: "):
         generate_gait(builtin_scheme("545-1"), zero_waypoints(tiny),
                       [Waypoint(tiny[-1], 0.0, 0.0, 0.0, 0.0), *nan])
+
+
+def test_a_gait_segment_reads_its_row_of_the_gait_table(monkeypatch):
+    # A gait builds one table; its segments' kinematics and residuals read their rows
+    # of it, through a one-row view that holds no reference to the gait. A free
+    # segment builds its own one-row table, once.
+    ref, stance, swing, midpoint = random_phases(np.random.default_rng(8))
+    gait = generate_gait(builtin_scheme("656-2"), stance, swing, midpoint, midpoint)
+    tables = []
+    monkeypatch.setattr(schemes, "_build_table",
+                        lambda *args, build=schemes._build_table: tables.append(1) or build(*args))
+    for seg in gait.segments:
+        seg.kinematics(np.linspace(seg.t_start, seg.t_end, 3))
+        residuals(seg, [Constraint(k, tau, 0.0) for k, tau in seg.pins])
+        assert seg._view is not gait and not any(v is gait for v in vars(seg._view).values())
+    assert tables == [1]
+    alone = free(gait.segments[2])
+    for t in (alone.t_start, alone.t_end):
+        alone.kinematics(t)
+    assert tables == [1, 1]

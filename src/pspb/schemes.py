@@ -223,8 +223,7 @@ def _read_table(table, idx, tau, order: int | slice):
 
 
 def _stack(traj):
-    """A trajectory or a tuple's: its table (cached, or built once over all their rows)
-    and each one's rows in it."""
+    """A trajectory or a tuple's: its table (cached, or stacked) and each one's rows in it."""
     if not isinstance(traj, tuple):
         return (traj,), traj._table, [(0, len(traj._spans))]
     ends = np.cumsum([0] + [len(one._spans) for one in traj])

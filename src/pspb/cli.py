@@ -402,17 +402,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
-        config = RunConfig(raw)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.verb == "generate":
-            run_generate(config, out)
-        elif args.verb == "compare":
-            run_compare(config, out)
-        else:
-            run_benchmark(config, args.repetitions, out)
-    except (SingularSystem, NumericalBlowup, OverflowError) as exc:
+    try:  # numpy's overflow, invalid and divide raise here, not warn and write inf or NaN
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            config = RunConfig(raw)
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            if args.verb == "generate":
+                run_generate(config, out)
+            elif args.verb == "compare":
+                run_compare(config, out)
+            else:
+                run_benchmark(config, args.repetitions, out)
+    except (SingularSystem, NumericalBlowup, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import SeriesMismatch
 from .poly import MAX_DERIVATIVE
-from .schemes import PiecewiseTrajectory, _check_order, _read_table, _stack, evaluate
-from .solver import SEGMENT_END, SEGMENT_START
+from .schemes import (
+    SEGMENT_END, SEGMENT_START, PiecewiseTrajectory, _check_order, _read_table, _stack, evaluate,
+)
 
 DEFAULT_SAMPLES = 101
 DEFAULT_VIA_WINDOW = 0.01  # seconds either side of a via point
@@ -113,7 +114,7 @@ def via_point_rmse(
     A tuple of trajectories sharing one span and one set of via times is read
     in the same calls, and returns one result per trajectory.
     """
-    if window <= 0:
+    if not window > 0:  # NaN included
         raise ValueError(f"window must be positive, got {window}")
     _check_order(order)
     trajs = traj if isinstance(traj, tuple) else (traj,)

@@ -6,26 +6,27 @@ variants spend their spare constraints on boundary derivatives
 (acceleration, jerk); the "-2" variants spend them on mid-segment position
 pins. Segments are solved independently and matched only through shared
 waypoint values, which is exactly why derivative orders constrained on a
-single side of a via point jump there.
+single side of a via point jump there. Solved segments, the cached templates
+and the stacked solve live here, beside the trajectories they feed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    MissingWaypointDerivative,
-    NonContiguousPhases,
-    OutOfDomain,
-    UnknownScheme,
-)
+from .errors import (ConstraintCountMismatch, MissingWaypointDerivative, NonContiguousPhases,
+                     OutOfDomain, SingularSystem, UnknownScheme)
 from .poly import MAX_DERIVATIVE, Polynomial, horner_rows, is_order
-from .solver import SEGMENT_END, SEGMENT_START, SolvedSegment, _solve_stacked, _template
+
+ORDER_NAMES = ("position", "velocity", "acceleration", "jerk")
+SEGMENT_START = 0.0
+SEGMENT_END = 1.0
 
 # Where a constraint sits, as normalized segment time tau.
 START, MID, END = SEGMENT_START, 0.5, SEGMENT_END
@@ -147,6 +148,88 @@ def builtin_scheme(name: str) -> SchemeSpec:
             f"unknown scheme {name!r}; expected one of {', '.join(SCHEME_NAMES)}"
         ) from None
     return SchemeSpec(name, tuple(tuple(c) for c in constraints))
+
+
+@dataclass(frozen=True)
+class SolvedSegment:
+    """One solved segment on [t_start, t_end] seconds.
+
+    ``pins`` are the (order, tau) pairs its constraints fixed, so two
+    adjacent segments agree by construction on exactly the orders both pin
+    to their shared waypoint.
+    """
+
+    polynomial: Polynomial
+    t_start: float
+    t_end: float
+    condition_estimate: float
+    pins: tuple[tuple[int, float], ...] = ()
+
+    def __post_init__(self):
+        _check_span(self.t_start, self.t_end)
+
+    @property
+    def duration(self) -> float:
+        return self.t_end - self.t_start
+
+    def kinematics(self, t):
+        """Position, velocity, acceleration, jerk at physical time(s) t in
+        [t_start, t_end]: this segment evaluated as a one-segment trajectory."""
+        return tuple(evaluate(self._view, t, slice(None)))
+
+    @cached_property
+    def _view(self):
+        """This segment as a one-row trajectory. A gait's segment is given a view of its
+        row of the gait's arrays and table instead (not the gait: no reference cycle)."""
+        return PiecewiseTrajectory((self,))._rows(slice(None))  # its arrays, not itself
+
+    def pinned_orders(self, tau: float) -> frozenset[int]:
+        """Derivative orders constrained at normalized time tau."""
+        return frozenset(order for order, at in self.pins if at == tau)
+
+
+def _check_span(t_start: float, t_end: float):
+    if not (t_end - t_start) ** MAX_DERIVATIVE > 0:  # evaluation divides by T**3
+        raise ValueError("segment must have t_end > t_start and a duration whose cube is "
+                         f"nonzero, got [{t_start}, {t_end}]")
+
+
+@lru_cache(maxsize=256)
+def _template(degree: int, pins: tuple[tuple[int, float], ...]):
+    """Read-only tau-space matrix of the (order, tau) pins, and its
+    infinity-norm condition number."""
+    if len(pins) != degree + 1:
+        raise ConstraintCountMismatch(
+            f"degree {degree} needs exactly {degree + 1} constraints, got {len(pins)}"
+        )
+    matrix = np.array([
+        [math.perm(j, k) * tau ** (j - k) if j >= k else 0.0 for j in range(degree + 1)]
+        for k, tau in pins
+    ])
+    cond = float(np.linalg.cond(matrix, np.inf))
+    if not math.isfinite(cond):
+        raise SingularSystem(f"constraint matrix is singular: {_describe(pins)}")
+    matrix.setflags(write=False)
+    return matrix, cond
+
+
+def _solve_stacked(slots, matrices, rhs, spans) -> np.ndarray:
+    """(span, width) ascending coefficients: item p of ``matrices``, the template of
+    ``slots[p] = (pins, cond)`` identity-padded, solved against row p of the flat ``rhs``
+    (its padding solves to +0.0; bit-identical to an unpadded solve up to width 7).
+    Checked finite, then each span as ``SolvedSegment`` checks it."""
+    n = len(spans)
+    coeffs = np.linalg.solve(matrices[:n], np.array(rhs).reshape(n, -1, 1))[..., 0]
+    if not np.isfinite(coeffs).all():  # a row's padding is finite if the rest of it is
+        bad = next(pins for (pins, _), row in zip(slots, coeffs) if not np.isfinite(row).all())
+        raise SingularSystem(f"solve produced non-finite coefficients: {_describe(bad)}")
+    for span in spans:
+        _check_span(*span)
+    return coeffs
+
+
+def _describe(pins: tuple[tuple[int, float], ...]) -> str:
+    return ", ".join(f"{ORDER_NAMES[k]}@tau={tau:g}" for k, tau in pins)
 
 
 class PiecewiseTrajectory:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pspb import cli, poly, schemes, solver
@@ -493,7 +493,19 @@ OVERFLOW_CONFIGS = {
     # amplitude * (2 pi / period)**order overflows without an exception.
     "huge_amplitude": {"schemes": ["434-1"],
                        "reference": {"name": "sinusoid", "amplitude": 1e300, "period": 1e-10}},
+    # Finite waypoints whose derivative rows overflow in the coefficient table;
+    # this used to exit 0 with inf and nan in the profile and continuity CSVs.
+    "huge_waypoints": {"schemes": ["656-1"], "waypoints": {
+        "stance": [[0, 1e305, 0, 0, 0], [0.12, -1e305, 0, 0, 0], [0.48, 0, 0, 0, 0],
+                   [0.6, 0, 0, 0, 0]],
+        "swing": [[0.6, 0, 0, 0, 0], [0.68, 0, 0, 0, 0], [0.92, 0, 0, 0, 0], [1.0, 0, 0, 0, 0]]}},
+    # A finite gait and reference whose squared errors overflow; this used to
+    # exit 0 with inf RMSE and ADE in every row.
+    "huge_errors": {"schemes": ["434-1"], "reference": {"name": "sinusoid", "amplitude": 1e160}},
 }
+# The verbs each config overflows in: a config without a reference has nothing
+# to compare, and a huge but finite sinusoid generates finite profiles.
+OVERFLOW_VERBS = {"huge_waypoints": ["generate"], "huge_errors": ["compare"]}
 SINUSOID_OVERFLOWS = {
     "tiny_period": "amplitude 30.0 * (2 pi / period 1e-300)**2 overflows",
     "infinite_frequency": "period 1e-310 is too short, 2 pi / period is infinite",
@@ -501,8 +513,9 @@ SINUSOID_OVERFLOWS = {
 }
 
 
-@pytest.mark.parametrize("verb", ["generate", "compare"])
-@pytest.mark.parametrize("name", list(OVERFLOW_CONFIGS))
+@pytest.mark.parametrize("name, verb", [
+    (name, verb) for name in OVERFLOW_CONFIGS
+    for verb in OVERFLOW_VERBS.get(name, ["generate", "compare"])])
 def test_overflow_is_a_numerical_error(tmp_path, config_path, capsys, verb, name):
     path = config_path(OVERFLOW_CONFIGS[name], f"{name}.json")
     with warnings.catch_warnings(record=True) as caught:
@@ -770,15 +783,31 @@ def fuzz_csv(tmp_path_factory):
     return path
 
 
+def _not_finite(cell):
+    try:
+        return not math.isfinite(float(cell))
+    except ValueError:  # a header or a scheme name
+        return False
+
+
 @settings(max_examples=60, deadline=None)
 @given(verb=st.sampled_from(["generate", "compare"]), drawn=configs())
+@example(verb="generate", drawn=(OVERFLOW_CONFIGS["huge_waypoints"], False))
+@example(verb="compare", drawn=(OVERFLOW_CONFIGS["huge_errors"], False))
 def test_any_config_exits_with_a_documented_code(fuzz_csv, verb, drawn):
+    # Exit 0 also means no warning and no inf or NaN cell in any CSV written.
     doc, misspelt = drawn
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(doc).replace("@CSV", str(fuzz_csv)))
         code = main([verb, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        bad = [(csv_path.name, row) for csv_path in Path(tmp).glob("out/*.csv")
+               for row in csv.reader(csv_path.read_text().splitlines())
+               if any(map(_not_finite, row))]
     assert (code == 2) if misspelt else (code in (0, 2, 3, 4))
+    if code == 0:
+        assert [str(w.message) for w in caught] == [] and bad == [], (caught, bad[:3])
 
 
 def test_the_verbs_build_no_segment_objects(tmp_path, config_path, monkeypatch):

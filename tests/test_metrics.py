@@ -141,6 +141,14 @@ def test_via_window_clipping_flagged():
     assert results[0].window[0] == traj.t_start
 
 
+def test_via_window_must_be_positive():
+    # A NaN window used to pass the check and fail later as OutOfDomain at t=nan.
+    traj, ref = generic_phase("434-1")
+    for window in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="window must be positive"):
+            via_point_rmse(traj, ref, 0, window)
+
+
 def test_via_rmse_identically_zero_against_self():
     traj, _ = generic_phase("434-1")
     from pspb.schemes import evaluate

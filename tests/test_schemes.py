@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pspb import poly, schemes, solver
+from pspb import poly, schemes
 from pspb.cli import _phases
 from pspb.errors import (
     MissingWaypointDerivative,
@@ -397,13 +397,12 @@ def test_scheme_compiles_its_templates_once(monkeypatch):
     # A spec builds nothing until its first solve, then at most one template
     # per segment slot, and nothing for any later gait.
     built = []
-    real_template = solver._template
+    real_template = schemes._template
 
     def counting_template(degree, pins):
         built.append(pins)
         return real_template(degree, pins)
 
-    monkeypatch.setattr(solver, "_template", counting_template)
     monkeypatch.setattr(schemes, "_template", counting_template)
     # A fresh spec: the cached built-in one may have compiled in an earlier test.
     scheme = SchemeSpec("656-2", builtin_scheme("656-2").segment_constraints)
@@ -577,7 +576,7 @@ def nonsingular_pin_sets():
     for size in range(1, len(PINS) + 1):
         for subset in itertools.combinations(PINS, size):
             try:
-                solver._template(size - 1, tuple((k, tau) for tau, k in subset))
+                schemes._template(size - 1, tuple((k, tau) for tau, k in subset))
             except SingularSystem:
                 continue
             sets.append(subset)

@@ -1,6 +1,11 @@
+import ast
 import inspect
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pspb
-from pspb import poly, solver
+from pspb import poly, schemes, solver
 from pspb.errors import ConstraintCountMismatch, SingularSystem
 from pspb.schemes import MID, SchemeSpec
 from pspb.solver import (
@@ -25,7 +30,7 @@ def c(order, tau, value):
 
 
 def test_linear_interpolation_template():
-    matrix, cond = solver._template(1, ((0, SEGMENT_START), (0, SEGMENT_END)))
+    matrix, cond = schemes._template(1, ((0, SEGMENT_START), (0, SEGMENT_END)))
     assert np.array_equal(matrix, [[1, 0], [1, 1]])
     assert not matrix.flags.writeable
     assert cond == 4.0
@@ -157,6 +162,30 @@ def test_package_exports_no_modules_or_removed_names():
     for name in ("Anchor", "at_tau", "MID_POINT", "assemble_system"):
         assert name not in pspb.__all__
         assert not hasattr(solver, name)
+
+
+def test_no_import_inside_a_function_and_no_cycle_between_solver_and_schemes():
+    # schemes holds the segments, the template cache and the stacked solve; solver
+    # imports it one way, at its top, so no module imports inside a function.
+    src = Path(pspb.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(path.name, node.lineno) for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+        if path.name == "schemes.py":
+            found |= {(path.name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and "solver" in (
+                          (node.module or "").split(".") + [a.name for a in node.names])}
+    assert not found, sorted(found)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src.parent), os.environ.get("PYTHONPATH")]))}
+    for module in ("pspb.solver", "pspb.schemes"):
+        run = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 def _hermite_constraints(degree, rng):

@@ -206,31 +206,31 @@ class RunConfig:
     def __init__(self, raw: dict):
         self.reference = self.waypoints = self.midpoints = None
         vars(self).update(_read(CONFIG, raw))
+        for phase, rows in (self.waypoints or {}).items():  # the times the gait is solved on
+            key, times = f"{phase}_times", _times([w.time for w in rows], f"waypoints.{phase}")
+            if key in raw and vars(self)[key] != times:
+                raise ConfigError(f"{key}: {raw[key]} are not waypoints.{phase}'s times {times}")
+            vars(self)[key] = times
         if self.stance_times[-1] != self.swing_times[0]:
             raise ConfigError("stance_times must end where swing_times begins")
         self.gains = PDGains(self.sim["kp"], self.sim["kd"])
-        ref = self.reference
-        if isinstance(ref, Path):  # read once the whole config has passed
+        if isinstance(ref := self.reference, Path):  # read once the whole config has passed
             self.reference = ref = CsvReference.from_file(ref)
             span = (self.stance_times[0], self.swing_times[-1])
             if not ref.times[0] <= span[0] <= span[1] <= ref.times[-1]:
-                raise ConfigError(
-                    f"reference.csv: times [{ref.times[0]:g}, {ref.times[-1]:g}] "
-                    f"do not cover the gait [{span[0]:g}, {span[1]:g}]"
-                )
+                raise ConfigError(f"reference.csv: times [{ref.times[0]:g}, {ref.times[-1]:g}] "
+                                  f"do not cover the gait [{span[0]:g}, {span[1]:g}]")
 
     @functools.cached_property
     def _gait_inputs(self):
         """Stance and swing waypoints, then their mid-point sources, shared by
         every scheme: read on the first build, so ``__init__`` reads no reference."""
         ref, tables = self.reference, self.midpoints or {}
-        if self.waypoints is not None:
-            waypoints = [self.waypoints["stance"], self.waypoints["swing"]]
-        elif ref is None:
+        if self.waypoints is None and ref is None:
             raise ConfigError("config needs either an explicit waypoint table or a reference")
-        else:
-            waypoints = [waypoints_from_reference(ref, times)
-                         for times in (self.stance_times, self.swing_times)]
+        waypoints = ([self.waypoints["stance"], self.waypoints["swing"]] if self.waypoints else
+                     [waypoints_from_reference(ref, times)
+                      for times in (self.stance_times, self.swing_times)])
         sampled = None if ref is None else lambda t: ref(t, 0)
         pins = {phase: {int(segment): x for segment, x in table.items()}
                 for phase, table in tables.items()}
@@ -267,9 +267,8 @@ def run_generate(config: RunConfig, out: Path) -> None:
 
 
 def run_compare(config: RunConfig, out: Path) -> None:
-    if config.reference is None:
+    if (ref := config.reference) is None:
         raise ConfigError("compare needs a reference (csv or sinusoid)")
-    ref = config.reference
     gaits = tuple(config.build_gait(name) for name in config.schemes)
     # Per scope, every scheme's squared errors in all orders, read in blocks into one array
     # (192 bytes per sample for six schemes), then _rms's mean and root; ADE is RMSE / sqrt(N).
@@ -413,15 +412,11 @@ def main(argv: list[str] | None = None) -> int:
                 run_compare(config, out)
             else:
                 run_benchmark(config, args.repetitions, out)
-    except (SingularSystem, NumericalBlowup, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (PspbError, ValueError) as exc:  # ConfigError and any other bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (PspbError, ArithmeticError, OSError, ValueError) as exc:  # ValueError: bad input
+        numeric = isinstance(exc, (SingularSystem, NumericalBlowup, ArithmeticError))
+        verb = f"{args.verb}: " if isinstance(exc, FloatingPointError) else ""  # numpy's bare text
+        print(f"error: {verb}{exc}", file=sys.stderr)
+        return EXIT_NUMERICAL if numeric else EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG
     return EXIT_OK
 
 

@@ -189,7 +189,12 @@ class SolvedSegment:
 
 
 def _check_span(t_start: float, t_end: float):
-    if not (t_end - t_start) ** MAX_DERIVATIVE > 0:  # evaluation divides by T**3
+    try:  # evaluation divides by T**3
+        cube = (t_end - t_start) ** MAX_DERIVATIVE
+    except OverflowError:  # Python's (34, 'Numerical result out of range') names nothing
+        raise OverflowError(f"segment [{t_start}, {t_end}]: duration {t_end - t_start!r} to "
+                            f"the power {MAX_DERIVATIVE} overflows") from None
+    if not cube > 0:
         raise ValueError("segment must have t_end > t_start and a duration whose cube is "
                          f"nonzero, got [{t_start}, {t_end}]")
 
@@ -441,7 +446,12 @@ def _read_pin(scheme: SchemeSpec, segment: int, source: int, order: int, ends, t
             f"scheme {scheme.name} segment {segment + 1} needs derivative order {order} "
             f"at t={times[segment + source // 2]}, but the waypoint does not define it"
         )
-    return value * (times[segment + 1] - times[segment])**order
+    try:
+        return value * (times[segment + 1] - times[segment])**order
+    except OverflowError:
+        raise OverflowError(f"scheme {scheme.name} segment {segment + 1}: duration "
+                            f"{times[segment + 1] - times[segment]!r} to the power {order} "
+                            "overflows") from None
 
 
 # Default phase timing (seconds). Stance via times follow the analyzed

@@ -34,7 +34,7 @@ class BodyParams:
     com: float
 
     def __post_init__(self):
-        if min(self.mass, self.length, self.com) <= 0:
+        if not all(0 < x < math.inf for x in (self.mass, self.length, self.com)):
             raise ValueError("mass, length, and com must be positive")
         if self.com >= self.length:
             raise ValueError("center of mass must lie within the segment")
@@ -62,7 +62,7 @@ class PDGains:
     kd: float = 50.0   # N*m*s/rad
 
     def __post_init__(self):
-        if self.kp < 0 or self.kd < 0:
+        if not (0 <= self.kp < math.inf and 0 <= self.kd < math.inf):  # NaN included
             raise ValueError("gains must be non-negative")
 
 
@@ -165,7 +165,7 @@ def simulate_tracking(
                     memoryview(inertia * part[2]) if feedforward else itertools.repeat(-0.0)]
     theta, omega = refs[:2, 0].tolist()  # the start state: grid column 0 is t_start
     thetas, omegas = array("d", [theta]), array("d", [omega])
-    high, low = BLOWUP_LIMIT, -BLOWUP_LIMIT  # abs(x) > limit as two compares, no calls
+    high, low = BLOWUP_LIMIT, -BLOWUP_LIMIT  # abs(x) <= limit as two compares, no calls
     for h, h2, h6, p1, v1, f1, p2, v2, f2, p4, v4, f4 in zip(*columns):
         g = mgc * sin(theta)
         a1 = (kp * (p1 - theta) + kd * (v1 - omega) + f1
@@ -184,7 +184,7 @@ def simulate_tracking(
               + (g if gravity_compensation else -0.0) - g) / inertia
         theta = theta + h6 * (omega + 2 * om2 + 2 * om3 + om4)
         omega = omega + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        if theta > high or theta < low or omega > high or omega < low:
+        if not (low <= theta <= high and low <= omega <= high):  # a NaN state too
             raise NumericalBlowup(
                 f"state diverged at t={times[len(thetas)]:.4f}: {SimState(theta, omega)}"
             )

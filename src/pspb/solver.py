@@ -42,7 +42,11 @@ def solve_segment(
     """Solve the boundary-value system for one segment."""
     pins = tuple((c.order, c.tau) for c in constraints)
     matrix, cond = _template(degree, pins)
-    rhs = [c.value * (t_end - t_start)**c.order for c in constraints]
+    try:
+        rhs = [c.value * (t_end - t_start)**c.order for c in constraints]
+    except OverflowError:
+        raise OverflowError(f"segment [{t_start}, {t_end}]: duration {t_end - t_start!r} to the "
+                            f"power {max(c.order for c in constraints)} overflows") from None
     coeffs = _solve_stacked([(pins, cond)], matrix[None], rhs, [(t_start, t_end)])
     return SolvedSegment(Polynomial(tuple(coeffs[0].tolist())), t_start, t_end, cond, pins)
 

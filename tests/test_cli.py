@@ -341,6 +341,12 @@ def test_benchmark_rejects_low_repetitions(tmp_path, config_path):
 def test_bad_config_exit_codes(tmp_path, config_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["generate", "--config", missing, "--out", str(tmp_path)]) == 4
+    # An OSError once the config is read, such as --out naming a file, is an I/O error too.
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    capsys.readouterr()
+    assert main(["generate", "--config", config_path(BASE), "--out", str(a_file)]) == 4
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{a_file}'\n"
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -460,6 +466,77 @@ def test_csv_reference_must_cover_gait(tmp_path, config_path, capsys):
         assert "do not cover the gait [0, 1]" in capsys.readouterr().err
 
 
+README_WAYPOINTS = {
+    "stance": [[0.0, 10, 0, 0, 0], [0.12, 12, 5], [0.48, -3, -4], [0.6, 0, 0, 0, 0]],
+    "swing": [[0.6, 0, 0, 0, 0], [0.68, 4, 6], [0.92, 8, 1], [1.0, 10, 0, 0, 0]],
+}
+# 434-1 waypoints on [0, 2]: past the end of a CSV reference on [0, 1].
+LONG_WAYPOINTS = {
+    phase: [[t, 0, 0, 0, 0] for t in times]
+    for phase, times in (("stance", [0, 0.3, 0.9, 1.2]), ("swing", [1.2, 1.4, 1.8, 2.0]))}
+SINE_CSV = "t,pos,vel\n" + "".join(
+    f"{t!r},{30 * math.sin(2 * math.pi * t)!r},{60 * math.pi * math.cos(2 * math.pi * t)!r}\n"
+    for t in (i / 400 for i in range(401)))
+# Configs refused before --out is made: the config over BASE (a CSV file's text for
+# its reference, if any) and the one error line, "{csv}" standing for that file's path.
+REFUSED_BEFORE_OUT = {
+    "phases_apart": ({"swing_times": [0.7, 0.8, 0.9, 1.0]}, None,
+                     "stance_times must end where swing_times begins"),
+    # Explicit waypoints set the gait's span, so a CSV that ends before them is refused;
+    # it used to be read past its end as np.interp's clamped last row.
+    "waypoints_past_csv": ({"schemes": ["434-1"], "waypoints": LONG_WAYPOINTS}, SINE_CSV,
+                           "reference.csv: times [0, 1] do not cover the gait [0, 2]"),
+    # Times beside explicit waypoints must be theirs; they used to be dropped without a word.
+    "stance_times_not_waypoints": (
+        {"waypoints": README_WAYPOINTS, "stance_times": [0, 0.3, 0.5, 0.6]}, None,
+        "stance_times: [0, 0.3, 0.5, 0.6] are not waypoints.stance's times [0.0, 0.12, 0.48, 0.6]"),
+    "swing_times_not_waypoints": (
+        {"waypoints": README_WAYPOINTS, "stance_times": [0, 0.12, 0.48, 0.6],
+         "swing_times": [0.6, 0.7, 0.9, 1.0]}, None,
+        "swing_times: [0.6, 0.7, 0.9, 1.0] are not waypoints.swing's times "
+        "[0.6, 0.68, 0.92, 1.0]"),
+    "waypoints_not_increasing": (
+        {"waypoints": {**README_WAYPOINTS, "swing": README_WAYPOINTS["swing"][::-1]}}, None,
+        "waypoints.swing: times must be strictly increasing: [1.0, 0.92, 0.68, 0.6]"),
+    "csv_one_row": ({}, "t,pos\n0,1\n", "reference grid needs at least 2 points"),
+    "csv_unsorted": ({}, "t,pos\n0,1\n0.5,2\n0.25,3\n1,0\n",
+                     "reference times must be strictly increasing"),
+    "csv_no_rows": ({}, "t,pos\n", "{csv}: no data rows"),
+    "csv_unknown_column": ({}, "t,pos,speed\n0,1,2\n1,2,3\n", "{csv}: unknown column 'speed'"),
+}
+
+
+@pytest.mark.parametrize("verb", ["generate", "compare"])
+@pytest.mark.parametrize("name", list(REFUSED_BEFORE_OUT))
+def test_refused_before_out_is_made(tmp_path, config_path, capsys, name, verb):
+    doc, text, message = REFUSED_BEFORE_OUT[name]
+    csv_path = tmp_path / "ref.csv"
+    if text is not None:
+        csv_path.write_text(text)
+        doc = {**doc, "reference": {"csv": str(csv_path)}}
+    out = tmp_path / "out"
+    assert main([verb, "--config", config_path({**BASE, **doc}), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(csv=csv_path)}\n"
+    assert not out.exists()
+
+
+def test_explicit_waypoints_set_the_gait_times(tmp_path, config_path):
+    # The config's timing checks read the times the gait is solved on.
+    config = RunConfig({"waypoints": LONG_WAYPOINTS})
+    assert (config.stance_times, config.swing_times) == ([0, 0.3, 0.9, 1.2], [1.2, 1.4, 1.8, 2])
+    # Times equal to the waypoints' are accepted, and change no byte.
+    doc = {**BASE, "schemes": ["434-1", "434-2"], "waypoints": README_WAYPOINTS,
+           "midpoints": {"stance": {"0": 11, "2": -1.5}, "swing": {"0": 2, "2": 9}}}
+    times = {"stance_times": [0, 0.12, 0.48, 0.6], "swing_times": [0.6, 0.68, 0.92, 1]}
+    runs = []
+    for name, extra in (("without", {}), ("with", times)):
+        for verb in ("generate", "compare"):
+            out = tmp_path / name
+            assert main([verb, "--config", config_path({**doc, **extra}), "--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(runs[0]) == 7 and runs[0] == runs[1]
+
+
 def test_non_finite_input_is_config_error(tmp_path, config_path, capsys):
     ref = SinusoidReference(20.0, 1.0)
     lines = ["t,pos"] + [f"{t:.12g},{ref(t, 0):.12g}" for t in np.linspace(0, 1, 11)]
@@ -502,6 +579,12 @@ OVERFLOW_CONFIGS = {
     # A finite gait and reference whose squared errors overflow; this used to
     # exit 0 with inf RMSE and ADE in every row.
     "huge_errors": {"schemes": ["434-1"], "reference": {"name": "sinusoid", "amplitude": 1e160}},
+    # duration**2 is finite, so 434-1 (acceleration pins at most) reads its rows, and the
+    # span check's duration**3 overflows; 656-1 pins the jerk, and its row read overflows.
+    **{f"long_times_{name}": {"schemes": [name], "reference": {"name": "sinusoid"},
+                              "stance_times": [0, 1e120, 2e120, 3e120],
+                              "swing_times": [3e120, 4e120, 5e120, 6e120]}
+       for name in ("434-1", "656-1")},
 }
 # The verbs each config overflows in: a config without a reference has nothing
 # to compare, and a huge but finite sinusoid generates finite profiles.
@@ -510,6 +593,16 @@ SINUSOID_OVERFLOWS = {
     "tiny_period": "amplitude 30.0 * (2 pi / period 1e-300)**2 overflows",
     "infinite_frequency": "period 1e-310 is too short, 2 pi / period is infinite",
     "huge_amplitude": "amplitude 1e+300 * (2 pi / period 1e-10)**1 overflows",
+}
+# Every other overflow's line names what overflowed: the segment and its duration, or
+# the verb that numpy's own text stops (Python's float power used to print only
+# "(34, 'Numerical result out of range')", numpy's only "overflow encountered in ...").
+NAMED_OVERFLOWS = {
+    "huge_times": "scheme 434-1 segment 1: duration 1e+300 to the power 2 overflows",
+    "long_times_434-1": "segment [0.0, 1e+120]: duration 1e+120 to the power 3 overflows",
+    "long_times_656-1": "scheme 656-1 segment 1: duration 1e+120 to the power 3 overflows",
+    "huge_waypoints": "{verb}: overflow encountered in multiply",
+    "huge_errors": "{verb}: overflow encountered in square",
 }
 
 
@@ -526,6 +619,8 @@ def test_overflow_is_a_numerical_error(tmp_path, config_path, capsys, verb, name
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if name in SINUSOID_OVERFLOWS:
         assert err == f"error: sinusoid reference: {SINUSOID_OVERFLOWS[name]}\n"
+    else:
+        assert err == f"error: {NAMED_OVERFLOWS[name].format(verb=verb)}\n"
 
 
 @pytest.mark.parametrize("config, message", [

@@ -109,6 +109,17 @@ def test_series_mismatch_rejected():
         rmse(a, c)
 
 
+@pytest.mark.parametrize("times, values, message", [
+    ([0.0, 1.0], [0.0], "times and values must be 1-d and the same length"),
+    ([[0.0, 1.0]], [[0.0, 1.0]], "times and values must be 1-d and the same length"),
+    ([0.0], [0.0], "a series needs at least 2 samples"),
+    ([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], "times must be strictly increasing"),
+], ids=["lengths_differ", "two_d", "one_sample", "repeated_time"])
+def test_sampled_series_refuses_a_bad_grid(times, values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SampledSeries(np.array(times), np.array(values), 0)
+
+
 def test_rmse_translation_invariant():
     rng = np.random.default_rng(4)
     a = rng.normal(size=50)
@@ -212,6 +223,10 @@ def test_continuity_flags_match_scheme():
     assert report.at(0.12, 0).constrained_both_sides
     assert report.at(0.12, 1).constrained_both_sides
     assert not report.at(0.12, 2).constrained_both_sides
+    # A via time or order the report does not hold is a KeyError naming both.
+    with pytest.raises(KeyError) as info:
+        report.at(0.3, 0)
+    assert info.value.args == ((0.3, 0),)
 
 
 def test_continuity_guaranteed_orders_are_tight():

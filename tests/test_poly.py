@@ -11,6 +11,16 @@ def test_zero_polynomial():
     assert poly.horner(Polynomial((0,)), 5.0) == 0.0
 
 
+@pytest.mark.parametrize("coefficients, message", [
+    ((), "polynomial needs at least one coefficient"),
+    ((1.0, float("nan")), "coefficients must be finite"),
+    ((float("inf"),), "coefficients must be finite"),
+], ids=["empty", "nan", "inf"])
+def test_polynomial_refuses_no_or_non_finite_coefficients(coefficients, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Polynomial(coefficients)
+
+
 def test_hand_solved_cubic():
     # p(0)=0, p'(0)=0, p(1)=1, p'(1)=0 -> 3t^2 - 2t^3
     p = Polynomial((0, 0, 3, -2))

@@ -6,6 +6,7 @@ import functools
 import numpy as np
 import pytest
 
+from pspb.errors import ConfigError
 from pspb.poly import Polynomial, differentiate, horner
 from pspb.reference import (
     CsvReference,
@@ -98,3 +99,9 @@ def test_every_reference_rejects_an_order_outside_0_to_3(kind, order, tmp_path):
     for t in (0.5, np.array([0.25, 0.5])):
         with pytest.raises(ValueError, match=f"order {order!r} selects none of the orders 0..3"):
             ref(t, order)
+
+
+def test_csv_reference_needs_a_position_column():
+    # A file's header starts t,pos, so only a table built in code can lack one.
+    with pytest.raises(ConfigError, match="^reference must include a position column$"):
+        CsvReference([0.0, 1.0], {1: np.array([0.0, 1.0])})

@@ -186,6 +186,11 @@ def test_gait_rejects_noncontiguous_phases():
             zero_waypoints(STANCE),
             zero_waypoints([0.7, 0.8, 0.9, 1.0]),
         )
+    # So do segments built one by one into a trajectory.
+    stance, swing = (solve_segment(1, [Constraint(0, START, 0.0), Constraint(0, END, 0.0)], *span)
+                     for span in ((0.0, 0.6), (0.7, 1.0)))
+    with pytest.raises(ValueError, match="^segments must be contiguous$"):
+        PiecewiseTrajectory((stance, swing))
 
 
 def test_mismatched_phase_boundary_positions_flagged_not_rejected():
@@ -431,6 +436,8 @@ def test_gait_errors_keep_stance_first_order():
     with pytest.raises(ValueError, match="strictly increasing"):
         generate_gait(builtin_scheme("656-1"), zero_waypoints(STANCE),
                       [Waypoint(t, 0.0) for t in (0.6, 0.9, 0.8, 1.0)])
+    with pytest.raises(ValueError, match="^a phase needs exactly 4 waypoints, got 3$"):
+        generate_gait(builtin_scheme("656-1"), zero_waypoints(STANCE), zero_waypoints(SWING[:3]))
     # Mid-point sources are called in segment order, stance before swing.
     calls = []
     ref = generic_reference(2)

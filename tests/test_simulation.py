@@ -7,7 +7,7 @@ import pytest
 
 from pspb import simulation
 from pspb.errors import NumericalBlowup
-from pspb.reference import PolynomialReference, waypoints_from_reference
+from pspb.reference import PolynomialReference, SinusoidReference, waypoints_from_reference
 from pspb.schemes import (
     DEFAULT_STANCE_TIMES,
     DEFAULT_SWING_TIMES,
@@ -292,6 +292,37 @@ def test_blowup_detected(feedforward):
     assert str(info.value) == (
         f"state diverged at t={times[-1]:.4f}: {SimState(float(thetas[-1]), float(omegas[-1]))}"
     )
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PDGains(500.0, math.nan), "gains must be non-negative"),
+    (lambda: PDGains(math.inf, 0.0), "gains must be non-negative"),
+    (lambda: BodyParams(15.0, 0.5, math.nan), "mass, length, and com must be positive"),
+    (lambda: BodyParams(math.inf, 0.5, 0.3), "mass, length, and com must be positive"),
+    (lambda: BodyParams(15.0, math.inf, 0.3), "mass, length, and com must be positive"),
+], ids=["kd_nan", "kp_inf", "com_nan", "mass_inf", "length_inf"])
+def test_non_finite_gains_and_body_params_are_refused(make, message):
+    # NaN fails every comparison, so `kp < 0` used to let it through; a gain of
+    # inf met a zero error at the first RK4 stage and made the state NaN.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("kp, kd", [(500.0, math.nan), (math.inf, 0.0)])
+def test_a_nan_state_is_a_divergence(kp, kd):
+    # Gains set past their check make the state NaN at the first step. Every
+    # comparison with NaN is false, so the guard reads "not within the limit":
+    # the run used to return an rmse of nan and raise nothing.
+    ref = SinusoidReference(30.0, 1.0)
+    traj = generate_gait(builtin_scheme("656-1"),
+                         *(waypoints_from_reference(ref, times)
+                           for times in (DEFAULT_STANCE_TIMES, DEFAULT_SWING_TIMES)))
+    gains = PDGains()
+    object.__setattr__(gains, "kp", kp)
+    object.__setattr__(gains, "kd", kd)
+    with pytest.raises(NumericalBlowup) as info:
+        simulate_tracking(traj, gains=gains, dt=1e-3)
+    assert str(info.value) == "state diverged at t=0.0010: SimState(theta=nan, omega=nan)"
 
 
 def test_tracking_memory_is_bounded_per_step():

@@ -101,6 +101,23 @@ def test_contradictory_positions_raise():
         solve_segment(5, cons, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("orders, t_end, message", [
+    # Position pins only: the right-hand side is read, then the span check's cube overflows.
+    ((0, 0), 1e200, "segment [0.0, 1e+200]: duration 1e+200 to the power 3 overflows"),
+    # A jerk pin: the right-hand side's duration**3 overflows first.
+    ((0, 1, 2, 3), 1e120, "segment [0.0, 1e+120]: duration 1e+120 to the power 3 overflows"),
+    ((0, 1, 2, 0), 1e160, "segment [0.0, 1e+160]: duration 1e+160 to the power 2 overflows"),
+], ids=["span_check", "jerk_pin", "acceleration_pin"])
+def test_an_overflowing_duration_names_the_segment(orders, t_end, message):
+    # Python's float power used to raise OverflowError(34, 'Numerical result out of
+    # range'), whose text names neither the segment nor its duration.
+    cons = [c(k, SEGMENT_END if i == len(orders) - 1 else SEGMENT_START, 1.0)
+            for i, k in enumerate(orders)]
+    with pytest.raises(OverflowError) as info:
+        solve_segment(len(orders) - 1, cons, 0.0, t_end)
+    assert str(info.value) == message
+
+
 def test_midpoint_anchor_rejects_derivatives():
     cubic = ((SEGMENT_START, 0), (SEGMENT_START, 1), (SEGMENT_END, 0), (SEGMENT_END, 1))
     SchemeSpec("ok", (cubic,) * 3)

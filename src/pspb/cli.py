@@ -28,8 +28,8 @@ from .errors import ConfigError, NumericalBlowup, PspbError, SingularSystem
 from .metrics import (
     DEFAULT_SAMPLES,
     DEFAULT_VIA_WINDOW,
-    continuity_report,
-    via_point_rmse,
+    _jumps,
+    _via_windows,
 )
 from .reference import CsvReference, SinusoidReference, waypoints_from_reference
 from .schemes import (
@@ -37,8 +37,9 @@ from .schemes import (
     DEFAULT_SWING_TIMES,
     SCHEME_NAMES,
     Waypoint,
+    _read_stack,
+    _stack,
     builtin_scheme,
-    evaluate,
     generate_gait,
 )
 from .simulation import PDGains, simulate_tracking
@@ -77,10 +78,10 @@ def _csv_blocks(rows: list[list] | np.ndarray) -> Iterator[str]:
     """Rows (a list of rows or a 2-d float array) read as flat cells: floats as
     ``_fmt`` renders them, anything else by ``str``, each column's format taken
     from its first-row cell; one ``%`` per block of ``CSV_BLOCK_ROWS`` rows."""
-    table = rows if isinstance(rows, np.ndarray) else np.asarray(rows, dtype=object)
-    row = ",".join("%.9g" if isinstance(v, float) else "%s" for v in table[:1].ravel()) + "\n"
-    blocks = (table[i:i + CSV_BLOCK_ROWS] for i in range(0, len(table), CSV_BLOCK_ROWS))
-    return (row * len(block) % tuple(block.ravel().tolist()) for block in blocks)
+    row = ",".join("%.9g" if isinstance(v, float) else "%s" for first in rows[:1] for v in first)
+    flat = itertools.chain.from_iterable if isinstance(rows, list) else lambda b: b.ravel().tolist()
+    blocks = (rows[i:i + CSV_BLOCK_ROWS] for i in range(0, len(rows), CSV_BLOCK_ROWS))
+    return ((row + "\n") * len(block) % tuple(flat(block)) for block in blocks)
 
 
 def _write_csv(paths: list[Path], header: list[str], tables: Iterable[Iterable]) -> None:
@@ -211,8 +212,10 @@ class RunConfig:
             if key in raw and vars(self)[key] != times:
                 raise ConfigError(f"{key}: {raw[key]} are not waypoints.{phase}'s times {times}")
             vars(self)[key] = times
-        if self.stance_times[-1] != self.swing_times[0]:
-            raise ConfigError("stance_times must end where swing_times begins")
+        if (end := self.stance_times[-1]) != (begin := self.swing_times[0]):
+            raise ConfigError(
+                f"waypoints.stance ends at {end} but waypoints.swing starts at {begin}"
+                if self.waypoints else "stance_times must end where swing_times begins")
         self.gains = PDGains(self.sim["kp"], self.sim["kd"])
         if isinstance(ref := self.reference, Path):  # read once the whole config has passed
             self.reference = ref = CsvReference.from_file(ref)
@@ -242,16 +245,16 @@ class RunConfig:
 
 def run_generate(config: RunConfig, out: Path) -> None:
     gaits = tuple(config.build_gait(name) for name in config.schemes)
-    reports = continuity_report(gaits)
+    stack = _stack(gaits)  # every read below indexes this one table
+    reports = list(_jumps(stack))  # read in full first: its errors come before any file
     # Every scheme's profile at once: each grid block, read once for all, goes to each file.
     _write_csv([out / f"profile_{name}.csv" for name in config.schemes],
                ["t", "position", "velocity", "acceleration", "jerk"],
                ((np.column_stack([times, one.T]) for one in values.swapaxes(0, 1))
-                for trajs in zip(*map(_phases, gaits))
-                for _, times, values in _grid(trajs, config.samples)))
+                for phase in (slice(0, 3), slice(3, 6))  # a gait's stance and swing rows
+                for _, times, values in _grid(stack, phase, config.samples)))
     for name, traj, report in zip(config.schemes, gaits, reports):
-        jumps = [[j.via_time, j.order, j.jump, int(j.constrained_both_sides)]
-                 for j in report.jumps]
+        jumps = [[via, order, jump, int(both)] for via, order, jump, both in report]
         _write_csv([out / f"continuity_{name}.csv"],
                    ["via_time", "order", "jump", "constrained_both_sides"], [[jumps]])
         if config.sim["enabled"]:
@@ -269,16 +272,16 @@ def run_generate(config: RunConfig, out: Path) -> None:
 def run_compare(config: RunConfig, out: Path) -> None:
     if (ref := config.reference) is None:
         raise ConfigError("compare needs a reference (csv or sinusoid)")
-    gaits = tuple(config.build_gait(name) for name in config.schemes)
+    stack = _stack(tuple(config.build_gait(name) for name in config.schemes))
     # Per scope, every scheme's squared errors in all orders, read in blocks into one array
     # (192 bytes per sample for six schemes), then _rms's mean and root; ADE is RMSE / sqrt(N).
-    squares, scopes = np.empty((4, len(gaits), config.samples)), []
-    for trajs in zip(*[(g, *_phases(g)) for g in gaits]):
-        for rows, times, values in _grid(trajs, config.samples):
+    squares, scopes = np.empty((4, len(config.schemes), config.samples)), []
+    for phase in (slice(0, 6), slice(0, 3), slice(3, 6)):  # full, stance and swing rows
+        for rows, times, values in _grid(stack, phase, config.samples):
             expected = np.array([ref(times, k) for k in range(4)])
             squares[..., rows] = (values - expected[:, None])**2
         scopes.append(np.sqrt(np.mean(squares, axis=-1)))
-    vias = via_point_rmse(gaits, ref, slice(None), config.via_window)
+    vias = _via_windows(stack, ref, slice(None), config.via_window)
     error_rows, via_rows, text = [], [], []
     for i, (name, windows) in enumerate(zip(config.schemes, vias)):
         text.append(f"scheme {name}")
@@ -288,8 +291,8 @@ def run_compare(config: RunConfig, out: Path) -> None:
                 error_rows.append([name, scope, label, r, a])
                 if scope == "full":
                     text.append(f"  {label:<12} RMSE {_fmt(r):>14}  ADE {_fmt(a):>14}")
-        via_rows += [[name, float(w.via_time), order, w.rmse, int(w.clipped)]
-                     for order, per_order in enumerate(windows) for w in per_order]
+        via_rows += [[name, float(via), order, r, int(clipped)]
+                     for order, per_order in enumerate(windows) for via, r, _, clipped in per_order]
     _write_csv([out / "error_report.csv"],
                ["scheme", "scope", "quantity", "rmse", "ade"], [[error_rows]])
     _write_csv([out / "via_rmse.csv"],
@@ -299,23 +302,21 @@ def run_compare(config: RunConfig, out: Path) -> None:
     print(report, end="")
 
 
-def _phases(traj):
-    """The stance and swing halves of a six-segment gait: its rows 0-2 and 3-5."""
-    return traj._rows(slice(3)), traj._rows(slice(3, 6))
-
-
-def _grid(trajs, samples: int):
-    """A tuple of trajectories on one span, read in blocks of ``CSV_BLOCK_ROWS`` of its
-    ``samples`` times (``np.linspace``'s bits, one sample its start; no T**3 is zero, so no
-    step underflows): per block, its rows, times and one read of them."""
-    start, stop = trajs[0].t_start, trajs[0].t_end
+def _grid(stack, phase: slice, samples: int):
+    """Segments ``phase`` of each trajectory of a ``_stack`` on one span, read in blocks of
+    ``CSV_BLOCK_ROWS`` of its ``samples`` times (``np.linspace``'s bits, one sample its start; no
+    T**3 is zero, so no step underflows): per block, its rows, times and one read of them."""
+    if not stack[0]:  # no trajectory, no grid
+        return
+    spans = stack[0][0]._spans[phase]
+    start, stop = spans[0][0], spans[-1][1]
     step = (stop - start) / max(samples - 1, 1)
     for first in range(0, samples, CSV_BLOCK_ROWS):
         rows = slice(first, min(first + CSV_BLOCK_ROWS, samples))
         times = np.arange(rows.start, rows.stop, dtype=float) * step + start
         if rows.stop == samples > 1:
             times[-1] = stop
-        yield rows, times, evaluate(trajs, times, slice(None))
+        yield rows, times, _read_stack(stack, times, phase, slice(None))
 
 
 GAITS_PER_ROUND = 10

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import SeriesMismatch
 from .poly import MAX_DERIVATIVE
 from .schemes import (
-    SEGMENT_END, SEGMENT_START, PiecewiseTrajectory, _check_order, _read_table, _stack, evaluate,
+    SEGMENT_END, SEGMENT_START, PiecewiseTrajectory, _check_order, _read_stack, _read_table, _stack,
+    evaluate,
 )
 
 DEFAULT_SAMPLES = 101
@@ -120,20 +121,27 @@ def via_point_rmse(
     trajs = traj if isinstance(traj, tuple) else (traj,)
     if len(shapes := {(one.t_start, one.t_end, one.via_times) for one in trajs}) > 1:
         raise ValueError(f"a tuple must share one span and via times, got {shapes}")
-    if not trajs:
+    rows = order if isinstance(order, slice) else slice(order, order + 1)
+    results = [[[ViaWindowError(*row) for row in per_order] for per_order in per_traj]
+               for per_traj in _via_windows(_stack(trajs), reference, rows, window)]
+    results = [per_traj if isinstance(order, slice) else per_traj[0] for per_traj in results]
+    return results if isinstance(traj, tuple) else results[0]
+
+
+def _via_windows(stack, reference: Reference, rows: slice, window: float) -> list:
+    """Per trajectory of a ``_stack`` on one span and via times, per order in ``rows`` and
+    per via point: a ``ViaWindowError``'s fields."""
+    if not (trajs := stack[0]):
         return []
-    (t0, t1, vias), = shapes
+    t0, t1, vias = trajs[0].t_start, trajs[0].t_end, trajs[0].via_times
     lo = [max(v - window, t0) for v in vias]
     hi = [min(v + window, t1) for v in vias]
     times = np.linspace(lo, hi, VIA_WINDOW_SAMPLES, axis=-1)
-    rows = order if isinstance(order, slice) else slice(order, order + 1)
     expected = np.array([reference(times, k) for k in range(MAX_DERIVATIVE + 1)[rows]])
-    rms = _rms(evaluate(trajs, times, rows) - expected[:, None])  # (order, trajectory, via)
-    results = [[[ViaWindowError(v, float(r), (a, b), v - window < t0 or v + window > t1)
-                 for v, a, b, r in zip(vias, lo, hi, per_order)]
-                for per_order in per_traj] for per_traj in rms.swapaxes(0, 1)]
-    results = [per_traj if isinstance(order, slice) else per_traj[0] for per_traj in results]
-    return results if isinstance(traj, tuple) else results[0]
+    rms = _rms(_read_stack(stack, times, slice(0, len(vias) + 1), rows) - expected[:, None])
+    return [[[[v, r, (a, b), v - window < t0 or v + window > t1]
+              for v, a, b, r in zip(vias, lo, hi, per_order)]
+             for per_order in per_traj] for per_traj in rms.swapaxes(0, 1).tolist()]
 
 
 @dataclass(frozen=True)
@@ -161,18 +169,22 @@ def continuity_report(traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...
     """|right limit - left limit| per via point per order, exact at tau 1 on each segment
     but the last and tau 0 on the next (sampling could straddle or miss a via time). A
     tuple of trajectories is read in one call, and gives one report per trajectory."""
-    trajs, table, rows = _stack(traj)
+    reports = [ContinuityReport(tuple(ContinuityJump(*jump) for jump in jumps))
+               for jumps in _jumps(_stack(traj))]
+    return reports if isinstance(traj, tuple) else reports[0]
+
+
+def _jumps(stack):
+    """Per trajectory of a ``_stack``, a list of each jump's ``ContinuityJump`` fields."""
+    trajs, table, rows = stack
     end, start = _read_table(table, np.arange(len(table[0])),
                              np.reshape([SEGMENT_END, SEGMENT_START], (2, 1, 1)), slice(None))
     jumps = np.abs(start[:, 1:] - end[:, :-1]).T.tolist()  # from row i to row i + 1
-    reports = []
     for one, (first, _) in zip(trajs, rows):
         report = []
         for (pins, _), (after, _), (via, _), per_order in zip(
                 one._slots, one._slots[1:], one._spans[1:], jumps[first:]):
             both = ({k for k, at in pins if at == SEGMENT_END}
                     & {k for k, at in after if at == SEGMENT_START})
-            report += [ContinuityJump(via, order, jump, order in both)
-                       for order, jump in enumerate(per_order)]
-        reports.append(ContinuityReport(tuple(report)))
-    return reports if isinstance(traj, tuple) else reports[0]
+            report += [[via, order, jump, order in both] for order, jump in enumerate(per_order)]
+        yield report

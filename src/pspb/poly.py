@@ -5,8 +5,8 @@ segment time normalized keeps the boundary-value systems well conditioned
 even for very short segments. ``differentiate`` gives the formal
 derivatives of a reference polynomial; a trajectory's table forms its own.
 ``horner_rows`` is the one evaluation kernel: ``schemes._read_table``, which
-``evaluate``, ``continuity_report`` and ``residuals`` call, runs it over a
-table of derivative rows, ``horner`` over one polynomial's coefficients.
+every read of a trajectory goes through, runs it over a table of derivative
+rows, ``horner`` over one polynomial's coefficients.
 """
 
 from __future__ import annotations

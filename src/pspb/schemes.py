@@ -317,7 +317,17 @@ def _stack(traj):
     ends = np.cumsum([0] + [len(one._spans) for one in traj])
     coeffs = _padded(row for one in traj for row in one._coeffs.tolist())
     spans = [span for one in traj for span in one._spans]
-    return traj, _build_table(coeffs, spans), zip(ends, ends[1:])
+    return traj, _build_table(coeffs, spans), list(zip(ends, ends[1:]))
+
+
+def _read_stack(stack, times: np.ndarray, rows: slice, order: int | slice):
+    """Order(s) at ``times`` on segments ``rows`` of every trajectory of a ``_stack``, as
+    ``evaluate`` reads a tuple but unchecked and with one ``searchsorted``, on the first
+    trajectory's starts within ``rows``: the trajectories must share their segment times."""
+    _, (starts, powers, _), ends = stack
+    idx = (np.searchsorted(starts[1:rows.stop], times, side="right").clip(rows.start)
+           + np.reshape([first for first, _ in ends], (-1,) + (1,) * times.ndim))
+    return _read_table(stack[1], idx, (times - starts.take(idx)) / powers[1].take(idx), order)
 
 
 def _padded(rows) -> np.ndarray:

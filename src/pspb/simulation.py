@@ -25,6 +25,13 @@ BLOWUP_LIMIT = 1e6  # rad or rad/s; beyond this the controller has diverged
 MAX_STEPS = 10**6  # RK4 steps per run; about 170 bytes each at peak, in float columns
 
 
+def _check_finite(params, what: str):
+    """A ValueError naming the first field of ``params`` that is inf or NaN."""
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{what} must be finite, got {name}={value}")
+
+
 @dataclass(frozen=True)
 class BodyParams:
     """Rigid segment: mass (kg), length (m), center of mass offset (m)."""
@@ -34,7 +41,8 @@ class BodyParams:
     com: float
 
     def __post_init__(self):
-        if not all(0 < x < math.inf for x in (self.mass, self.length, self.com)):
+        _check_finite(self, "mass, length, and com")
+        if not all(0 < x for x in (self.mass, self.length, self.com)):
             raise ValueError("mass, length, and com must be positive")
         if self.com >= self.length:
             raise ValueError("center of mass must lie within the segment")
@@ -62,7 +70,8 @@ class PDGains:
     kd: float = 50.0   # N*m*s/rad
 
     def __post_init__(self):
-        if not (0 <= self.kp < math.inf and 0 <= self.kd < math.inf):  # NaN included
+        _check_finite(self, "gains")
+        if not (0 <= self.kp and 0 <= self.kd):
             raise ValueError("gains must be non-negative")
 
 
@@ -153,7 +162,8 @@ def simulate_tracking(
 
     # rk4_step over pd_torque, gravity_torque and hip_dynamics, inlined on Python
     # floats with the same operations in the same order, so the result is bit-identical
-    # (test_stage_reference_table_is_bit_identical pins it). A switched-off feedforward
+    # (test_stage_reference_table_is_bit_identical pins it; 2.0 is rk4_step's 2, and CPython
+    # multiplies two floats faster than an int and a float). A switched-off feedforward
     # or gravity term adds -0.0, which leaves any float unchanged. Each step reads
     # memoryviews: h, h/2 and h/6 (divided once per array, the same bits as per step),
     # then pos, vel and feedforward torque at stage 1, stages 2 and 3, and stage 4.
@@ -182,8 +192,8 @@ def simulate_tracking(
         g = mgc * sin(th)
         a4 = (kp * (p4 - th) + kd * (v4 - om4) + f4
               + (g if gravity_compensation else -0.0) - g) / inertia
-        theta = theta + h6 * (omega + 2 * om2 + 2 * om3 + om4)
-        omega = omega + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        theta = theta + h6 * (omega + 2.0 * om2 + 2.0 * om3 + om4)
+        omega = omega + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         if not (low <= theta <= high and low <= omega <= high):  # a NaN state too
             raise NumericalBlowup(
                 f"state diverged at t={times[len(thetas)]:.4f}: {SimState(theta, omega)}"

@@ -256,9 +256,9 @@ def test_each_grid_is_read_once_for_every_scheme(tmp_path, config_path, monkeypa
                                                  verb, reads):
     # generate reads the stance and the swing grid and the via-point limits;
     # compare the full, stance and swing grids and the via windows, and samples
-    # the reference once per grid and order. Each read builds one table and
-    # runs the kernel once, for one scheme as for six. Explicit waypoints and
-    # mid-points leave the reference to the metrics alone.
+    # the reference once per grid and order. Each verb stacks its gaits into one
+    # table, and each read runs the kernel once on it, for one scheme as for six.
+    # Explicit waypoints and mid-points leave the reference to the metrics alone.
     ref = SinusoidReference()
     doc = {**BASE, "waypoints": {
         phase: [[t, *(float(ref(t, k)) for k in range(4))] for t in times]
@@ -283,10 +283,33 @@ def test_each_grid_is_read_once_for_every_scheme(tmp_path, config_path, monkeypa
         path = config_path({**doc, "schemes": names})
         assert main([verb, "--config", path, "--out", str(tmp_path / "out")]) == 0
         seen.append(dict(counts))
-    want = {"tables": reads, "reads": reads}
+    want = {"tables": 1, "reads": reads}
     if verb == "compare":
         want["reference"] = 16
     assert seen == [want, want]
+
+
+def test_profiles_meet_at_the_shared_phase_time_from_each_side(tmp_path, config_path,
+                                                               monkeypatch):
+    # Each phase's grid reads its own rows of the one stacked table. At the time both
+    # phases share, the stance profile ends on stance's last segment (the left limit)
+    # and the swing profile starts on swing's first (the right limit), to the bit.
+    tables = []
+    monkeypatch.setattr(cli, "_csv_blocks",
+                        lambda rows, blocks=cli._csv_blocks: tables.append(rows) or blocks(rows))
+    assert main(["generate", "--config", config_path(BASE), "--out", str(tmp_path / "o")]) == 0
+    n = len(SCHEME_NAMES)
+    profiles = [table for table in tables if isinstance(table, np.ndarray)]
+    assert len(profiles) == 2 * n  # one block per phase and scheme: stance, then swing
+    config, sides_differ = RunConfig(BASE), 0
+    for name, stance, swing in zip(SCHEME_NAMES, profiles[:n], profiles[n:], strict=True):
+        gait = config.build_gait(name)
+        left = evaluate(gait._rows(slice(3)), 0.6, slice(None))
+        right = evaluate(gait._rows(slice(3, 6)), 0.6, slice(None))
+        assert stance[-1, 0] == swing[0, 0] == 0.6
+        assert same_bits(stance[-1, 1:], left) and same_bits(swing[0, 1:], right)
+        sides_differ += not same_bits(left, right)
+    assert sides_differ  # so a grid reading the other phase's row at 0.6 would show
 
 
 def test_missing_gait_inputs_fail_at_the_first_build(tmp_path, config_path, capsys):
@@ -495,6 +518,13 @@ REFUSED_BEFORE_OUT = {
          "swing_times": [0.6, 0.7, 0.9, 1.0]}, None,
         "swing_times: [0.6, 0.7, 0.9, 1.0] are not waypoints.swing's times "
         "[0.6, 0.68, 0.92, 1.0]"),
+    # Explicit waypoints whose phases do not chain: the line names the waypoint tables.
+    "waypoints_apart": (
+        {"waypoints": {**README_WAYPOINTS,
+                       "swing": [[0.65, 0, 0, 0, 0], *README_WAYPOINTS["swing"][1:]]}}, None,
+        "waypoints.stance ends at 0.6 but waypoints.swing starts at 0.65"),
+    # A negative gain keeps its own line (inf and NaN are refused by the config's reader).
+    "kp_negative": ({"sim": {"kp": -1}}, None, "gains must be non-negative"),
     "waypoints_not_increasing": (
         {"waypoints": {**README_WAYPOINTS, "swing": README_WAYPOINTS["swing"][::-1]}}, None,
         "waypoints.swing: times must be strictly increasing: [1.0, 0.92, 0.68, 0.6]"),
@@ -941,7 +971,7 @@ def test_grid_blocks_are_linspace_read_in_blocks(start, span, samples):
     trajs = (one_segment(start, start + span),)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "CSV_BLOCK_ROWS", 7)
-        blocks = list(cli._grid(trajs, samples))
+        blocks = list(cli._grid(schemes._stack(trajs), slice(0, 1), samples))
     times = np.linspace(start, start + span, samples)
     assert [(rows.start, rows.stop) for rows, _, _ in blocks] == \
         [(i, min(i + 7, samples)) for i in range(0, samples, 7)]

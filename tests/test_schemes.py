@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pspb import poly, schemes
-from pspb.cli import _phases
 from pspb.errors import (
     MissingWaypointDerivative,
     NonContiguousPhases,
@@ -58,6 +57,11 @@ def build_gait(name, ref):
         lambda t: ref(t, 0),
         lambda t: ref(t, 0),
     )
+
+
+def phase_halves(gait):
+    """The stance and swing halves of a six-segment gait: its rows 0-2 and 3-5."""
+    return gait._rows(slice(3)), gait._rows(slice(3, 6))
 
 
 def same_bits(a, b):
@@ -300,7 +304,7 @@ def test_kinematics_is_a_one_segment_evaluate():
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_phase_halves_evaluate_like_the_gait(name):
     traj = build_gait(name, generic_reference(11))
-    stance, swing = _phases(traj)
+    stance, swing = phase_halves(traj)
     # The gait is right-continuous at 0.6, where swing takes over, so the
     # stance half is compared on [0, 0.6) only.
     for half, times in ((stance, np.linspace(0.0, 0.6, 57)[:-1]),
@@ -727,7 +731,7 @@ def test_tuple_forms_match_one_call_per_trajectory_bitwise(seed):
     ref, stance, swing, midpoint = random_phases(np.random.default_rng(seed))
     gaits = tuple(generate_gait(spec, stance, swing, midpoint, midpoint)
                   for spec in EVERY_SPEC)
-    for trajs in (gaits, *zip(*map(_phases, gaits))):
+    for trajs in (gaits, *zip(*map(phase_halves, gaits))):
         first = trajs[0]
         grid = np.concatenate([np.linspace(first.t_start, first.t_end, 41), first.via_times])
         for t in (grid, grid[:40].reshape(5, 8), first.via_times[0], first.t_end):
@@ -751,7 +755,7 @@ def test_tuple_forms_of_no_trajectory_are_empty():
 
 def test_tuple_out_of_domain_names_the_span_it_misses():
     gait = build_gait("434-1", generic_reference(2))
-    stance, swing = _phases(gait)
+    stance, swing = phase_halves(gait)
     for t, missed in ((0.3, swing), (0.8, stance)):
         span = f"t={t} outside trajectory span [{missed.t_start}, {missed.t_end}]"
         with pytest.raises(OutOfDomain, match=re.escape(span)):
@@ -766,7 +770,7 @@ def test_via_point_rmse_reads_a_tuple_only_on_one_span_and_via_times():
     other, _, _ = random_gait(scheme, rng)  # the same span, other via times
     assert (other.t_start, other.t_end) == (gait.t_start, gait.t_end)
     assert other.via_times != gait.via_times
-    for trajs in ((gait, other), _phases(gait)):
+    for trajs in ((gait, other), phase_halves(gait)):
         with pytest.raises(ValueError, match="must share one span and via times"):
             via_point_rmse(trajs, ref, slice(None))
 
@@ -787,7 +791,7 @@ def test_a_solved_gait_reads_like_one_built_from_its_segments(spec, seed):
     # A solved gait holds its solve's coefficient array, spans and slots. The same
     # gait built from free copies of its segments, and each segment alone, read the
     # same bits: evaluate, continuity_report, via_point_rmse, kinematics, residuals
-    # and the two halves _phases takes as row ranges of the gait's arrays.
+    # and the two halves phase_halves takes as row ranges of the gait's arrays.
     rng = np.random.default_rng(seed)
     ref, stance, swing, midpoint = random_phases(rng)
     gait = generate_gait(spec, stance, swing, midpoint, midpoint)
@@ -805,7 +809,7 @@ def test_a_solved_gait_reads_like_one_built_from_its_segments(spec, seed):
             assert same_reads(seg.kinematics(t), alone.kinematics(t))
         pins = [Constraint(k, tau, 1.0) for k, tau in seg.pins]
         assert repr(residuals(seg, pins)) == repr(residuals(alone, pins))
-    for half, part in zip(_phases(gait), (rebuilt.segments[:3], rebuilt.segments[3:])):
+    for half, part in zip(phase_halves(gait), (rebuilt.segments[:3], rebuilt.segments[3:])):
         whole = PiecewiseTrajectory(part)
         t = np.linspace(half.t_start, half.t_end, 13)
         assert same_bits(evaluate(half, t, slice(None)), evaluate(whole, t, slice(None)))
@@ -825,7 +829,7 @@ def test_solving_and_reading_a_gait_builds_no_segment_objects(monkeypatch):
                             lambda self, init=cls.__post_init__: built.append(self) or init(self))
     gaits = tuple(generate_gait(builtin_scheme(name), stance, swing, midpoint, midpoint)
                   for name in SCHEME_NAMES)
-    halves = [half for gait in gaits for half in _phases(gait)]
+    halves = [half for gait in gaits for half in phase_halves(gait)]
     for trajs in (*gaits, gaits, *halves, tuple(halves[::2]), tuple(halves[1::2])):
         first = trajs[0] if isinstance(trajs, tuple) else trajs
         evaluate(trajs, np.linspace(first.t_start, first.t_end, 9), slice(None))

@@ -295,11 +295,12 @@ def test_blowup_detected(feedforward):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: PDGains(500.0, math.nan), "gains must be non-negative"),
-    (lambda: PDGains(math.inf, 0.0), "gains must be non-negative"),
-    (lambda: BodyParams(15.0, 0.5, math.nan), "mass, length, and com must be positive"),
-    (lambda: BodyParams(math.inf, 0.5, 0.3), "mass, length, and com must be positive"),
-    (lambda: BodyParams(15.0, math.inf, 0.3), "mass, length, and com must be positive"),
+    (lambda: PDGains(500.0, math.nan), "gains must be finite, got kd=nan"),
+    (lambda: PDGains(math.inf, 0.0), "gains must be finite, got kp=inf"),
+    (lambda: BodyParams(15.0, 0.5, math.nan), "mass, length, and com must be finite, got com=nan"),
+    (lambda: BodyParams(math.inf, 0.5, 0.3), "mass, length, and com must be finite, got mass=inf"),
+    (lambda: BodyParams(15.0, math.inf, 0.3),
+     "mass, length, and com must be finite, got length=inf"),
 ], ids=["kd_nan", "kp_inf", "com_nan", "mass_inf", "length_inf"])
 def test_non_finite_gains_and_body_params_are_refused(make, message):
     # NaN fails every comparison, so `kp < 0` used to let it through; a gain of

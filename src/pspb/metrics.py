@@ -101,7 +101,7 @@ class ViaWindowError:
 
 
 def via_point_rmse(
-    traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...],
+    traj: PiecewiseTrajectory,
     reference: Reference,
     order: int | slice = 0,
     window: float = DEFAULT_VIA_WINDOW,
@@ -112,20 +112,14 @@ def via_point_rmse(
     flagged. ``order`` is an int or, as in ``evaluate``, a slice of orders
     0..3 that returns one list per order from one evaluation. ``reference``
     is called once per order, as reference(times, order), one row per window.
-    A tuple of trajectories sharing one span and one set of via times is read
-    in the same calls, and returns one result per trajectory.
     """
     if not window > 0:  # NaN included
         raise ValueError(f"window must be positive, got {window}")
     _check_order(order)
-    trajs = traj if isinstance(traj, tuple) else (traj,)
-    if len(shapes := {(one.t_start, one.t_end, one.via_times) for one in trajs}) > 1:
-        raise ValueError(f"a tuple must share one span and via times, got {shapes}")
     rows = order if isinstance(order, slice) else slice(order, order + 1)
-    results = [[[ViaWindowError(*row) for row in per_order] for per_order in per_traj]
-               for per_traj in _via_windows(_stack(trajs), reference, rows, window)]
-    results = [per_traj if isinstance(order, slice) else per_traj[0] for per_traj in results]
-    return results if isinstance(traj, tuple) else results[0]
+    (windows,) = _via_windows(_stack(traj), reference, rows, window)
+    results = [[ViaWindowError(*row) for row in per_order] for per_order in windows]
+    return results if isinstance(order, slice) else results[0]
 
 
 def _via_windows(stack, reference: Reference, rows: slice, window: float) -> list:
@@ -138,7 +132,8 @@ def _via_windows(stack, reference: Reference, rows: slice, window: float) -> lis
     hi = [min(v + window, t1) for v in vias]
     times = np.linspace(lo, hi, VIA_WINDOW_SAMPLES, axis=-1)
     expected = np.array([reference(times, k) for k in range(MAX_DERIVATIVE + 1)[rows]])
-    rms = _rms(_read_stack(stack, times, slice(0, len(vias) + 1), rows) - expected[:, None])
+    values = _read_stack(stack, times, slice(len(vias) + 1), rows)
+    rms = _rms(values.reshape(len(expected), len(trajs), *times.shape) - expected[:, None])
     return [[[[v, r, (a, b), v - window < t0 or v + window > t1]
               for v, a, b, r in zip(vias, lo, hi, per_order)]
              for per_order in per_traj] for per_traj in rms.swapaxes(0, 1).tolist()]
@@ -165,22 +160,20 @@ class ContinuityReport:
         raise KeyError((via_time, order))
 
 
-def continuity_report(traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...]):
+def continuity_report(traj: PiecewiseTrajectory) -> ContinuityReport:
     """|right limit - left limit| per via point per order, exact at tau 1 on each segment
-    but the last and tau 0 on the next (sampling could straddle or miss a via time). A
-    tuple of trajectories is read in one call, and gives one report per trajectory."""
-    reports = [ContinuityReport(tuple(ContinuityJump(*jump) for jump in jumps))
-               for jumps in _jumps(_stack(traj))]
-    return reports if isinstance(traj, tuple) else reports[0]
+    but the last and tau 0 on the next (sampling could straddle or miss a via time)."""
+    (jumps,) = _jumps(_stack(traj))
+    return ContinuityReport(tuple(ContinuityJump(*jump) for jump in jumps))
 
 
 def _jumps(stack):
     """Per trajectory of a ``_stack``, a list of each jump's ``ContinuityJump`` fields."""
-    trajs, table, rows = stack
+    trajs, table, firsts = stack
     end, start = _read_table(table, np.arange(len(table[0])),
                              np.reshape([SEGMENT_END, SEGMENT_START], (2, 1, 1)), slice(None))
     jumps = np.abs(start[:, 1:] - end[:, :-1]).T.tolist()  # from row i to row i + 1
-    for one, (first, _) in zip(trajs, rows):
+    for one, first in zip(trajs, firsts or [0]):  # one trajectory's stack starts at row 0
         report = []
         for (pins, _), (after, _), (via, _), per_order in zip(
                 one._slots, one._slots[1:], one._spans[1:], jumps[first:]):

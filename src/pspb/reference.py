@@ -114,7 +114,13 @@ class CsvReference:
                     f"{path}: every row needs {len(header)} cells, one per "
                     f"header column, got {row}"
                 )
-        data = np.array([[float(x) for x in row] for row in rows])
+        data = []
+        for row in rows:
+            try:
+                data.append([float(x) for x in row])
+            except ValueError:  # float()'s own line names neither the file nor the row
+                raise ConfigError(f"{path}: every cell must be a number, got {row}") from None
+        data = np.array(data)
         columns = {}
         for i, name in enumerate(header[1:], start=1):
             if name not in cls.COLUMNS:

@@ -244,6 +244,8 @@ class PiecewiseTrajectory:
 
     def __init__(self, segments: Sequence[SolvedSegment]):
         self.segments = segments = tuple(segments)
+        if not segments:
+            raise ValueError("a trajectory needs at least one segment")
         for left, right in zip(segments, segments[1:]):
             if left.t_end != right.t_start:
                 raise ValueError("segments must be contiguous")
@@ -311,22 +313,24 @@ def _read_table(table, idx, tau, order: int | slice):
 
 
 def _stack(traj):
-    """A trajectory or a tuple's: its table (cached, or stacked) and each one's rows in it."""
+    """A trajectory's cached table, or a tuple's stacked over all their segments with each
+    trajectory's first row in it (none for one trajectory: its reads add no trajectory axis)."""
     if not isinstance(traj, tuple):
-        return (traj,), traj._table, [(0, len(traj._spans))]
-    ends = np.cumsum([0] + [len(one._spans) for one in traj])
+        return (traj,), traj._table, None
+    firsts = np.cumsum([0] + [len(one._spans) for one in traj])[:-1].tolist()
     coeffs = _padded(row for one in traj for row in one._coeffs.tolist())
     spans = [span for one in traj for span in one._spans]
-    return traj, _build_table(coeffs, spans), list(zip(ends, ends[1:]))
+    return traj, _build_table(coeffs, spans), firsts
 
 
 def _read_stack(stack, times: np.ndarray, rows: slice, order: int | slice):
-    """Order(s) at ``times`` on segments ``rows`` of every trajectory of a ``_stack``, as
-    ``evaluate`` reads a tuple but unchecked and with one ``searchsorted``, on the first
-    trajectory's starts within ``rows``: the trajectories must share their segment times."""
-    _, (starts, powers, _), ends = stack
-    idx = (np.searchsorted(starts[1:rows.stop], times, side="right").clip(rows.start)
-           + np.reshape([first for first, _ in ends], (-1,) + (1,) * times.ndim))
+    """Order(s) at ``times`` on segments ``rows`` of every trajectory of a ``_stack``: the one
+    place that turns a time into a segment. Unchecked: the times lie in the rows' span and the
+    trajectories share their segment times, so one ``searchsorted`` on the first one's starts
+    up to the rows' end finds each segment (a phase's end reads its last at tau 1)."""
+    _, (starts, powers, _), firsts = stack
+    idx = np.searchsorted(starts[1:rows.stop], times, side="right")
+    idx = idx if firsts is None else np.add.outer(firsts, idx)  # a tuple's trajectory axis
     return _read_table(stack[1], idx, (times - starts.take(idx)) / powers[1].take(idx), order)
 
 
@@ -335,30 +339,20 @@ def _padded(rows) -> np.ndarray:
     return np.array(list(zip_longest(*rows, fillvalue=0.0)), ndmin=2).T
 
 
-def evaluate(traj: PiecewiseTrajectory | tuple[PiecewiseTrajectory, ...], t,
-             order: int | slice = 0):
+def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
     """Derivative order(s) at time(s) t; right-continuous at via times.
 
     ``t`` is a float or an array; ``order`` is an int or a slice of the
     orders 0..3. A slice adds a leading axis, one row per order, so a
-    float ``t`` returns a numpy float, or a 1-d array for a slice. A tuple of
-    trajectories is read at the same times from one table stacked over all their
-    segments: a trajectory axis follows any order axis.
+    float ``t`` returns a numpy float, or a 1-d array for a slice.
     """
     _check_order(order)
     times = np.asarray(t, dtype=float)
-    trajs, table, rows = _stack(traj)
-    starts, powers, _ = table
-    idx = []
-    for one, (first, end) in zip(trajs, rows):
-        outside = ~((one.t_start <= times) & (times <= one.t_end))
-        if outside.any():
-            raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
-                              f"[{one.t_start}, {one.t_end}]")
-        idx.append(np.searchsorted(starts[first + 1:end], times, side="right") + first)
-    idx = (np.array(idx, np.intp).reshape(len(trajs), *times.shape) if isinstance(traj, tuple)
-           else idx[0])  # a tuple's (trajectory, *times.shape) indices, the empty tuple's too
-    return _read_table(table, idx, (times - starts.take(idx)) / powers[1].take(idx), order)
+    outside = ~((traj.t_start <= times) & (times <= traj.t_end))
+    if outside.any():
+        raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
+                          f"[{traj.t_start}, {traj.t_end}]")
+    return _read_stack(_stack(traj), times, slice(len(traj._spans)), order)
 
 
 def _check_order(order: int | slice):
@@ -393,7 +387,8 @@ def generate_gait(
     swing_midpoints: MidpointSource = None,
 ) -> PiecewiseTrajectory:
     """One full gait cycle: stance phase then swing phase, six segments."""
-    if stance_waypoints[-1].time != swing_waypoints[0].time:
+    if (len(stance_waypoints) and len(swing_waypoints)  # an empty phase fails the count check
+            and stance_waypoints[-1].time != swing_waypoints[0].time):
         raise NonContiguousPhases(
             f"stance ends at {stance_waypoints[-1].time} but swing starts "
             f"at {swing_waypoints[0].time}"

@@ -533,6 +533,9 @@ REFUSED_BEFORE_OUT = {
                      "reference times must be strictly increasing"),
     "csv_no_rows": ({}, "t,pos\n", "{csv}: no data rows"),
     "csv_unknown_column": ({}, "t,pos,speed\n0,1,2\n1,2,3\n", "{csv}: unknown column 'speed'"),
+    # A cell that is not a number: the line names the file and the row.
+    "csv_not_a_number": ({}, "t,pos\n0,1\n0.5,abc\n1,0\n",
+                         "{csv}: every cell must be a number, got ['0.5', 'abc']"),
 }
 
 
@@ -977,7 +980,7 @@ def test_grid_blocks_are_linspace_read_in_blocks(start, span, samples):
         [(i, min(i + 7, samples)) for i in range(0, samples, 7)]
     assert same_bits(np.concatenate([t for _, t, _ in blocks]), times)
     assert same_bits(np.concatenate([v for _, _, v in blocks], axis=-1),
-                     evaluate(trajs, times, slice(None)))
+                     evaluate(trajs[0], times, slice(None))[:, None])
 
 
 @pytest.mark.parametrize("verb", ["generate", "compare"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pspb import poly, schemes
+from pspb import metrics, poly, schemes
 from pspb.errors import (
     MissingWaypointDerivative,
     NonContiguousPhases,
@@ -195,6 +195,12 @@ def test_gait_rejects_noncontiguous_phases():
                      for span in ((0.0, 0.6), (0.7, 1.0)))
     with pytest.raises(ValueError, match="^segments must be contiguous$"):
         PiecewiseTrajectory((stance, swing))
+
+
+def test_a_trajectory_without_segments_is_refused():
+    for segments in ((), []):
+        with pytest.raises(ValueError, match="^a trajectory needs at least one segment$"):
+            PiecewiseTrajectory(segments)
 
 
 def test_mismatched_phase_boundary_positions_flagged_not_rejected():
@@ -442,6 +448,12 @@ def test_gait_errors_keep_stance_first_order():
                       [Waypoint(t, 0.0) for t in (0.6, 0.9, 0.8, 1.0)])
     with pytest.raises(ValueError, match="^a phase needs exactly 4 waypoints, got 3$"):
         generate_gait(builtin_scheme("656-1"), zero_waypoints(STANCE), zero_waypoints(SWING[:3]))
+    # An empty phase reaches the same count check, stance first.
+    for stance, swing in (([], zero_waypoints(SWING)), (zero_waypoints(STANCE), []), ([], [])):
+        with pytest.raises(ValueError, match="^a phase needs exactly 4 waypoints, got 0$"):
+            generate_gait(builtin_scheme("656-1"), stance, swing)
+    with pytest.raises(MissingWaypointDerivative, match="segment 1 needs derivative order 2"):
+        generate_gait(builtin_scheme("656-1"), [Waypoint(t, 0.0, 0.0) for t in STANCE], [])
     # Mid-point sources are called in segment order, stance before swing.
     calls = []
     ref = generic_reference(2)
@@ -725,54 +737,29 @@ EVERY_SPEC = [builtin_scheme(name) for name in SCHEME_NAMES] + list(WIDE_SPECS)
 
 @pytest.mark.parametrize("seed", range(3))
 def test_tuple_forms_match_one_call_per_trajectory_bitwise(seed):
-    # Gaits of every built-in scheme and of the wide specs on the same phases,
-    # then their stance halves and their swing halves: each tuple read in one
-    # call gives each trajectory's own call's bits, in order.
+    # The stacked readers generate and compare use, over a tuple: gaits of every
+    # built-in scheme and of the wide specs on the same phases, then their stance
+    # halves and their swing halves, each tuple stacked into one table, read each
+    # trajectory's bits of its own public call, in order.
     ref, stance, swing, midpoint = random_phases(np.random.default_rng(seed))
     gaits = tuple(generate_gait(spec, stance, swing, midpoint, midpoint)
                   for spec in EVERY_SPEC)
     for trajs in (gaits, *zip(*map(phase_halves, gaits))):
-        first = trajs[0]
+        first, stack = trajs[0], schemes._stack(trajs)
         grid = np.concatenate([np.linspace(first.t_start, first.t_end, 41), first.via_times])
         for t in (grid, grid[:40].reshape(5, 8), first.via_times[0], first.t_end):
             for order in (*range(4), slice(None), slice(1, 3)):
                 axis = 1 if isinstance(order, slice) else 0
-                assert same_bits(evaluate(trajs, t, order),
-                                 np.stack([evaluate(one, t, order) for one in trajs], axis))
-        for order, window in ((0, 0.01), (3, 0.01), (slice(None), 0.01), (slice(None), 0.2)):
-            assert repr(via_point_rmse(trajs, ref, order, window)) == repr(
-                [via_point_rmse(one, ref, order, window) for one in trajs])
-        assert repr(continuity_report(trajs)) == repr(list(map(continuity_report, trajs)))
-
-
-def test_tuple_forms_of_no_trajectory_are_empty():
-    times = np.linspace(0.0, 1.0, 7)
-    assert evaluate((), times, slice(None)).shape == (4, 0, 7)
-    assert evaluate((), times, 2).shape == (0, 7)
-    assert via_point_rmse((), generic_reference(), slice(None)) == []
-    assert continuity_report(()) == []
-
-
-def test_tuple_out_of_domain_names_the_span_it_misses():
-    gait = build_gait("434-1", generic_reference(2))
-    stance, swing = phase_halves(gait)
-    for t, missed in ((0.3, swing), (0.8, stance)):
-        span = f"t={t} outside trajectory span [{missed.t_start}, {missed.t_end}]"
-        with pytest.raises(OutOfDomain, match=re.escape(span)):
-            evaluate((gait, stance, swing), np.array([0.6, t]), slice(None))
-
-
-def test_via_point_rmse_reads_a_tuple_only_on_one_span_and_via_times():
-    rng = np.random.default_rng(5)
-    ref, stance, swing, midpoint = random_phases(rng)
-    scheme = builtin_scheme("545-1")
-    gait = generate_gait(scheme, stance, swing, midpoint, midpoint)
-    other, _, _ = random_gait(scheme, rng)  # the same span, other via times
-    assert (other.t_start, other.t_end) == (gait.t_start, gait.t_end)
-    assert other.via_times != gait.via_times
-    for trajs in ((gait, other), phase_halves(gait)):
-        with pytest.raises(ValueError, match="must share one span and via times"):
-            via_point_rmse(trajs, ref, slice(None))
+                got = schemes._read_stack(stack, np.asarray(t), slice(len(first._spans)), order)
+                assert same_bits(got, np.stack([evaluate(one, t, order) for one in trajs], axis))
+        for orders, window in ((slice(0, 1), 0.01), (slice(3, 4), 0.01), (slice(None), 0.01),
+                               (slice(None), 0.2)):
+            got = [[[metrics.ViaWindowError(*row) for row in per_order] for per_order in windows]
+                   for windows in metrics._via_windows(stack, ref, orders, window)]
+            assert repr(got) == repr([via_point_rmse(one, ref, orders, window) for one in trajs])
+        got = [metrics.ContinuityReport(tuple(metrics.ContinuityJump(*jump) for jump in jumps))
+               for jumps in metrics._jumps(stack)]
+        assert repr(got) == repr(list(map(continuity_report, trajs)))
 
 
 def free(seg):
@@ -819,9 +806,9 @@ def test_a_solved_gait_reads_like_one_built_from_its_segments(spec, seed):
 
 
 def test_solving_and_reading_a_gait_builds_no_segment_objects(monkeypatch):
-    # Solving, evaluating (one gait, a tuple, the halves), the continuity and via
-    # metrics, sampling and tracking read the gait's arrays: no SolvedSegment or
-    # Polynomial is built until ``segments`` is read.
+    # Solving, evaluating (one gait, the halves), the continuity and via metrics, the
+    # stacked reads of generate and compare, sampling and tracking read the gait's
+    # arrays: no SolvedSegment or Polynomial is built until ``segments`` is read.
     ref, stance, swing, midpoint = random_phases(np.random.default_rng(4))
     built = []
     for cls in (SolvedSegment, poly.Polynomial):
@@ -830,11 +817,16 @@ def test_solving_and_reading_a_gait_builds_no_segment_objects(monkeypatch):
     gaits = tuple(generate_gait(builtin_scheme(name), stance, swing, midpoint, midpoint)
                   for name in SCHEME_NAMES)
     halves = [half for gait in gaits for half in phase_halves(gait)]
-    for trajs in (*gaits, gaits, *halves, tuple(halves[::2]), tuple(halves[1::2])):
-        first = trajs[0] if isinstance(trajs, tuple) else trajs
-        evaluate(trajs, np.linspace(first.t_start, first.t_end, 9), slice(None))
-        continuity_report(trajs)
-    via_point_rmse(gaits, ref, slice(None))
+    for traj in (*gaits, *halves):
+        evaluate(traj, np.linspace(traj.t_start, traj.t_end, 9), slice(None))
+        continuity_report(traj)
+    for trajs in (gaits, tuple(halves[::2]), tuple(halves[1::2])):
+        stack = schemes._stack(trajs)
+        times = np.linspace(trajs[0].t_start, trajs[0].t_end, 9)
+        schemes._read_stack(stack, times, slice(len(trajs[0]._spans)), slice(None))
+        list(metrics._jumps(stack))
+    metrics._via_windows(schemes._stack(gaits), ref, slice(None), 0.01)
+    via_point_rmse(gaits[0], ref, slice(None))
     sample(gaits[0], 11, 3)
     simulate_tracking(gaits[-1], dt=1e-3)
     assert built == []

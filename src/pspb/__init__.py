@@ -24,7 +24,7 @@ from .metrics import (
     sample,
     via_point_rmse,
 )
-from .poly import Polynomial, differentiate
+from .poly import Polynomial
 from .reference import (
     CsvReference,
     PolynomialReference,
@@ -67,7 +67,7 @@ __all__ = [
     "NonContiguousPhases", "NumericalBlowup", "OutOfDomain", "PspbError",
     "SeriesMismatch", "SingularSystem", "UnknownScheme", "ContinuityReport",
     "SampledSeries", "ade", "continuity_report", "mae", "rmse", "sample",
-    "via_point_rmse", "Polynomial", "differentiate", "CsvReference",
+    "via_point_rmse", "Polynomial", "CsvReference",
     "PolynomialReference", "SinusoidReference", "waypoints_from_reference",
     "DEFAULT_STANCE_TIMES", "DEFAULT_SWING_TIMES", "SCHEME_NAMES",
     "PiecewiseTrajectory", "SchemeSpec", "Waypoint", "builtin_scheme", "evaluate",

@@ -2,11 +2,11 @@
 
 Coefficients are stored in ascending power over tau in [0, 1]. Keeping
 segment time normalized keeps the boundary-value systems well conditioned
-even for very short segments. ``differentiate`` gives the formal
-derivatives of a reference polynomial; a trajectory's table forms its own.
-``horner_rows`` is the one evaluation kernel: ``schemes._read_table``, which
-every read of a trajectory goes through, runs it over a table of derivative
-rows, ``horner`` over one polynomial's coefficients.
+even for very short segments. ``schemes._build_table`` is the one
+differentiation, for trajectories and polynomial references alike, and
+``horner_rows`` the one evaluation kernel: ``schemes._read_table``, which every
+read of a trajectory goes through, runs it over a table of derivative rows,
+``PolynomialReference`` over one such table's rows as Python floats.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ class Polynomial:
         object.__setattr__(self, "degree", len(coeffs) - 1)
 
 
-def horner(poly: Polynomial, t):
-    """Evaluate by Horner's scheme at a float or element-wise on an array."""
-    return horner_rows(reversed(poly.coefficients), t)
-
-
 def horner_rows(rows, t):
     """Horner's scheme over coefficients (floats or arrays), highest power
     first. Leading zeros leave +0.0, so zero padding changes no bit."""
@@ -56,13 +51,3 @@ def horner_rows(rows, t):
     for row in rows:
         acc = acc * t + row
     return acc
-
-
-def differentiate(poly: Polynomial, k: int) -> Polynomial:
-    """k-th formal derivative, 0 <= k <= 3."""
-    if not is_order(k):
-        raise ValueError(f"derivative order must be in [0, {MAX_DERIVATIVE}], got {k}")
-    coeffs = list(poly.coefficients)
-    for _ in range(k):
-        coeffs = [i * c for i, c in enumerate(coeffs)][1:] or [0.0]
-    return Polynomial(tuple(coeffs))

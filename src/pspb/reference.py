@@ -4,7 +4,9 @@ A reference is any callable ``ref(t, order)`` for orders 0..3 that, like
 ``schemes.evaluate``, takes a float or an array of times and returns
 values of the same shape. Real gait data comes in as a CSV table; a
 built-in sinusoid and a plain polynomial cover testing and demos without
-external data.
+external data. A polynomial reference is differentiated by the one
+differentiation in the package, ``schemes._build_table``, and read by the one
+evaluation kernel, ``poly.horner_rows``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .poly import MAX_DERIVATIVE, Polynomial, differentiate, horner
-from .schemes import Waypoint, _check_order
+from .poly import Polynomial, horner_rows
+from .schemes import Waypoint, _build_table, _check_order
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,17 @@ class PolynomialReference:
     coefficients: tuple[float, ...]
 
     @cached_property
-    def _derivatives(self) -> tuple[Polynomial, ...]:
-        # Built on first call, so each call is one Horner pass.
-        polynomial = Polynomial(self.coefficients)
-        return tuple(differentiate(polynomial, k) for k in range(MAX_DERIVATIVE + 1))
+    def _rows(self) -> list[list[float]]:
+        """Per order, its derivative's coefficients highest power first, read off a
+        one-segment table on [0, 1] (T = 1: no division). Built on first call, so
+        each call is one Horner pass over Python floats."""
+        coefficients = Polynomial(self.coefficients).coefficients  # at least one, all finite
+        _, _, table = _build_table(np.array([coefficients]), [(0.0, 1.0)])
+        return table[:, :, 0].T.tolist()
 
     def __call__(self, t, order: int = 0):
         _check_order(order)
-        return horner(self._derivatives[order], t)
+        return horner_rows(self._rows[order], t)
 
 
 class CsvReference:

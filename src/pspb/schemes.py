@@ -107,6 +107,9 @@ class SchemeSpec:
     def __post_init__(self):
         if len(self.segment_constraints) != 3:
             raise ValueError(f"a phase has 3 segments, got {len(self.segment_constraints)}")
+        for i, cons in enumerate(self.segment_constraints, start=1):
+            if not cons:  # else the first solve fails in numpy, naming no segment
+                raise ValueError(f"segment {i} has no constraints")
         for tau, order in (pin for cons in self.segment_constraints for pin in cons):
             # Pin values come from the waypoints or the mid-point source only.
             if tau not in (START, MID, END):
@@ -292,9 +295,10 @@ class PiecewiseTrajectory:
 
 
 def _build_table(coeffs: np.ndarray, spans):
-    """Segment starts, T**k by (order, segment), and the one place that differentiates:
-    order k + 1 from order k as ``i * c`` (``differentiate``'s bits), all segments at once,
-    highest power first, zero-padded on the left into one (power, order, segment) array."""
+    """Segment starts, T**k by (order, segment), and the one place that differentiates
+    (``PolynomialReference`` reads a one-segment table too): order k + 1 from order k as
+    ``i * c``, all segments at once, highest power first, zero-padded on the left into one
+    (power, order, segment) array."""
     c = coeffs.T
     table = np.zeros((len(c), MAX_DERIVATIVE + 1, len(spans)))
     for k in range(MAX_DERIVATIVE + 1):
@@ -406,7 +410,7 @@ def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
         if len(waypoints) != 4:
             raise ValueError(f"a phase needs exactly 4 waypoints, got {len(waypoints)}")
         times = [w.time for w in waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if any(not b > a for a, b in zip(times, times[1:])):  # a NaN time too
             raise ValueError(f"waypoint times must be strictly increasing: {times}")
         if any(b - a < MIN_SEGMENT_FRACTION * (times[-1] - times[0])
                for a, b in zip(times, times[1:])):

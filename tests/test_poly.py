@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import differentiate
 from pspb import poly
 from pspb.errors import OutOfDomain
 from pspb.poly import Polynomial
+from pspb.reference import PolynomialReference
 from pspb.solver import SolvedSegment
 
 
 def test_zero_polynomial():
-    assert poly.horner(Polynomial((0,)), 5.0) == 0.0
+    assert PolynomialReference((0,))(5.0) == 0.0
 
 
 @pytest.mark.parametrize("coefficients, message", [
@@ -23,13 +25,13 @@ def test_polynomial_refuses_no_or_non_finite_coefficients(coefficients, message)
 
 def test_hand_solved_cubic():
     # p(0)=0, p'(0)=0, p(1)=1, p'(1)=0 -> 3t^2 - 2t^3
-    p = Polynomial((0, 0, 3, -2))
-    assert poly.horner(p, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert poly.horner(p, 0.5) == pytest.approx(0.5, abs=1e-15)
+    p = PolynomialReference((0, 0, 3, -2))
+    assert p(1.0) == pytest.approx(1.0, abs=1e-15)
+    assert p(0.5) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_square_binomial():
-    assert poly.horner(Polynomial((1, 2, 1)), 2.0) == 9.0
+    assert PolynomialReference((1, 2, 1))(2.0) == 9.0
 
 
 def test_degree_is_structural():
@@ -37,35 +39,43 @@ def test_degree_is_structural():
     assert p.degree == 2
 
 
+# A polynomial reference reads its derivatives off the trajectory table's rows
+# (one segment on [0, 1]); these read them at points where each is exact.
+
 def test_differentiate_cubic():
-    d = poly.differentiate(Polynomial((0, 0, 3, -2)), 1)
-    assert d.coefficients == (0.0, 6.0, -6.0)
+    ref = PolynomialReference((0, 0, 3, -2))  # velocity 6t - 6t^2
+    assert [ref(t, 1) for t in (0.0, 0.5, 1.0, 2.0)] == [0.0, 1.5, 0.0, -12.0]
+    assert [ref(t, 2) for t in (0.0, 0.5, 1.0)] == [6.0, 0.0, -6.0]
 
 
 def test_differentiate_constant():
-    assert poly.differentiate(Polynomial((7,)), 1).coefficients == (0.0,)
+    ref = PolynomialReference((7,))
+    assert ref(0.3, 1) == 0.0
+    assert np.array_equal(ref(np.array([-1.0, 0.0, 2.5]), 1), np.zeros(3))
 
 
 def test_cubic_has_constant_jerk():
-    assert poly.differentiate(Polynomial((0, 0, 0, 1)), 3).coefficients == (6.0,)
+    ref = PolynomialReference((0, 0, 0, 1))
+    assert [ref(t, 3) for t in (-2.0, 0.0, 0.7, 5.0)] == [6.0] * 4
 
 
 def test_differentiate_identity_at_zero():
-    p = Polynomial((1, 2, 3))
-    assert poly.differentiate(p, 0).coefficients == p.coefficients
+    ref = PolynomialReference((1, 2, 3))
+    for t in (-1.0, 0.0, 0.5, 2.0):
+        assert ref(t, 0) == ref(t) == 1 + 2 * t + 3 * t * t
 
 
 @pytest.mark.parametrize("k", [-1, 4, 2.0, 1.5, True])
 def test_differentiate_rejects_out_of_range(k):
-    with pytest.raises(ValueError):
-        poly.differentiate(Polynomial((1, 1)), k)
+    with pytest.raises(ValueError, match=f"^order {k!r} selects none of the orders 0..3$"):
+        PolynomialReference((1, 1))(0.5, k)
 
 
 def test_an_order_is_an_integer_in_0_to_3():
     assert all(map(poly.is_order, [0, 3, np.int64(2), np.uint8(1)]))
     assert not any(map(poly.is_order, [-1, 4, 2.0, np.float64(2), 1.5, True, False,
                                        np.True_, "2", None]))
-    assert poly.differentiate(Polynomial((1, 2, 3)), np.int64(2)).coefficients == (6.0,)
+    assert PolynomialReference((1, 2, 3))(0.5, np.int64(2)) == 6.0
 
 
 def test_eval_kinematics_linear_ramp():
@@ -103,19 +113,21 @@ def test_derivative_matches_finite_difference():
     h = 1e-5
     for _ in range(200):
         degree = rng.integers(0, 7)
-        p = Polynomial(tuple(rng.uniform(-10, 10, degree + 1)))
+        p = PolynomialReference(tuple(rng.uniform(-10, 10, degree + 1)))
         t = rng.uniform(0, 1)
-        exact = poly.horner(poly.differentiate(p, 1), t)
-        fd = (poly.horner(p, t + h) - poly.horner(p, t - h)) / (2 * h)
+        exact = p(t, 1)
+        fd = (p(t + h) - p(t - h)) / (2 * h)
         assert abs(exact - fd) <= 1e-5 * (1 + abs(exact))
 
 
 def test_repeated_first_derivative_equals_second():
+    # Order 1 of the reference on p's derivative coefficients is order 2 of p's, bit for bit.
     rng = np.random.default_rng(7)
+    times = np.linspace(-2.0, 2.0, 9)
     for _ in range(50):
         p = Polynomial(tuple(rng.uniform(-10, 10, rng.integers(1, 8))))
-        twice = poly.differentiate(poly.differentiate(p, 1), 1)
-        assert twice.coefficients == poly.differentiate(p, 2).coefficients
+        once = PolynomialReference(differentiate(p, 1).coefficients)
+        assert np.array_equal(once(times, 1), PolynomialReference(p.coefficients)(times, 2))
 
 
 def test_eval_is_linear():
@@ -125,7 +137,6 @@ def test_eval_is_linear():
         a, b = rng.uniform(-10, 10, 2)
         pc, qc = rng.uniform(-10, 10, n), rng.uniform(-10, 10, n)
         t = rng.uniform(0, 1)
-        combined = poly.horner(Polynomial(tuple(a * pc + b * qc)), t)
-        separate = a * poly.horner(Polynomial(tuple(pc)), t) \
-            + b * poly.horner(Polynomial(tuple(qc)), t)
+        combined = PolynomialReference(tuple(a * pc + b * qc))(t)
+        separate = a * PolynomialReference(tuple(pc))(t) + b * PolynomialReference(tuple(qc))(t)
         assert combined == pytest.approx(separate, rel=1e-12, abs=1e-12)

@@ -6,8 +6,9 @@ import functools
 import numpy as np
 import pytest
 
+from conftest import differentiate, horner
 from pspb.errors import ConfigError
-from pspb.poly import Polynomial, differentiate, horner
+from pspb.poly import Polynomial
 from pspb.reference import (
     CsvReference,
     PolynomialReference,
@@ -76,16 +77,35 @@ def test_float_time_evaluates_like_an_array_column():
     assert isinstance(evaluate(traj, 0.3, 0), np.float64)
 
 
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
 @pytest.mark.parametrize("order", range(4))
 def test_polynomial_reference_matches_fresh_derivative(order):
-    coefficients = tuple(np.random.default_rng(4).uniform(-5, 5, 8))
-    ref = PolynomialReference(coefficients)
-    want = differentiate(Polynomial(coefficients), order)
-    times = np.linspace(-1.5, 2.5, 41)
-    for _ in range(2):  # the first call fills the derivative cache
-        assert np.array_equal(ref(times, order), horner(want, times))
-        assert [ref(t, order) for t in times.tolist()] == \
-            [horner(want, t) for t in times.tolist()]
+    # Against the tests' oracle, bit for bit and zero signs included: degrees 0-8, some
+    # with signed zero coefficients, read at an array of times and one float at a time.
+    rng = np.random.default_rng(4)
+    times = np.concatenate([np.linspace(-1.5, 2.5, 41), [0.0, -0.0, 1e-300, -5e-324]])
+    cases = [(-0.0,), (0.0, -0.0, -0.0)]  # -0.0 + -0.0 keeps its sign at negative times
+    for degree in range(9):
+        coefficients = rng.uniform(-5, 5, degree + 1)
+        coefficients[rng.random(degree + 1) < 0.3] = -0.0
+        cases.append(tuple(coefficients.tolist()))
+    for coefficients in cases:
+        degree = len(coefficients) - 1
+        ref = PolynomialReference(coefficients)
+        want = differentiate(Polynomial(coefficients), order)
+        for _ in range(2):  # the first call fills the derivative cache
+            values = ref(times, order)
+            assert values.shape == times.shape and same_bits(values, horner(want, times))
+            floats = [ref(t, order) for t in times.tolist()]
+            assert all(type(v) is float for v in floats)
+            assert same_bits(floats, [horner(want, t) for t in times.tolist()])
+        if order > degree:  # zeros of t's shape, not a scalar
+            assert same_bits(values, np.zeros(times.shape))
+            assert ref(np.zeros((2, 3)), order).shape == (2, 3)
+    assert str(PolynomialReference((-0.0,))(-1.0, 0)) == "-0.0"
 
 
 @pytest.mark.parametrize("order", [-1, 4, 5, True, False, 2.0, 1.5])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import differentiate, horner
 from pspb import metrics, poly, schemes
 from pspb.errors import (
     MissingWaypointDerivative,
@@ -242,8 +243,8 @@ def test_evaluate_array_matches_scalar_bitwise(name):
         for t in times:
             seg = [s for s in traj.segments if s.t_start <= t][-1]
             tau = (t - seg.t_start) / seg.duration
-            deriv = poly.differentiate(seg.polynomial, order)
-            loop.append(poly.horner(deriv, tau) / seg.duration**order)
+            deriv = differentiate(seg.polynomial, order)
+            loop.append(horner(deriv, tau) / seg.duration**order)
         assert np.array_equal(scalar, loop)
     for t, row in zip(times, table.T):
         assert np.array_equal(row[:3], evaluate(traj, t, slice(3)))
@@ -277,7 +278,7 @@ def test_evaluate_pads_low_degree_segments_bitwise():
         seg = [s for s in traj.segments if s.t_start <= t][-1]
         tau = (t - seg.t_start) / seg.duration
         assert same_bits(column, [
-            poly.horner(poly.differentiate(seg.polynomial, k), tau) / seg.duration**k
+            horner(differentiate(seg.polynomial, k), tau) / seg.duration**k
             for k in range(4)
         ])
 
@@ -292,7 +293,7 @@ def test_continuity_jumps_match_the_scalar_oracle_bitwise(name):
     for v, left, right in zip(traj.via_times, traj.segments, traj.segments[1:]):
         for k in range(4):
             before, after = (
-                poly.horner(poly.differentiate(seg.polynomial, k), tau) / seg.duration**k
+                horner(differentiate(seg.polynomial, k), tau) / seg.duration**k
                 for seg, tau in ((left, 1.0), (right, 0.0)))
             jump = report.at(v, k).jump
             assert type(jump) is float and same_bits(jump, abs(after - before))
@@ -446,6 +447,21 @@ def test_gait_errors_keep_stance_first_order():
     with pytest.raises(ValueError, match="strictly increasing"):
         generate_gait(builtin_scheme("656-1"), zero_waypoints(STANCE),
                       [Waypoint(t, 0.0) for t in (0.6, 0.9, 0.8, 1.0)])
+    # So is a NaN time, wherever it sits: bad input, not a non-finite solve. In a gait,
+    # one at the time the phases share fails their contiguity check first.
+    for i in range(4):
+        swing = list(SWING)
+        swing[i] = math.nan
+        with pytest.raises(ValueError, match=re.escape(f"strictly increasing: {swing}")):
+            generate_phase(builtin_scheme("656-1"), zero_waypoints(swing))
+        for phase in (0, 1):
+            times = [list(STANCE), list(SWING)]
+            times[phase][i] = math.nan
+            error, message = ValueError, re.escape(f"strictly increasing: {times[phase]}")
+            if (phase, i) in ((0, 3), (1, 0)):
+                error, message = NonContiguousPhases, "^stance ends at .* but swing starts at "
+            with pytest.raises(error, match=message):
+                generate_gait(builtin_scheme("656-1"), *map(zero_waypoints, times))
     with pytest.raises(ValueError, match="^a phase needs exactly 4 waypoints, got 3$"):
         generate_gait(builtin_scheme("656-1"), zero_waypoints(STANCE), zero_waypoints(SWING[:3]))
     # An empty phase reaches the same count check, stance first.
@@ -551,6 +567,12 @@ def test_scheme_spec_has_three_segments():
     for count in (2, 4):
         with pytest.raises(ValueError, match="3 segments"):
             SchemeSpec("custom", (line,) * count)
+    # Nor may one of the three be empty: its solve used to fail in numpy.
+    for i in range(3):
+        segments = [line] * 3
+        segments[i] = ()
+        with pytest.raises(ValueError, match=f"^segment {i + 1} has no constraints$"):
+            SchemeSpec("custom", tuple(segments))
 
 
 def test_builtin_schemes_are_built_once():

@@ -13,7 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pspb
-from pspb import poly, schemes, solver
+from conftest import horner
+from pspb import schemes, solver
 from pspb.errors import ConstraintCountMismatch, SingularSystem
 from pspb.schemes import MID, SchemeSpec
 from pspb.solver import (
@@ -79,8 +80,8 @@ def test_table_quartic_segment():
     ]
     seg = solve_segment(4, cons, 0.0, 1.0)
     assert max(residuals(seg, cons)) <= 1e-12
-    assert poly.horner(seg.polynomial, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert poly.horner(seg.polynomial, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert horner(seg.polynomial, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert horner(seg.polynomial, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_homogeneous_system_gives_zero_polynomial():

@@ -32,6 +32,12 @@ class SinusoidReference:
     amplitude: float = 30.0  # deg
     period: float = 1.0      # s
 
+    def __post_init__(self):
+        if not 0 < self.period < math.inf:  # NaN too
+            raise ValueError(f"sinusoid period must be positive and finite, got {self.period!r}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"sinusoid amplitude must be finite, got {self.amplitude!r}")
+
     def __call__(self, t, order: int = 0):
         _check_order(order)
         w = 2 * math.pi / self.period
@@ -82,9 +88,11 @@ class CsvReference:
         self.times = np.asarray(times, dtype=float)
         if len(self.times) < 2:
             raise ConfigError("reference grid needs at least 2 points")
-        finite = np.isfinite(self.times)
-        for column in columns.values():
-            finite &= np.isfinite(column)
+        for order, column in columns.items():
+            if np.shape(column) != (len(self.times),):  # else numpy broadcasts it
+                raise ConfigError(f"reference column of order {order} has shape "
+                                  f"{np.shape(column)}, not one value per time ({len(self.times)})")
+        finite = np.isfinite([self.times, *columns.values()]).all(axis=0)
         if not finite.all():
             i = int(np.argmin(finite))
             raise ConfigError(f"reference sample {i} (t={self.times[i]:g}) is not finite")
@@ -95,9 +103,7 @@ class CsvReference:
         self.columns = dict(columns)
         for order in range(1, 4):
             if order not in self.columns:
-                self.columns[order] = np.gradient(
-                    self.columns[order - 1], self.times
-                )
+                self.columns[order] = np.gradient(self.columns[order - 1], self.times)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CsvReference":

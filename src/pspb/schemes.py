@@ -191,15 +191,18 @@ class SolvedSegment:
         return frozenset(order for order, at in self.pins if at == tau)
 
 
-def _check_span(t_start: float, t_end: float):
-    try:  # evaluation divides by T**3
-        cube = (t_end - t_start) ** MAX_DERIVATIVE
+def _check_span(t_start: float, t_end: float) -> tuple[float, float, float, float]:
+    """(1.0, T, T**2, T**3) of the duration T, as floats: the one place they are formed."""
+    T = float(t_end - t_start)
+    try:
+        powers = 1.0, T, T**2, T**3
     except OverflowError:  # Python's (34, 'Numerical result out of range') names nothing
-        raise OverflowError(f"segment [{t_start}, {t_end}]: duration {t_end - t_start!r} to "
+        raise OverflowError(f"segment [{t_start}, {t_end}]: duration {T!r} to "
                             f"the power {MAX_DERIVATIVE} overflows") from None
-    if not cube > 0:
+    if not powers[MAX_DERIVATIVE] > 0:
         raise ValueError("segment must have t_end > t_start and a duration whose cube is "
                          f"nonzero, got [{t_start}, {t_end}]")
+    return powers
 
 
 @lru_cache(maxsize=256)
@@ -221,18 +224,16 @@ def _template(degree: int, pins: tuple[tuple[int, float], ...]):
     return matrix, cond
 
 
-def _solve_stacked(slots, matrices, rhs, spans) -> np.ndarray:
-    """(span, width) ascending coefficients: item p of ``matrices``, the template of
+def _solve_stacked(slots, matrices, rhs) -> np.ndarray:
+    """(slot, width) ascending coefficients: item p of ``matrices``, the template of
     ``slots[p] = (pins, cond)`` identity-padded, solved against row p of the flat ``rhs``
     (its padding solves to +0.0; bit-identical to an unpadded solve up to width 7).
-    Checked finite, then each span as ``SolvedSegment`` checks it."""
-    n = len(spans)
+    Checked finite; the caller checked each span as it scaled its row by ``_check_span``."""
+    n = len(slots)
     coeffs = np.linalg.solve(matrices[:n], np.array(rhs).reshape(n, -1, 1))[..., 0]
     if not np.isfinite(coeffs).all():  # a row's padding is finite if the rest of it is
         bad = next(pins for (pins, _), row in zip(slots, coeffs) if not np.isfinite(row).all())
         raise SingularSystem(f"solve produced non-finite coefficients: {_describe(bad)}")
-    for span in spans:
-        _check_span(*span)
     return coeffs
 
 
@@ -295,17 +296,17 @@ class PiecewiseTrajectory:
 
 
 def _build_table(coeffs: np.ndarray, spans):
-    """Segment starts, T**k by (order, segment), and the one place that differentiates
-    (``PolynomialReference`` reads a one-segment table too): order k + 1 from order k as
-    ``i * c``, all segments at once, highest power first, zero-padded on the left into one
-    (power, order, segment) array."""
+    """Segment starts, ``_check_span``'s T**k by (order, segment), and the one place that
+    differentiates (``PolynomialReference`` reads a one-segment table too): order k + 1 from
+    order k as ``i * c``, all segments at once, highest power first, zero-padded on the left
+    into one (power, order, segment) array."""
     c = coeffs.T
     table = np.zeros((len(c), MAX_DERIVATIVE + 1, len(spans)))
     for k in range(MAX_DERIVATIVE + 1):
         table[k:, k] = c[::-1]
         c = c[1:] * np.arange(1.0, len(c))[:, None]
-    powers = [[(b - a)**k for a, b in spans] for k in range(MAX_DERIVATIVE + 1)]
-    return np.array([a for a, _ in spans]), np.array(powers), table
+    powers = np.array([_check_span(a, b) for a, b in spans]).T
+    return np.array([a for a, _ in spans]), powers, table
 
 
 def _read_table(table, idx, tau, order: int | slice):
@@ -421,23 +422,22 @@ def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
         values = [(w.position, w.velocity, w.acceleration, w.jerk) for w in waypoints]
         for i, (pins, mids) in enumerate(plan):
             ends = values[i], (0.0,), values[i + 1], (0.0,)
-            T = times[i + 1] - times[i]
-            try:  # a missing value (None) or an overflowing power stops this read
-                powers = 1.0, T, T**2, T**3
+            powers = _check_span(times[i], times[i + 1])
+            try:  # a missing value (None) stops this read
                 row = [ends[e][k] * powers[k] for e, k in pins]
-            except (TypeError, OverflowError):  # so read pin by pin: the first bad one raises
-                row = [_read_pin(scheme, i, e, k, ends, times, midpoints) for e, k in pins]
+            except TypeError:  # so read pin by pin: the first bad one raises
+                row = [_read_pin(scheme, i, e, k, ends, times, midpoints, powers) for e, k in pins]
             else:
                 for j in mids:
-                    row[j] = _read_pin(scheme, i, 1, 0, ends, times, midpoints)
+                    row[j] = _read_pin(scheme, i, 1, 0, ends, times, midpoints, powers)
             rhs += row
             spans.append((times[i], times[i + 1]))
     slots = slots[:len(spans)]
-    return PiecewiseTrajectory._of(_solve_stacked(slots, stack, rhs, spans), spans, slots)
+    return PiecewiseTrajectory._of(_solve_stacked(slots, stack, rhs), spans, slots)
 
 
 def _read_pin(scheme: SchemeSpec, segment: int, source: int, order: int, ends, times,
-              midpoints):
+              midpoints, powers):
     """One pin's value times T**order, as the segment's row reads it, but on its own."""
     if source == 1:
         t_mid = 0.5 * (times[segment] + times[segment + 1])
@@ -455,12 +455,7 @@ def _read_pin(scheme: SchemeSpec, segment: int, source: int, order: int, ends, t
             f"scheme {scheme.name} segment {segment + 1} needs derivative order {order} "
             f"at t={times[segment + source // 2]}, but the waypoint does not define it"
         )
-    try:
-        return value * (times[segment + 1] - times[segment])**order
-    except OverflowError:
-        raise OverflowError(f"scheme {scheme.name} segment {segment + 1}: duration "
-                            f"{times[segment + 1] - times[segment]!r} to the power {order} "
-                            "overflows") from None
+    return value * powers[order]
 
 
 # Default phase timing (seconds). Stance via times follow the analyzed

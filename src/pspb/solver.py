@@ -5,7 +5,8 @@ A segment's polynomial lives on normalized time tau = (t - t_start) / T in
 in the linear system is d^k/dtau^k of the monomials at tau: the matrix
 depends only on the degree and the (order, tau) pairs, never on the
 duration or the values. The physical value v enters the right-hand side
-as v * T^k (chain rule). Each distinct template's matrix and condition
+as v * T^k (chain rule); the caller forms T^0..T^3, and checks the span,
+in ``schemes._check_span``. Each distinct template's matrix and condition
 number are therefore built once and cached, in ``schemes`` beside the solve
 and the trajectories they feed. A scheme's three templates, identity-padded to
 the widest, are one stack: a gait is one padded solve (partial pivoting), and
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .poly import Polynomial, is_order
 from .schemes import SEGMENT_END, SEGMENT_START, SolvedSegment  # also this module's API
-from .schemes import _read_table, _solve_stacked, _template
+from .schemes import _check_span, _read_table, _solve_stacked, _template
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,9 @@ def solve_segment(
     """Solve the boundary-value system for one segment."""
     pins = tuple((c.order, c.tau) for c in constraints)
     matrix, cond = _template(degree, pins)
-    try:
-        rhs = [c.value * (t_end - t_start)**c.order for c in constraints]
-    except OverflowError:
-        raise OverflowError(f"segment [{t_start}, {t_end}]: duration {t_end - t_start!r} to the "
-                            f"power {max(c.order for c in constraints)} overflows") from None
-    coeffs = _solve_stacked([(pins, cond)], matrix[None], rhs, [(t_start, t_end)])
+    powers = _check_span(t_start, t_end)
+    rhs = [c.value * powers[c.order] for c in constraints]
+    coeffs = _solve_stacked([(pins, cond)], matrix[None], rhs)
     return SolvedSegment(Polynomial(tuple(coeffs[0].tolist())), t_start, t_end, cond, pins)
 
 

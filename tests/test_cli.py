@@ -591,7 +591,7 @@ def test_non_finite_input_is_config_error(tmp_path, config_path, capsys):
 
 
 OVERFLOW_CONFIGS = {
-    # duration**order overflows while the phase templates are filled in.
+    # duration**2 overflows already; the span check names the cube all the same.
     "huge_times": {"schemes": ["434-1"], "reference": {"name": "sinusoid"},
                    "stance_times": [0, 1e300, 2e300, 3e300],
                    "swing_times": [3e300, 4e300, 5e300, 6e300]},
@@ -612,8 +612,9 @@ OVERFLOW_CONFIGS = {
     # A finite gait and reference whose squared errors overflow; this used to
     # exit 0 with inf RMSE and ADE in every row.
     "huge_errors": {"schemes": ["434-1"], "reference": {"name": "sinusoid", "amplitude": 1e160}},
-    # duration**2 is finite, so 434-1 (acceleration pins at most) reads its rows, and the
-    # span check's duration**3 overflows; 656-1 pins the jerk, and its row read overflows.
+    # duration**2 is finite and duration**3 is not: 434-1 pins acceleration at most, 656-1
+    # the jerk, and each segment's span is checked before its row is read, so both give
+    # the one message.
     **{f"long_times_{name}": {"schemes": [name], "reference": {"name": "sinusoid"},
                               "stance_times": [0, 1e120, 2e120, 3e120],
                               "swing_times": [3e120, 4e120, 5e120, 6e120]}
@@ -631,9 +632,9 @@ SINUSOID_OVERFLOWS = {
 # the verb that numpy's own text stops (Python's float power used to print only
 # "(34, 'Numerical result out of range')", numpy's only "overflow encountered in ...").
 NAMED_OVERFLOWS = {
-    "huge_times": "scheme 434-1 segment 1: duration 1e+300 to the power 2 overflows",
+    "huge_times": "segment [0.0, 1e+300]: duration 1e+300 to the power 3 overflows",
     "long_times_434-1": "segment [0.0, 1e+120]: duration 1e+120 to the power 3 overflows",
-    "long_times_656-1": "scheme 656-1 segment 1: duration 1e+120 to the power 3 overflows",
+    "long_times_656-1": "segment [0.0, 1e+120]: duration 1e+120 to the power 3 overflows",
     "huge_waypoints": "{verb}: overflow encountered in multiply",
     "huge_errors": "{verb}: overflow encountered in square",
 }

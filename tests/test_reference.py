@@ -2,6 +2,7 @@
 k)`` equals ``ref(t, k)`` read one float time at a time, bit for bit."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -125,3 +126,40 @@ def test_csv_reference_needs_a_position_column():
     # A file's header starts t,pos, so only a table built in code can lack one.
     with pytest.raises(ConfigError, match="^reference must include a position column$"):
         CsvReference([0.0, 1.0], {1: np.array([0.0, 1.0])})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("period", 0.0, "period must be positive and finite, got 0.0"),
+    ("period", -1.0, "period must be positive and finite, got -1.0"),
+    ("period", float("nan"), "period must be positive and finite, got nan"),
+    ("period", float("inf"), "period must be positive and finite, got inf"),
+    ("amplitude", float("nan"), "amplitude must be finite, got nan"),
+    ("amplitude", float("-inf"), "amplitude must be finite, got -inf"),
+], ids=["zero_period", "negative_period", "nan_period", "inf_period", "nan_amplitude",
+        "inf_amplitude"])
+def test_sinusoid_reference_checks_its_fields(field, value, message):
+    # Refused when built, not at the first call (period 0 divides by zero there).
+    with pytest.raises(ValueError) as err:
+        SinusoidReference(**{field: value})
+    assert str(err.value) == f"sinusoid {message}"
+    # A period this short is positive and finite: only its call overflows.
+    with pytest.raises(OverflowError, match="period 1e-310 is too short"):
+        SinusoidReference(period=1e-310)(0.5)
+
+
+@pytest.mark.parametrize("order, column, shape", [
+    (0, [0.0, 1.0], "(2,)"),
+    (0, [0.0, 1.0, 2.0, 3.0], "(4,)"),
+    (1, [1.0], "(1,)"),  # broadcast through the finiteness check, then failed in numpy
+    (0, 1.0, "()"),
+    (2, [[0.0, 1.0, 2.0]], "(1, 3)"),
+], ids=["short", "long", "one_value", "scalar", "two_d"])
+def test_csv_reference_checks_its_column_lengths(order, column, shape):
+    columns = {0: [0.0, 1.0, 2.0], order: column}
+    with pytest.raises(ConfigError) as err:
+        CsvReference([0.0, 0.5, 1.0], columns)
+    assert str(err.value) == (f"reference column of order {order} has shape {shape}, "
+                              "not one value per time (3)")
+    # Checked before the finiteness check, which reads every column.
+    with pytest.raises(ConfigError, match=f"has shape {re.escape(shape)}, not one value"):
+        CsvReference([0.0, 0.5, float("nan")], columns)

@@ -856,27 +856,46 @@ def test_solving_and_reading_a_gait_builds_no_segment_objects(monkeypatch):
     assert len(gaits[0].segments) == 6 and len(built) == 12  # built on request only
 
 
-def test_a_short_span_fails_after_every_row_is_read():
-    # The span check runs after the solve, as it did when each segment was built: a
-    # swing waypoint missing a derivative is named before a stance span whose cube
-    # underflows, and so are non-finite coefficients.
+def test_a_short_span_fails_when_its_row_is_read():
+    # A segment's span is checked where its duration's powers are formed, before its row
+    # is read, so in reading order: a stance span whose cube underflows is named before a
+    # swing waypoint missing a derivative, and before non-finite coefficients.
     tiny = [t * 1e-110 for t in STANCE]
-    swing = [Waypoint(tiny[-1], 0.0, 0.0, 0.0, 0.0), Waypoint(0.68, 0.0),
-             *zero_waypoints(SWING[2:])]
-    for name in ("434-1", "656-1"):
+    short = ("segment must have t_end > t_start and a duration whose cube is nonzero, "
+             f"got [{tiny[0]}, {tiny[1]}]")
+
+    def swings(start):
+        first = Waypoint(start, 0.0, 0.0, 0.0, 0.0)
+        return (zero_waypoints([start, *SWING[1:]]),
+                [first, Waypoint(0.68, 0.0), *zero_waypoints(SWING[2:])],
+                [first, *(Waypoint(t, math.nan, 0.0, 0.0, 0.0) for t in SWING[1:])])
+
+    for name in ("434-1", "545-1", "656-1"):
+        scheme = builtin_scheme(name)
+        for swing in swings(tiny[-1]):
+            with pytest.raises(ValueError) as err:
+                generate_gait(scheme, zero_waypoints(tiny), swing)
+            assert str(err.value) == short
+        # Behind a stance that reads, each swing gives its own error.
+        solved, missing, nan = swings(STANCE[-1])
+        generate_gait(scheme, zero_waypoints(STANCE), solved)
         with pytest.raises(MissingWaypointDerivative) as err:
-            generate_gait(builtin_scheme(name), zero_waypoints(tiny), swing)
+            generate_gait(scheme, zero_waypoints(STANCE), missing)
         assert str(err.value) == (f"scheme {name} segment 1 needs derivative order 1 "
                                   "at t=0.68, but the waypoint does not define it")
-        with pytest.raises(ValueError) as err:
-            generate_gait(builtin_scheme(name), zero_waypoints(tiny),
-                          zero_waypoints([tiny[-1], *SWING[1:]]))
-        assert str(err.value) == ("segment must have t_end > t_start and a duration whose "
-                                  f"cube is nonzero, got [{tiny[0]}, {tiny[1]}]")
-    nan = [Waypoint(t, math.nan, 0.0, 0.0, 0.0) for t in SWING[1:]]
-    with pytest.raises(SingularSystem, match="^solve produced non-finite coefficients: "):
-        generate_gait(builtin_scheme("545-1"), zero_waypoints(tiny),
-                      [Waypoint(tiny[-1], 0.0, 0.0, 0.0, 0.0), *nan])
+        with pytest.raises(SingularSystem, match="^solve produced non-finite coefficients: "):
+            generate_gait(scheme, zero_waypoints(STANCE), nan)
+
+
+def test_table_powers_are_python_float_powers_bitwise():
+    # A table takes its T**k from _check_span, the one place a duration's powers are
+    # formed: bit for bit Python's (b - a)**k, on random spans of every scale.
+    rng = np.random.default_rng(27)
+    durations = (10.0 ** rng.uniform(-90.0, 90.0, 500)).tolist()
+    spans = [(a * T, a * T + T) for a, T in zip(rng.uniform(-10.0, 10.0, 500).tolist(), durations)]
+    _, powers, _ = schemes._build_table(np.zeros((len(spans), 1)), spans)
+    want = np.array([[(b - a)**k for a, b in spans] for k in range(4)])
+    assert powers.shape == want.shape and powers.tobytes() == want.tobytes()
 
 
 def test_a_gait_segment_reads_its_row_of_the_gait_table(monkeypatch):

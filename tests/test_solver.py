@@ -102,20 +102,45 @@ def test_contradictory_positions_raise():
         solve_segment(5, cons, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("orders, t_end, message", [
-    # Position pins only: the right-hand side is read, then the span check's cube overflows.
-    ((0, 0), 1e200, "segment [0.0, 1e+200]: duration 1e+200 to the power 3 overflows"),
-    # A jerk pin: the right-hand side's duration**3 overflows first.
-    ((0, 1, 2, 3), 1e120, "segment [0.0, 1e+120]: duration 1e+120 to the power 3 overflows"),
-    ((0, 1, 2, 0), 1e160, "segment [0.0, 1e+160]: duration 1e+160 to the power 2 overflows"),
-], ids=["span_check", "jerk_pin", "acceleration_pin"])
-def test_an_overflowing_duration_names_the_segment(orders, t_end, message):
-    # Python's float power used to raise OverflowError(34, 'Numerical result out of
-    # range'), whose text names neither the segment nor its duration.
+def one_segment(*orders):
+    """A solve on [0, t_end] pinning each order to 1.0, the last pin at the end."""
     cons = [c(k, SEGMENT_END if i == len(orders) - 1 else SEGMENT_START, 1.0)
             for i, k in enumerate(orders)]
+    return lambda t_end: solve_segment(len(orders) - 1, cons, 0.0, t_end)
+
+
+def phase(name):
+    """A phase of the scheme on waypoint times 0, t_end, 2 t_end, 3 t_end."""
+    def solve(t_end):
+        waypoints = [schemes.Waypoint(i * t_end, 0.0, 0.0, 0.0, 0.0) for i in range(4)]
+        return schemes.generate_phase(schemes.builtin_scheme(name), waypoints, lambda t: 0.0)
+    return solve
+
+
+@pytest.mark.parametrize("solve, t_end, message", [
+    # Position pins only: no value needs more than duration**0.
+    (one_segment(0, 0), 1e200, "segment [0.0, 1e+200]: duration 1e+200 to the power 3 overflows"),
+    # A jerk pin needs duration**3.
+    (one_segment(0, 1, 2, 3), 1e120,
+     "segment [0.0, 1e+120]: duration 1e+120 to the power 3 overflows"),
+    # An acceleration pin needs duration**2, which overflows first; the one check names the cube.
+    (one_segment(0, 1, 2, 0), 1e160,
+     "segment [0.0, 1e+160]: duration 1e+160 to the power 3 overflows"),
+    # A numpy scalar duration is read as a Python float, whose power raises where numpy's
+    # only warns.
+    (one_segment(0, 0), np.float64(1e200),
+     "segment [0.0, 1e+200]: duration 1e+200 to the power 3 overflows"),
+    # Every scheme, whatever it pins, whether duration**2 is finite or not.
+    *[(phase(name), t_end, f"segment [0.0, {t_end}]: duration {t_end} to the power 3 overflows")
+      for name in schemes.SCHEME_NAMES for t_end in (1e120, 1e300)],
+], ids=["span_check", "jerk_pin", "acceleration_pin", "numpy_scalar",
+        *[f"{name}-{t_end:g}" for name in schemes.SCHEME_NAMES for t_end in (1e120, 1e300)]])
+def test_an_overflowing_duration_names_the_segment(solve, t_end, message):
+    # Python's float power used to raise OverflowError(34, 'Numerical result out of
+    # range'), whose text names neither the segment nor its duration. A duration's powers
+    # are formed and checked in one place, so one fault has one text.
     with pytest.raises(OverflowError) as info:
-        solve_segment(len(orders) - 1, cons, 0.0, t_end)
+        solve(t_end)
     assert str(info.value) == message
 
 

@@ -244,16 +244,15 @@ class RunConfig:
 
 
 def run_generate(config: RunConfig, out: Path) -> None:
-    gaits = tuple(config.build_gait(name) for name in config.schemes)
-    stack = _stack(gaits)  # every read below indexes this one table
+    stack = _stack(tuple(config.build_gait(name) for name in config.schemes))  # one table
     reports = list(_jumps(stack))  # read in full first: its errors come before any file
     # Every scheme's profile at once: each grid block, read once for all, goes to each file.
     _write_csv([out / f"profile_{name}.csv" for name in config.schemes],
                ["t", "position", "velocity", "acceleration", "jerk"],
-               ((np.column_stack([times, one.T]) for one in values.swapaxes(0, 1))
+               ((np.column_stack([times, one.T]) for one in values)
                 for phase in (slice(0, 3), slice(3, 6))  # a gait's stance and swing rows
                 for _, times, values in _grid(stack, phase, config.samples)))
-    for name, traj, report in zip(config.schemes, gaits, reports):
+    for name, traj, report in zip(config.schemes, stack[0], reports):
         jumps = [[via, order, jump, int(both)] for via, order, jump, both in report]
         _write_csv([out / f"continuity_{name}.csv"],
                    ["via_time", "order", "jump", "constrained_both_sides"], [[jumps]])
@@ -275,18 +274,17 @@ def run_compare(config: RunConfig, out: Path) -> None:
     stack = _stack(tuple(config.build_gait(name) for name in config.schemes))
     # Per scope, every scheme's squared errors in all orders, read in blocks into one array
     # (192 bytes per sample for six schemes), then _rms's mean and root; ADE is RMSE / sqrt(N).
-    squares, scopes = np.empty((4, len(config.schemes), config.samples)), []
+    squares, scopes = np.empty((len(config.schemes), 4, config.samples)), []
     for phase in (slice(0, 6), slice(0, 3), slice(3, 6)):  # full, stance and swing rows
         for rows, times, values in _grid(stack, phase, config.samples):
-            expected = np.array([ref(times, k) for k in range(4)])
-            squares[..., rows] = (values - expected[:, None])**2
+            squares[..., rows] = (values - np.array([ref(times, k) for k in range(4)]))**2
         scopes.append(np.sqrt(np.mean(squares, axis=-1)))
     vias = _via_windows(stack, ref, slice(None), config.via_window)
     error_rows, via_rows, text = [], [], []
     for i, (name, windows) in enumerate(zip(config.schemes, vias)):
         text.append(f"scheme {name}")
         for scope, rms in zip(("full", "stance", "swing"), scopes):
-            for label, r in zip(QUANTITY_LABELS, rms[:, i].tolist()):
+            for label, r in zip(QUANTITY_LABELS, rms[i].tolist()):
                 a = r / math.sqrt(config.samples)
                 error_rows.append([name, scope, label, r, a])
                 if scope == "full":

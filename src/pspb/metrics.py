@@ -117,7 +117,7 @@ def via_point_rmse(
         raise ValueError(f"window must be positive, got {window}")
     _check_order(order)
     rows = order if isinstance(order, slice) else slice(order, order + 1)
-    (windows,) = _via_windows(_stack(traj), reference, rows, window)
+    (windows,) = _via_windows(_stack((traj,)), reference, rows, window)
     results = [[ViaWindowError(*row) for row in per_order] for per_order in windows]
     return results if isinstance(order, slice) else results[0]
 
@@ -128,15 +128,13 @@ def _via_windows(stack, reference: Reference, rows: slice, window: float) -> lis
     if not (trajs := stack[0]):
         return []
     t0, t1, vias = trajs[0].t_start, trajs[0].t_end, trajs[0].via_times
-    lo = [max(v - window, t0) for v in vias]
-    hi = [min(v + window, t1) for v in vias]
+    lo, hi = [max(v - window, t0) for v in vias], [min(v + window, t1) for v in vias]
     times = np.linspace(lo, hi, VIA_WINDOW_SAMPLES, axis=-1)
     expected = np.array([reference(times, k) for k in range(MAX_DERIVATIVE + 1)[rows]])
-    values = _read_stack(stack, times, slice(len(vias) + 1), rows)
-    rms = _rms(values.reshape(len(expected), len(trajs), *times.shape) - expected[:, None])
+    rms = _rms(_read_stack(stack, times, slice(len(vias) + 1), rows) - expected)
     return [[[[v, r, (a, b), v - window < t0 or v + window > t1]
               for v, a, b, r in zip(vias, lo, hi, per_order)]
-             for per_order in per_traj] for per_traj in rms.swapaxes(0, 1).tolist()]
+             for per_order in per_traj] for per_traj in rms.tolist()]
 
 
 @dataclass(frozen=True)
@@ -163,20 +161,20 @@ class ContinuityReport:
 def continuity_report(traj: PiecewiseTrajectory) -> ContinuityReport:
     """|right limit - left limit| per via point per order, exact at tau 1 on each segment
     but the last and tau 0 on the next (sampling could straddle or miss a via time)."""
-    (jumps,) = _jumps(_stack(traj))
+    (jumps,) = _jumps(_stack((traj,)))
     return ContinuityReport(tuple(ContinuityJump(*jump) for jump in jumps))
 
 
 def _jumps(stack):
     """Per trajectory of a ``_stack``, a list of each jump's ``ContinuityJump`` fields."""
-    trajs, table, firsts = stack
+    trajs, table = stack
     end, start = _read_table(table, np.arange(len(table[0])),
-                             np.reshape([SEGMENT_END, SEGMENT_START], (2, 1, 1)), slice(None))
-    jumps = np.abs(start[:, 1:] - end[:, :-1]).T.tolist()  # from row i to row i + 1
-    for one, first in zip(trajs, firsts or [0]):  # one trajectory's stack starts at row 0
+                             np.reshape([SEGMENT_END, SEGMENT_START], (2, 1, 1, 1)), slice(None))
+    jumps = np.abs(start[..., 1:] - end[..., :-1]).swapaxes(1, 2).tolist()  # row i to i + 1
+    for one, per_row in zip(trajs, jumps):
         report = []
         for (pins, _), (after, _), (via, _), per_order in zip(
-                one._slots, one._slots[1:], one._spans[1:], jumps[first:]):
+                one._slots, one._slots[1:], one._spans[1:], per_row):
             both = ({k for k, at in pins if at == SEGMENT_END}
                     & {k for k, at in after if at == SEGMENT_START})
             report += [[via, order, jump, order in both] for order, jump in enumerate(per_order)]

@@ -66,8 +66,8 @@ class PolynomialReference:
         one-segment table on [0, 1] (T = 1: no division). Built on first call, so
         each call is one Horner pass over Python floats."""
         coefficients = Polynomial(self.coefficients).coefficients  # at least one, all finite
-        _, _, table = _build_table(np.array([coefficients]), [(0.0, 1.0)])
-        return table[:, :, 0].T.tolist()
+        _, _, table = _build_table(np.array([[coefficients]]), [(0.0, 1.0)])
+        return table[:, 0, :, 0].T.tolist()
 
     def __call__(self, t, order: int = 0):
         _check_order(order)
@@ -89,9 +89,13 @@ class CsvReference:
         if len(self.times) < 2:
             raise ConfigError("reference grid needs at least 2 points")
         for order, column in columns.items():
-            if np.shape(column) != (len(self.times),):  # else numpy broadcasts it
+            try:
+                shape = np.shape(column)
+            except ValueError:  # numpy's own inhomogeneous-shape error names no column
+                shape = "ragged"
+            if shape != (len(self.times),):  # else numpy broadcasts it
                 raise ConfigError(f"reference column of order {order} has shape "
-                                  f"{np.shape(column)}, not one value per time ({len(self.times)})")
+                                  f"{shape}, not one value per time ({len(self.times)})")
         finite = np.isfinite([self.times, *columns.values()]).all(axis=0)
         if not finite.all():
             i = int(np.argmin(finite))

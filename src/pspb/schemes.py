@@ -292,50 +292,48 @@ class PiecewiseTrajectory:
     def via_times(self) -> tuple[float, ...]:
         return tuple(t for t, _ in self._spans[1:])
 
-    _table = cached_property(lambda self: _build_table(self._coeffs, self._spans))
+    _table = cached_property(lambda self: _build_table(self._coeffs[None], self._spans))
 
 
 def _build_table(coeffs: np.ndarray, spans):
-    """Segment starts, ``_check_span``'s T**k by (order, segment), and the one place that
-    differentiates (``PolynomialReference`` reads a one-segment table too): order k + 1 from
-    order k as ``i * c``, all segments at once, highest power first, zero-padded on the left
-    into one (power, order, segment) array."""
-    c = coeffs.T
-    table = np.zeros((len(c), MAX_DERIVATIVE + 1, len(spans)))
+    """Shared segment starts, ``_check_span``'s T**k by (order, segment), and the one place that
+    differentiates (``PolynomialReference`` reads a one-segment table too): (trajectory, segment,
+    width) coefficients, order k + 1 from order k as ``i * c``, all at once, highest power first,
+    zero-padded on the left into one (power, trajectory, order, segment) array."""
+    c = coeffs.transpose(2, 0, 1)
+    table = np.zeros((len(c), len(coeffs), MAX_DERIVATIVE + 1, len(spans)))
     for k in range(MAX_DERIVATIVE + 1):
-        table[k:, k] = c[::-1]
-        c = c[1:] * np.arange(1.0, len(c))[:, None]
+        table[k:, :, k] = c[::-1]
+        c = c[1:] * np.arange(1.0, len(c))[:, None, None]
     powers = np.array([_check_span(a, b) for a, b in spans]).T
     return np.array([a for a, _ in spans]), powers, table
 
 
 def _read_table(table, idx, tau, order: int | slice):
-    """Order(s) at normalized time ``tau`` on segments ``idx``, divided by T**k: the only
-    reader of a table, Horner over its rows one power at a time, only the orders asked."""
+    """Order(s) at normalized time ``tau`` on segments ``idx``, divided by T**k, one row per
+    trajectory: the only reader of a table, Horner over its rows one power at a time."""
     _, powers, coeffs = table
-    rows = (row.take(idx, axis=-1) for row in coeffs[:, order])
+    rows = (row.take(idx, axis=-1) for row in coeffs[:, :, order])
     return horner_rows(rows, tau) / powers[order].take(idx, axis=-1)
 
 
-def _stack(traj):
-    """A trajectory's cached table, or a tuple's stacked over all their segments with each
-    trajectory's first row in it (none for one trajectory: its reads add no trajectory axis)."""
-    if not isinstance(traj, tuple):
-        return (traj,), traj._table, None
-    firsts = np.cumsum([0] + [len(one._spans) for one in traj])[:-1].tolist()
-    coeffs = _padded(row for one in traj for row in one._coeffs.tolist())
-    spans = [span for one in traj for span in one._spans]
-    return traj, _build_table(coeffs, spans), firsts
+def _stack(trajs: tuple):
+    """The trajectories and one table of them all: a 1-tuple's cached one, else one built on the
+    first one's spans, each trajectory's coefficients zero-padded to the widest."""
+    if len(trajs) == 1:
+        return trajs, trajs[0]._table
+    spans = trajs[0]._spans if trajs else []
+    coeffs = _padded(row for one in trajs for row in one._coeffs.tolist())
+    return trajs, _build_table(coeffs.reshape(len(trajs), len(spans), coeffs.shape[1]), spans)
 
 
 def _read_stack(stack, times: np.ndarray, rows: slice, order: int | slice):
     """Order(s) at ``times`` on segments ``rows`` of every trajectory of a ``_stack``: the one
     place that turns a time into a segment. Unchecked: the times lie in the rows' span and the
-    trajectories share their segment times, so one ``searchsorted`` on the first one's starts
-    up to the rows' end finds each segment (a phase's end reads its last at tau 1)."""
-    _, (starts, powers, _), firsts = stack
+    trajectories share their segment times, so one ``searchsorted`` on the shared starts up to
+    the rows' end finds each segment (a phase's end reads its last at tau 1)."""
+    _, (starts, powers, _) = stack
     idx = np.searchsorted(starts[1:rows.stop], times, side="right")
-    idx = idx if firsts is None else np.add.outer(firsts, idx)  # a tuple's trajectory axis
     return _read_table(stack[1], idx, (times - starts.take(idx)) / powers[1].take(idx), order)
 
 
@@ -357,7 +355,7 @@ def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
     if outside.any():
         raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
                           f"[{traj.t_start}, {traj.t_end}]")
-    return _read_stack(_stack(traj), times, slice(len(traj._spans)), order)
+    return _read_stack(_stack((traj,)), times, slice(len(traj._spans)), order)[0]
 
 
 def _check_order(order: int | slice):
@@ -441,14 +439,15 @@ def _read_pin(scheme: SchemeSpec, segment: int, source: int, order: int, ends, t
     """One pin's value times T**order, as the segment's row reads it, but on its own."""
     if source == 1:
         t_mid = 0.5 * (times[segment] + times[segment + 1])
-        if callable(midpoints):
-            return float(midpoints(t_mid))
-        if midpoints is not None and segment in midpoints:
-            return float(midpoints[segment])
-        raise MissingWaypointDerivative(
-            f"scheme {scheme.name} needs a mid-point position for segment "
-            f"{segment + 1} (t={t_mid}) and none was supplied"
-        )
+        if not callable(midpoints) and segment not in (midpoints or {}):
+            raise MissingWaypointDerivative(
+                f"scheme {scheme.name} needs a mid-point position for segment {segment + 1} "
+                f"(t={t_mid}) and none was supplied")
+        value = float(midpoints(t_mid) if callable(midpoints) else midpoints[segment])
+        if not math.isfinite(value):  # else the solve fails, naming no segment
+            raise ValueError(f"scheme {scheme.name} segment {segment + 1} (t={t_mid}): "
+                             f"mid-point position {value!r} is not finite")
+        return value
     value = ends[source][order]
     if value is None:
         raise MissingWaypointDerivative(

@@ -53,4 +53,4 @@ def residuals(segment: SolvedSegment, constraints: list[Constraint]) -> list[flo
     """|achieved - specified| per constraint, in physical units, each read at its own
     tau, so no time is formed that could round past t_end."""
     table = segment._view._table
-    return [abs(float(_read_table(table, 0, c.tau, c.order)) - c.value) for c in constraints]
+    return [abs(float(_read_table(table, 0, c.tau, c.order)[0]) - c.value) for c in constraints]

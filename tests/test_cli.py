@@ -981,7 +981,7 @@ def test_grid_blocks_are_linspace_read_in_blocks(start, span, samples):
         [(i, min(i + 7, samples)) for i in range(0, samples, 7)]
     assert same_bits(np.concatenate([t for _, t, _ in blocks]), times)
     assert same_bits(np.concatenate([v for _, _, v in blocks], axis=-1),
-                     evaluate(trajs[0], times, slice(None))[:, None])
+                     evaluate(trajs[0], times, slice(None))[None])
 
 
 @pytest.mark.parametrize("verb", ["generate", "compare"])

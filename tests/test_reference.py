@@ -153,7 +153,8 @@ def test_sinusoid_reference_checks_its_fields(field, value, message):
     (1, [1.0], "(1,)"),  # broadcast through the finiteness check, then failed in numpy
     (0, 1.0, "()"),
     (2, [[0.0, 1.0, 2.0]], "(1, 3)"),
-], ids=["short", "long", "one_value", "scalar", "two_d"])
+    (0, [[0.0], [1.0, 2.0], [3.0]], "ragged"),  # numpy's own error names no column
+], ids=["short", "long", "one_value", "scalar", "two_d", "ragged"])
 def test_csv_reference_checks_its_column_lengths(order, column, shape):
     columns = {0: [0.0, 1.0, 2.0], order: column}
     with pytest.raises(ConfigError) as err:

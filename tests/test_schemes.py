@@ -173,6 +173,20 @@ def test_midpoint_mapping_source():
     assert evaluate(traj, t_mid, 0) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_a_non_finite_midpoint_is_refused_by_its_segment():
+    # Like a missing mid-point, a non-finite one is bad input: named by its segment and
+    # mid time, from a callable or a mapping, not found later as a non-finite solve.
+    scheme, finite = builtin_scheme("434-2"), lambda t: 1.0
+    stance, swing = zero_waypoints(STANCE), zero_waypoints(SWING)
+    for args, message in (
+            ((lambda t: math.nan, finite), "segment 1 (t=0.06): mid-point position nan"),
+            (({0: 1.0, 2: -math.inf}, finite), "segment 3 (t=0.54): mid-point position -inf"),
+            ((finite, lambda t: math.inf), "segment 1 (t=0.64): mid-point position inf")):
+        with pytest.raises(ValueError) as err:
+            generate_gait(scheme, stance, swing, *args)
+        assert str(err.value) == f"scheme 434-2 {message} is not finite"
+
+
 def test_gait_composition():
     ref = generic_reference()
     traj = generate_gait(
@@ -761,19 +775,23 @@ EVERY_SPEC = [builtin_scheme(name) for name in SCHEME_NAMES] + list(WIDE_SPECS)
 def test_tuple_forms_match_one_call_per_trajectory_bitwise(seed):
     # The stacked readers generate and compare use, over a tuple: gaits of every
     # built-in scheme and of the wide specs on the same phases, then their stance
-    # halves and their swing halves, each tuple stacked into one table, read each
-    # trajectory's bits of its own public call, in order.
+    # halves and their swing halves, each tuple stacked into one table, then one gait
+    # (its own cached table) and none, read each trajectory's bits of its own public
+    # call, in order, one leading row each.
     ref, stance, swing, midpoint = random_phases(np.random.default_rng(seed))
     gaits = tuple(generate_gait(spec, stance, swing, midpoint, midpoint)
                   for spec in EVERY_SPEC)
-    for trajs in (gaits, *zip(*map(phase_halves, gaits))):
-        first, stack = trajs[0], schemes._stack(trajs)
-        grid = np.concatenate([np.linspace(first.t_start, first.t_end, 41), first.via_times])
-        for t in (grid, grid[:40].reshape(5, 8), first.via_times[0], first.t_end):
-            for order in (*range(4), slice(None), slice(1, 3)):
-                axis = 1 if isinstance(order, slice) else 0
-                got = schemes._read_stack(stack, np.asarray(t), slice(len(first._spans)), order)
-                assert same_bits(got, np.stack([evaluate(one, t, order) for one in trajs], axis))
+    for trajs in (gaits, *zip(*map(phase_halves, gaits)), gaits[:1], ()):
+        stack = schemes._stack(trajs)
+        assert stack[0] is trajs
+        if trajs:  # an empty stack has no span to read times on
+            first = trajs[0]
+            grid = np.concatenate([np.linspace(first.t_start, first.t_end, 41), first.via_times])
+            for t in (grid, grid[:40].reshape(5, 8), first.via_times[0], first.t_end):
+                for order in (*range(4), slice(None), slice(1, 3)):
+                    got = schemes._read_stack(stack, np.asarray(t), slice(len(first._spans)),
+                                              order)
+                    assert same_bits(got, np.stack([evaluate(one, t, order) for one in trajs]))
         for orders, window in ((slice(0, 1), 0.01), (slice(3, 4), 0.01), (slice(None), 0.01),
                                (slice(None), 0.2)):
             got = [[[metrics.ViaWindowError(*row) for row in per_order] for per_order in windows]
@@ -893,7 +911,7 @@ def test_table_powers_are_python_float_powers_bitwise():
     rng = np.random.default_rng(27)
     durations = (10.0 ** rng.uniform(-90.0, 90.0, 500)).tolist()
     spans = [(a * T, a * T + T) for a, T in zip(rng.uniform(-10.0, 10.0, 500).tolist(), durations)]
-    _, powers, _ = schemes._build_table(np.zeros((len(spans), 1)), spans)
+    _, powers, _ = schemes._build_table(np.zeros((1, len(spans), 1)), spans)
     want = np.array([[(b - a)**k for a, b in spans] for k in range(4)])
     assert powers.shape == want.shape and powers.tobytes() == want.tobytes()
 

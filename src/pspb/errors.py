@@ -1,4 +1,11 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+Bad input raises ``ValueError`` or a ``PspbError`` subclass whose message names the
+argument at fault: its field, segment, time or pin. A numerical failure on valid input
+raises ``SingularSystem``, ``NumericalBlowup`` or ``OverflowError``. A value of the wrong
+Python type may raise ``TypeError``. The tests check this rule for the inputs README.md
+lists, not for every public call on every float.
+"""
 
 
 class PspbError(Exception):

@@ -47,7 +47,7 @@ class SampledSeries:
             raise ValueError("times and values must be 1-d and the same length")
         if len(times) < 2:
             raise ValueError("a series needs at least 2 samples")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):  # a NaN time too
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)

@@ -93,6 +93,12 @@ class Waypoint:
     acceleration: float | None = None
     jerk: float | None = None
 
+    def __post_init__(self):  # else the solve fails, naming no waypoint
+        for name in ("position", "velocity", "acceleration", "jerk"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"waypoint at t={self.time}: {name} {value!r} is not finite")
+
     def derivative(self, order: int) -> float | None:
         return (self.position, self.velocity, self.acceleration, self.jerk)[order]
 
@@ -196,6 +202,8 @@ def _check_span(t_start: float, t_end: float) -> tuple[float, float, float, floa
     T = float(t_end - t_start)
     try:
         powers = 1.0, T, T**2, T**3
+        if T == math.inf:  # inf**3 is inf, and raises nothing
+            raise OverflowError
     except OverflowError:  # Python's (34, 'Numerical result out of range') names nothing
         raise OverflowError(f"segment [{t_start}, {t_end}]: duration {T!r} to "
                             f"the power {MAX_DERIVATIVE} overflows") from None
@@ -411,8 +419,10 @@ def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
         times = [w.time for w in waypoints]
         if any(not b > a for a, b in zip(times, times[1:])):  # a NaN time too
             raise ValueError(f"waypoint times must be strictly increasing: {times}")
-        if any(b - a < MIN_SEGMENT_FRACTION * (times[-1] - times[0])
-               for a, b in zip(times, times[1:])):
+        limit = MIN_SEGMENT_FRACTION * (times[-1] - times[0])
+        if limit == math.inf and math.isfinite(times[0]) and math.isfinite(times[-1]):
+            limit = 0.0  # a phase too long for a float: _check_span names its long segment
+        if any(b - a < limit for a, b in zip(times, times[1:])):
             raise ValueError(
                 f"each segment must span at least {MIN_SEGMENT_FRACTION:g} of its "
                 f"phase, got waypoint times {times}"

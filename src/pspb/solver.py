@@ -15,6 +15,7 @@ the widest, are one stack: a gait is one padded solve (partial pivoting), and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .poly import Polynomial, is_order
@@ -35,6 +36,8 @@ class Constraint:
             raise ValueError(f"constraint order must be in [0, 3], got {self.order}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"constraint tau must be in [0, 1], got {self.tau}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"constraint value at tau={self.tau} must be finite, got {self.value}")
 
 
 def solve_segment(

@@ -619,10 +619,16 @@ OVERFLOW_CONFIGS = {
                               "stance_times": [0, 1e120, 2e120, 3e120],
                               "swing_times": [3e120, 4e120, 5e120, 6e120]}
        for name in ("434-1", "656-1")},
+    # A phase whose span overflows has a segment whose cube does: that segment is named,
+    # not every finite segment reported as too short a fraction of an infinite phase.
+    "overflowing_phase": {"schemes": ["434-1"], "waypoints": {
+        "stance": [[t, 0, 0, 0, 0] for t in (-1e308, 0, 1e308, 1.5e308)],
+        "swing": [[t, 0, 0, 0, 0] for t in (1.5e308, 1.6e308, 1.7e308, 1.79e308)]}},
 }
 # The verbs each config overflows in: a config without a reference has nothing
 # to compare, and a huge but finite sinusoid generates finite profiles.
-OVERFLOW_VERBS = {"huge_waypoints": ["generate"], "huge_errors": ["compare"]}
+OVERFLOW_VERBS = {"huge_waypoints": ["generate"], "huge_errors": ["compare"],
+                  "overflowing_phase": ["generate"]}
 SINUSOID_OVERFLOWS = {
     "tiny_period": "amplitude 30.0 * (2 pi / period 1e-300)**2 overflows",
     "infinite_frequency": "period 1e-310 is too short, 2 pi / period is infinite",
@@ -635,6 +641,7 @@ NAMED_OVERFLOWS = {
     "huge_times": "segment [0.0, 1e+300]: duration 1e+300 to the power 3 overflows",
     "long_times_434-1": "segment [0.0, 1e+120]: duration 1e+120 to the power 3 overflows",
     "long_times_656-1": "segment [0.0, 1e+120]: duration 1e+120 to the power 3 overflows",
+    "overflowing_phase": "segment [-1e+308, 0.0]: duration 1e+308 to the power 3 overflows",
     "huge_waypoints": "{verb}: overflow encountered in multiply",
     "huge_errors": "{verb}: overflow encountered in square",
 }

@@ -114,7 +114,8 @@ def test_series_mismatch_rejected():
     ([[0.0, 1.0]], [[0.0, 1.0]], "times and values must be 1-d and the same length"),
     ([0.0], [0.0], "a series needs at least 2 samples"),
     ([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], "times must be strictly increasing"),
-], ids=["lengths_differ", "two_d", "one_sample", "repeated_time"])
+    ([0.0, math.nan, 1.0], [0.0, 0.0, 0.0], "times must be strictly increasing"),
+], ids=["lengths_differ", "two_d", "one_sample", "repeated_time", "nan_time"])
 def test_sampled_series_refuses_a_bad_grid(times, values, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SampledSeries(np.array(times), np.array(values), 0)

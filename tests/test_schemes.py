@@ -530,10 +530,18 @@ def test_gait_errors_keep_their_pin_order():
         generate_phase(builtin_scheme("434-1"), zero_waypoints(tiny))
     assert str(err.value) == ("segment must have t_end > t_start and a duration whose "
                               f"cube is nonzero, got [{tiny[0]}, {tiny[1]}]")
-    # A NaN value solves to NaN coefficients, named by the first segment's pins.
-    nan = [Waypoint(t, math.nan, 0.0, 0.0, 0.0) for t in STANCE]
+    # A NaN value is bad input, refused when its waypoint is built, naming the field
+    # and the time; None still means a value not given.
+    for values, message in (((math.nan, 0.0), "position nan"), ((0.0, None, -math.inf),
+                                                                "acceleration -inf")):
+        with pytest.raises(ValueError) as err:
+            Waypoint(STANCE[1], *values)
+        assert str(err.value) == f"waypoint at t={STANCE[1]}: {message} is not finite"
+    # Finite values whose solve overflows give non-finite coefficients, named by the
+    # first segment's pins.
+    huge = [Waypoint(t, (-1) ** i * 1e308, 0.0, 0.0, 0.0) for i, t in enumerate(STANCE)]
     with pytest.raises(SingularSystem) as err:
-        generate_phase(builtin_scheme("545-1"), nan)
+        generate_phase(builtin_scheme("545-1"), huge)
     assert str(err.value) == (
         "solve produced non-finite coefficients: position@tau=0, velocity@tau=0, "
         "acceleration@tau=0, jerk@tau=0, position@tau=1, velocity@tau=1")
@@ -877,7 +885,8 @@ def test_solving_and_reading_a_gait_builds_no_segment_objects(monkeypatch):
 def test_a_short_span_fails_when_its_row_is_read():
     # A segment's span is checked where its duration's powers are formed, before its row
     # is read, so in reading order: a stance span whose cube underflows is named before a
-    # swing waypoint missing a derivative, and before non-finite coefficients.
+    # swing waypoint missing a derivative, and before non-finite coefficients (from finite
+    # values whose solve overflows: a NaN waypoint is refused when it is built).
     tiny = [t * 1e-110 for t in STANCE]
     short = ("segment must have t_end > t_start and a duration whose cube is nonzero, "
              f"got [{tiny[0]}, {tiny[1]}]")
@@ -886,7 +895,8 @@ def test_a_short_span_fails_when_its_row_is_read():
         first = Waypoint(start, 0.0, 0.0, 0.0, 0.0)
         return (zero_waypoints([start, *SWING[1:]]),
                 [first, Waypoint(0.68, 0.0), *zero_waypoints(SWING[2:])],
-                [first, *(Waypoint(t, math.nan, 0.0, 0.0, 0.0) for t in SWING[1:])])
+                [first, *(Waypoint(t, (-1) ** i * 1e308, 0.0, 0.0, 0.0)
+                          for i, t in enumerate(SWING[1:]))])
 
     for name in ("434-1", "545-1", "656-1"):
         scheme = builtin_scheme(name)
@@ -895,14 +905,14 @@ def test_a_short_span_fails_when_its_row_is_read():
                 generate_gait(scheme, zero_waypoints(tiny), swing)
             assert str(err.value) == short
         # Behind a stance that reads, each swing gives its own error.
-        solved, missing, nan = swings(STANCE[-1])
+        solved, missing, huge = swings(STANCE[-1])
         generate_gait(scheme, zero_waypoints(STANCE), solved)
         with pytest.raises(MissingWaypointDerivative) as err:
             generate_gait(scheme, zero_waypoints(STANCE), missing)
         assert str(err.value) == (f"scheme {name} segment 1 needs derivative order 1 "
                                   "at t=0.68, but the waypoint does not define it")
         with pytest.raises(SingularSystem, match="^solve produced non-finite coefficients: "):
-            generate_gait(scheme, zero_waypoints(STANCE), nan)
+            generate_gait(scheme, zero_waypoints(STANCE), huge)
 
 
 def test_table_powers_are_python_float_powers_bitwise():

@@ -133,8 +133,13 @@ def phase(name):
     # Every scheme, whatever it pins, whether duration**2 is finite or not.
     *[(phase(name), t_end, f"segment [0.0, {t_end}]: duration {t_end} to the power 3 overflows")
       for name in schemes.SCHEME_NAMES for t_end in (1e120, 1e300)],
+    # A duration too long for a float: inf**3 is inf, with no error of its own.
+    (lambda t_end: solve_segment(3, [c(k, tau, 1.0) for tau in (SEGMENT_START, SEGMENT_END)
+                                     for k in (0, 1)], -t_end, t_end), 1.7e308,
+     "segment [-1.7e+308, 1.7e+308]: duration inf to the power 3 overflows"),
 ], ids=["span_check", "jerk_pin", "acceleration_pin", "numpy_scalar",
-        *[f"{name}-{t_end:g}" for name in schemes.SCHEME_NAMES for t_end in (1e120, 1e300)]])
+        *[f"{name}-{t_end:g}" for name in schemes.SCHEME_NAMES for t_end in (1e120, 1e300)],
+        "infinite_duration"])
 def test_an_overflowing_duration_names_the_segment(solve, t_end, message):
     # Python's float power used to raise OverflowError(34, 'Numerical result out of
     # range'), whose text names neither the segment nor its duration. A duration's powers
@@ -164,6 +169,15 @@ def test_constraint_order_outside_0_to_3_rejected(order):
 def test_constraint_tau_outside_segment_rejected(tau):
     with pytest.raises(ValueError, match="tau"):
         Constraint(0, tau, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_constraint_value_must_be_finite(value):
+    # Bad input is refused where it is given, naming its tau, not found by the solve as
+    # a SingularSystem that names no pin.
+    with pytest.raises(ValueError) as err:
+        Constraint(1, SEGMENT_END, value)
+    assert str(err.value) == f"constraint value at tau=1.0 must be finite, got {value}"
 
 
 def test_condition_estimate_at_least_one():

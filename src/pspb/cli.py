@@ -62,8 +62,11 @@ def _fmt(x: float) -> str:
 def _write_text(paths: list[Path], chunks: Iterable[Iterable[Iterable[str]]]) -> None:
     """Rewrite each path in place with its strings from every chunk (one iterable of them per
     path, read as it is written), then cut it to length: no ``O_TRUNC``, so no ext4
-    writeback on close, and the inode, mode and links are kept."""
+    writeback on close, and the inode, mode and links are kept. Each path's directory is made
+    first: a run's first write makes ``--out``, so an error raised before it leaves none."""
     with contextlib.ExitStack() as stack:
+        for directory in {path.parent for path in paths}:
+            directory.mkdir(parents=True, exist_ok=True)
         files = [stack.enter_context(open(path, "w", encoding="utf-8", opener=lambda p, flags:
                                           os.open(p, flags & ~os.O_TRUNC, 0o666)))
                  for path in paths]
@@ -246,17 +249,8 @@ class RunConfig:
 def run_generate(config: RunConfig, out: Path) -> None:
     stack = _stack(tuple(config.build_gait(name) for name in config.schemes))  # one table
     reports = list(_jumps(stack))  # read in full first: its errors come before any file
-    # Every scheme's profile at once: each grid block, read once for all, goes to each file.
-    _write_csv([out / f"profile_{name}.csv" for name in config.schemes],
-               ["t", "position", "velocity", "acceleration", "jerk"],
-               ((np.column_stack([times, one.T]) for one in values)
-                for phase in (slice(0, 3), slice(3, 6))  # a gait's stance and swing rows
-                for _, times, values in _grid(stack, phase, config.samples)))
     for name, traj, report in zip(config.schemes, stack[0], reports):
-        jumps = [[via, order, jump, int(both)] for via, order, jump, both in report]
-        _write_csv([out / f"continuity_{name}.csv"],
-                   ["via_time", "order", "jump", "constrained_both_sides"], [[jumps]])
-        if config.sim["enabled"]:
+        if config.sim["enabled"]:  # simulated before its files, so a bad dt leaves no file
             result = simulate_tracking(traj, gains=config.gains, dt=config.sim["dt"])
             _write_csv(
                 [out / f"tracking_{name}.csv"],
@@ -266,6 +260,15 @@ def run_generate(config: RunConfig, out: Path) -> None:
                                    result.reference_angle.values])]],
             )
             print(f"{name}: tracking RMSE {result.rmse:.6g} rad")
+        jumps = [[via, order, jump, int(both)] for via, order, jump, both in report]
+        _write_csv([out / f"continuity_{name}.csv"],
+                   ["via_time", "order", "jump", "constrained_both_sides"], [[jumps]])
+    # Every scheme's profile at once: each grid block, read once for all, goes to each file.
+    _write_csv([out / f"profile_{name}.csv" for name in config.schemes],
+               ["t", "position", "velocity", "acceleration", "jerk"],
+               ((np.column_stack([times, one.T]) for one in values)
+                for phase in (slice(0, 3), slice(3, 6))  # a gait's stance and swing rows
+                for _, times, values in _grid(stack, phase, config.samples)))
 
 
 def run_compare(config: RunConfig, out: Path) -> None:
@@ -402,9 +405,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:  # numpy's overflow, invalid and divide raise here, not warn and write inf or NaN
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            config = RunConfig(raw)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
+            config, out = RunConfig(raw), Path(args.out)
             if args.verb == "generate":
                 run_generate(config, out)
             elif args.verb == "compare":

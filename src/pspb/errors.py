@@ -33,7 +33,7 @@ class NonContiguousPhases(PspbError):
 
 
 class OutOfDomain(PspbError):
-    """Evaluation time lies outside the trajectory span."""
+    """Evaluation time lies outside the trajectory span, or a CSV reference's times."""
 
 
 class SeriesMismatch(PspbError):

@@ -70,8 +70,14 @@ def _check_pair(a: SampledSeries, b: SampledSeries):
         raise SeriesMismatch("series are sampled on different time grids")
 
 
-def _rms(err: np.ndarray):  # over the last axis
-    return np.sqrt(np.mean(err**2, axis=-1))
+def _rms(err: np.ndarray):
+    """Root mean square over the last axis; an OverflowError, not numpy's warning and inf,
+    if finite errors square or sum past a float."""
+    with np.errstate(over="ignore"):
+        rms = np.sqrt(np.mean(err**2, axis=-1))
+    if not np.isfinite(rms).all() and np.isfinite(err).all():  # checked only after a failure
+        raise OverflowError(f"the mean square of errors up to {np.abs(err).max():g} overflows")
+    return rms
 
 
 def rmse(a: SampledSeries, b: SampledSeries) -> float:

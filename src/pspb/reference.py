@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, OutOfDomain
 from .poly import Polynomial, horner_rows
 from .schemes import Waypoint, _build_table, _check_order
 
@@ -79,7 +79,7 @@ class CsvReference:
 
     Missing derivative columns are filled by central differences on the
     file's own grid (second-order accurate); evaluation between samples is
-    linear interpolation.
+    linear interpolation, and a time outside the samples raises ``OutOfDomain``.
     """
 
     COLUMNS = ("t", "pos", "vel", "acc", "jerk")
@@ -145,6 +145,9 @@ class CsvReference:
 
     def __call__(self, t, order: int = 0):
         _check_order(order)
+        times, lo, hi = np.asarray(t, dtype=float), self.times[0], self.times[-1]
+        if (outside := ~((lo <= times) & (times <= hi))).any():  # NaN too: no extrapolation
+            raise OutOfDomain(f"t={times[outside][0]} outside reference span [{lo}, {hi}]")
         return np.interp(t, self.times, self.columns[order])
 
 

@@ -318,6 +318,7 @@ def test_missing_gait_inputs_fail_at_the_first_build(tmp_path, config_path, caps
         return code, capsys.readouterr().err
 
     assert run("generate", {"schemes": []}) == (0, "")
+    assert not (tmp_path / "o").exists()  # no file written, so no --out made
     need = "error: config needs either an explicit waypoint table or a reference\n"
     assert run("generate", {}) == (2, need)
     assert run("compare", {}) == (2, "error: compare needs a reference (csv or sinusoid)\n")
@@ -369,6 +370,10 @@ def test_bad_config_exit_codes(tmp_path, config_path, capsys):
     a_file.write_text("")
     capsys.readouterr()
     assert main(["generate", "--config", config_path(BASE), "--out", str(a_file)]) == 4
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{a_file}'\n"
+    # benchmark finds it at its one write, after its timing rounds.
+    assert main(["benchmark", "--config", config_path(BASE), "--out", str(a_file),
+                 "--repetitions", "100"]) == 4
     assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{a_file}'\n"
 
     bad_json = tmp_path / "bad.json"
@@ -536,6 +541,39 @@ REFUSED_BEFORE_OUT = {
     # A cell that is not a number: the line names the file and the row.
     "csv_not_a_number": ({}, "t,pos\n0,1\n0.5,abc\n1,0\n",
                          "{csv}: every cell must be a number, got ['0.5', 'abc']"),
+    # Errors found while a gait is built: --out is made by the first file, after every build.
+    "segment_too_short": ({"stance_times": [0, 1e-9, 0.5, 0.6]}, None,
+                          "each segment must span at least 1e-06 of its phase, "
+                          "got waypoint times [0.0, 1e-09, 0.5, 0.6]"),
+    "waypoint_without_velocity": (
+        {"schemes": ["656-1"],
+         "waypoints": {**README_WAYPOINTS, "stance": [[0.0, 10, 0, 0, 0], [0.12, 12],
+                                                      *README_WAYPOINTS["stance"][2:]]}}, None,
+        "scheme 656-1 segment 1 needs derivative order 1 at t=0.12, "
+        "but the waypoint does not define it"),
+    "phase_without_midpoint": (
+        {"schemes": ["434-2"], "midpoints": {"stance": {"0": 11}}}, None,
+        "scheme 434-2 needs a mid-point position for segment 3 (t=0.54) and none was supplied"),
+}
+# Configs one verb refuses before --out is made: that verb and its other arguments, the
+# whole config and the one error line.
+REFUSED_BEFORE_OUT_BY_VERB = {
+    # simulate_tracking checks dt on the first scheme, which is simulated before its files.
+    "dt_too_long": (["generate"], {**BASE, "schemes": ["434-1"],
+                                   "sim": {"enabled": True, "dt": 0.5}},
+                    "dt must be in (0, 0.008] for this trajectory"),
+    "dt_negative": (["generate"], {**BASE, "schemes": ["434-1", "656-1"],
+                                   "sim": {"enabled": True, "dt": -1}},
+                    "dt must be in (0, 0.008] for this trajectory"),
+    "dt_too_many_steps": (["generate"], {**BASE, "schemes": ["434-1"],
+                                         "sim": {"enabled": True, "dt": 1e-7}},
+                          "dt=1e-07 needs more than 1000000 steps for this trajectory"),
+    "neither_waypoints_nor_reference": (
+        ["generate"], {}, "config needs either an explicit waypoint table or a reference"),
+    "compare_without_reference": (["compare"], {"waypoints": README_WAYPOINTS},
+                                  "compare needs a reference (csv or sinusoid)"),
+    "benchmark_repetitions": (["benchmark", "--repetitions", "5"], BASE,
+                              "benchmark needs >= 100 repetitions, got 5"),
 }
 
 
@@ -550,6 +588,15 @@ def test_refused_before_out_is_made(tmp_path, config_path, capsys, name, verb):
     out = tmp_path / "out"
     assert main([verb, "--config", config_path({**BASE, **doc}), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message.format(csv=csv_path)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", list(REFUSED_BEFORE_OUT_BY_VERB))
+def test_refused_by_its_verb_before_out_is_made(tmp_path, config_path, capsys, name):
+    (verb, *options), doc, message = REFUSED_BEFORE_OUT_BY_VERB[name]
+    out = tmp_path / "out"
+    assert main([verb, "--config", config_path(doc), "--out", str(out), *options]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

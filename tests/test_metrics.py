@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from pspb.metrics import (
     sample,
     via_point_rmse,
 )
-from pspb.reference import PolynomialReference, waypoints_from_reference
+from pspb.reference import PolynomialReference, SinusoidReference, waypoints_from_reference
 from pspb.schemes import (
     DEFAULT_STANCE_TIMES,
     DEFAULT_SWING_TIMES,
@@ -119,6 +120,27 @@ def test_series_mismatch_rejected():
 def test_sampled_series_refuses_a_bad_grid(times, values, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SampledSeries(np.array(times), np.array(values), 0)
+
+
+def test_an_overflowing_mean_square_raises_instead_of_warning():
+    big, times = SinusoidReference(1e160), np.linspace(0.0, 1.0, 101)
+    zeros, traj = series(np.zeros(101)), zero_phase()
+    # Finite errors whose squares, or whose squares' sum, pass a float.
+    cases = [(lambda: rmse(series(big(times)), zeros), r"1e\+160"),
+             (lambda: ade(series(big(times)), zeros), r"1e\+160"),
+             (lambda: rmse(series([1e154] * 4), series([0.0] * 4)), r"1e\+154"),  # the sum
+             (lambda: via_point_rmse(traj, big), ".+"),
+             (lambda: via_point_rmse(traj, big, slice(None)), ".+")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning fails the test
+        for call, largest in cases:
+            with pytest.raises(OverflowError,
+                               match=f"^the mean square of errors up to {largest} overflows$"):
+                call()
+        # A large error whose mean square fits, and an error already infinite, read as before.
+        assert rmse(series([3e150, 4e150]), series([0.0, 0.0])) == pytest.approx(
+            math.sqrt(12.5) * 1e150)
+        assert rmse(series([math.inf, 0.0]), series([0.0, 0.0])) == math.inf
 
 
 def test_rmse_translation_invariant():

@@ -2,13 +2,14 @@
 k)`` equals ``ref(t, k)`` read one float time at a time, bit for bit."""
 
 import functools
+import math
 import re
 
 import numpy as np
 import pytest
 
 from conftest import differentiate, horner
-from pspb.errors import ConfigError
+from pspb.errors import ConfigError, OutOfDomain
 from pspb.poly import Polynomial
 from pspb.reference import (
     CsvReference,
@@ -164,3 +165,21 @@ def test_csv_reference_checks_its_column_lengths(order, column, shape):
     # Checked before the finiteness check, which reads every column.
     with pytest.raises(ConfigError, match=f"has shape {re.escape(shape)}, not one value"):
         CsvReference([0.0, 0.5, float("nan")], columns)
+
+
+@pytest.mark.parametrize("t, first", [
+    (2.0, 2.0), (-5.0, -5.0), (math.nan, math.nan), (1.0 + 1e-15, 1.0 + 1e-15),
+    (np.array([0.5, 1.5, -1.0]), 1.5), (np.array([[0.0], [-1e-300]]), -1e-300),
+    (np.array([1.0, math.nan]), math.nan),
+], ids=["past_end", "before_start", "nan", "just_past_end", "array", "two_d", "array_nan"])
+def test_csv_reference_refuses_to_extrapolate(t, first):
+    ref = CsvReference([0.0, 1.0], {0: [0.0, 1.0]})
+    # Inside and at either end, a float or an array: read by linear interpolation.
+    for inside in (0.0, 0.25, 1.0):
+        assert ref(inside) == inside and ref(inside, 1) == 1.0
+    assert ref(np.array([0.0, 0.25, 1.0])).tolist() == [0.0, 0.25, 1.0]
+    # Outside, or NaN: the first such time and the span, in every order.
+    for order in range(4):
+        with pytest.raises(OutOfDomain) as err:
+            ref(t, order)
+        assert str(err.value) == f"t={first} outside reference span [0.0, 1.0]"

@@ -276,7 +276,7 @@ def run_compare(config: RunConfig, out: Path) -> None:
         raise ConfigError("compare needs a reference (csv or sinusoid)")
     stack = _stack(tuple(config.build_gait(name) for name in config.schemes))
     # Per scope, every scheme's squared errors in all orders, read in blocks into one array
-    # (192 bytes per sample for six schemes), then _rms's mean and root; ADE is RMSE / sqrt(N).
+    # (192 bytes per sample for six schemes), then rmse's mean and root; ADE is RMSE / sqrt(N).
     squares, scopes = np.empty((len(config.schemes), 4, config.samples)), []
     for phase in (slice(0, 6), slice(0, 3), slice(3, 6)):  # full, stance and swing rows
         for rows, times, values in _grid(stack, phase, config.samples):

@@ -70,19 +70,24 @@ def _check_pair(a: SampledSeries, b: SampledSeries):
         raise SeriesMismatch("series are sampled on different time grids")
 
 
-def _rms(err: np.ndarray):
-    """Root mean square over the last axis; an OverflowError, not numpy's warning and inf,
-    if finite errors square or sum past a float."""
+def _mean_error(actual: np.ndarray, expected, square: bool = True):
+    """Root mean square (or, not ``square``, mean absolute value) of actual - expected over the
+    last axis; an OverflowError, not numpy's warning and inf, if finite values' errors overflow."""
     with np.errstate(over="ignore"):
-        rms = np.sqrt(np.mean(err**2, axis=-1))
-    if not np.isfinite(rms).all() and np.isfinite(err).all():  # checked only after a failure
-        raise OverflowError(f"the mean square of errors up to {np.abs(err).max():g} overflows")
-    return rms
+        err = actual - expected
+        mean = np.sqrt(np.mean(err**2, axis=-1)) if square else np.mean(np.abs(err), axis=-1)
+    if not np.isfinite(mean).all() and np.isfinite(actual).all() and np.isfinite(expected).all():
+        what = f"mean {'square' if square else 'absolute value'} of errors"
+        largest = np.abs(err).max()
+        if not math.isfinite(largest):  # a difference itself overflowed
+            what, largest = "difference of values", np.abs(np.append(actual, expected)).max()
+        raise OverflowError(f"the {what} up to {largest:g} overflows")
+    return mean
 
 
 def rmse(a: SampledSeries, b: SampledSeries) -> float:
     _check_pair(a, b)
-    return float(_rms(a.values - b.values))
+    return float(_mean_error(a.values, b.values))
 
 
 def ade(a: SampledSeries, b: SampledSeries) -> float:
@@ -93,7 +98,7 @@ def ade(a: SampledSeries, b: SampledSeries) -> float:
 def mae(a: SampledSeries, b: SampledSeries) -> float:
     """Plain mean absolute error, for readers who expect that semantics."""
     _check_pair(a, b)
-    return float(np.mean(np.abs(a.values - b.values)))
+    return float(_mean_error(a.values, b.values, square=False))
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,7 @@ def _via_windows(stack, reference: Reference, rows: slice, window: float) -> lis
     lo, hi = [max(v - window, t0) for v in vias], [min(v + window, t1) for v in vias]
     times = np.linspace(lo, hi, VIA_WINDOW_SAMPLES, axis=-1)
     expected = np.array([reference(times, k) for k in range(MAX_DERIVATIVE + 1)[rows]])
-    rms = _rms(_read_stack(stack, times, slice(len(vias) + 1), rows) - expected)
+    rms = _mean_error(_read_stack(stack, times, slice(len(vias) + 1), rows), expected)
     return [[[[v, r, (a, b), v - window < t0 or v + window > t1]
               for v, a, b, r in zip(vias, lo, hi, per_order)]
              for per_order in per_traj] for per_traj in rms.tolist()]

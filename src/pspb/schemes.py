@@ -132,19 +132,20 @@ class SchemeSpec:
     @cached_property
     def _compiled(self):
         """(pins, cond) of all six segments, stance then swing, their templates
-        identity-padded into one stack, and per segment each pin's source and order,
-        then its mid-point pins' places. The source is int(2 * tau): 0 the start
-        waypoint, 1 a mid-point, 2 the end one; 3 pads every row to the widest."""
+        identity-padded into one stack, and a phase's read plan: each entry of its row as
+        (segment, slot, order), then the mid-points' (entry, segment). Slots 0-3 are the
+        phase's waypoints and slot 4 holds (0.0,): a mid-point reads it as 4, padding as -1."""
         pins = [tuple((k, tau) for tau, k in cons) for cons in self.segment_constraints]
         templates = [_template(len(p) - 1, p) for p in pins]
         width = max(map(len, pins))
         stack = np.tile(np.eye(width), (6, 1, 1))
         for padded, (m, _) in zip(stack, templates * 2):
             padded[:len(m), :len(m)] = m
-        plan = [([(int(2 * tau), k) for tau, k in cons] + [(3, 0)] * (width - len(cons)),
-                 [j for j, (tau, _) in enumerate(cons) if tau == MID])
-                for cons in self.segment_constraints]
-        return [(p, cond) for p, (_, cond) in zip(pins, templates)] * 2, stack, plan
+        plan = [pin for g, cons in enumerate(self.segment_constraints)
+                for pin in [(g, {START: g, MID: 4, END: g + 1}[tau], k) for tau, k in cons]
+                + [(g, -1, 0)] * (width - len(cons))]
+        mids = [(j, g) for j, (g, slot, _) in enumerate(plan) if slot == 4]
+        return [(p, cond) for p, (_, cond) in zip(pins, templates)] * 2, stack, (plan, mids)
 
 
 @cache
@@ -238,7 +239,8 @@ def _solve_stacked(slots, matrices, rhs) -> np.ndarray:
     (its padding solves to +0.0; bit-identical to an unpadded solve up to width 7).
     Checked finite; the caller checked each span as it scaled its row by ``_check_span``."""
     n = len(slots)
-    coeffs = np.linalg.solve(matrices[:n], np.array(rhs).reshape(n, -1, 1))[..., 0]
+    b = np.fromiter(rhs, float, len(rhs)).reshape(n, -1, 1)  # as np.array(rhs), but faster
+    coeffs = np.linalg.solve(matrices[:n], b)[..., 0]
     if not np.isfinite(coeffs).all():  # a row's padding is finite if the rest of it is
         bad = next(pins for (pins, _), row in zip(slots, coeffs) if not np.isfinite(row).all())
         raise SingularSystem(f"solve produced non-finite coefficients: {_describe(bad)}")
@@ -310,10 +312,19 @@ def _build_table(coeffs: np.ndarray, spans):
     zero-padded on the left into one (power, trajectory, order, segment) array."""
     c = coeffs.transpose(2, 0, 1)
     table = np.zeros((len(c), len(coeffs), MAX_DERIVATIVE + 1, len(spans)))
-    for k in range(MAX_DERIVATIVE + 1):
-        table[k:, :, k] = c[::-1]
-        c = c[1:] * np.arange(1.0, len(c))[:, None, None]
     powers = np.array([_check_span(a, b) for a, b in spans]).T
+    # Past a row's bound on its reads, sum |c| / T**k, a fine grid finds the order that overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(MAX_DERIVATIVE + 1):
+            table[k:, :, k] = c[::-1]
+            c = c[1:] * np.arange(1.0, len(c))[:, None, None]
+        if not np.isfinite(np.abs(table).sum(axis=0) / powers).all():
+            taus = np.linspace(0.0, 1.0, 1025)[:, None, None, None]
+            grid = _read_table(((), powers, table), np.arange(len(spans)), taus, slice(None))
+            if (bad := ~np.isfinite(grid).all(axis=(0, 1)).T).any():  # by (segment, order)
+                i, k = np.argwhere(bad)[0]
+                raise OverflowError(f"segment [{spans[i][0]}, {spans[i][1]}]: its order {k} "
+                                    f"({ORDER_NAMES[k]}) overflows")
     return np.array([a for a, _ in spans]), powers, table
 
 
@@ -411,43 +422,45 @@ def generate_gait(
 def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
     """Check and read each (waypoints, midpoints) phase, then solve them all at once.
     The scheme's compile is read first, so a singular one raises before any phase."""
-    slots, stack, plan = scheme._compiled
+    slots, stack, (plan, mids) = scheme._compiled
     rhs, spans = [], []
     for waypoints, midpoints in phases:
         if len(waypoints) != 4:
             raise ValueError(f"a phase needs exactly 4 waypoints, got {len(waypoints)}")
         times = [w.time for w in waypoints]
-        if any(not b > a for a, b in zip(times, times[1:])):  # a NaN time too
+        t0, t1, t2, t3 = times
+        if not t0 < t1 < t2 < t3:  # a NaN time too
             raise ValueError(f"waypoint times must be strictly increasing: {times}")
-        limit = MIN_SEGMENT_FRACTION * (times[-1] - times[0])
-        if limit == math.inf and math.isfinite(times[0]) and math.isfinite(times[-1]):
+        limit = MIN_SEGMENT_FRACTION * (t3 - t0)
+        if limit == math.inf and math.isfinite(t0) and math.isfinite(t3):
             limit = 0.0  # a phase too long for a float: _check_span names its long segment
-        if any(b - a < limit for a, b in zip(times, times[1:])):
+        if min(t1 - t0, t2 - t1, t3 - t2) < limit:
             raise ValueError(
                 f"each segment must span at least {MIN_SEGMENT_FRACTION:g} of its "
                 f"phase, got waypoint times {times}"
             )
-        values = [(w.position, w.velocity, w.acceleration, w.jerk) for w in waypoints]
-        for i, (pins, mids) in enumerate(plan):
-            ends = values[i], (0.0,), values[i + 1], (0.0,)
-            powers = _check_span(times[i], times[i + 1])
-            try:  # a missing value (None) stops this read
-                row = [ends[e][k] * powers[k] for e, k in pins]
-            except TypeError:  # so read pin by pin: the first bad one raises
-                row = [_read_pin(scheme, i, e, k, ends, times, midpoints, powers) for e, k in pins]
-            else:
-                for j in mids:
-                    row[j] = _read_pin(scheme, i, 1, 0, ends, times, midpoints, powers)
-            rhs += row
-            spans.append((times[i], times[i + 1]))
+        values = [(w.position, w.velocity, w.acceleration, w.jerk) for w in waypoints] + [(0.0,)]
+        # One pass reads the row; a refused span or a missing value (None) stops it. The
+        # re-read checks each segment's span before its pins, so the first fault raises.
+        try:
+            powers = _check_span(t0, t1), _check_span(t1, t2), _check_span(t2, t3)
+            row = [values[slot][k] * powers[g][k] for g, slot, k in plan]
+        except (ValueError, OverflowError, TypeError):
+            row = [_read_pin(scheme, g, slot, k, values, times, midpoints,
+                             _check_span(times[g], times[g + 1])) for g, slot, k in plan]
+        else:
+            for j, g in mids:
+                row[j] = _read_pin(scheme, g, 4, 0, values, times, midpoints, powers[g])
+        rhs += row
+        spans += zip(times, times[1:])
     slots = slots[:len(spans)]
     return PiecewiseTrajectory._of(_solve_stacked(slots, stack, rhs), spans, slots)
 
 
-def _read_pin(scheme: SchemeSpec, segment: int, source: int, order: int, ends, times,
+def _read_pin(scheme: SchemeSpec, segment: int, slot: int, order: int, values, times,
               midpoints, powers):
-    """One pin's value times T**order, as the segment's row reads it, but on its own."""
-    if source == 1:
+    """One pin's value times T**order, as the phase's row reads it, but on its own."""
+    if slot == 4:
         t_mid = 0.5 * (times[segment] + times[segment + 1])
         if not callable(midpoints) and segment not in (midpoints or {}):
             raise MissingWaypointDerivative(
@@ -458,11 +471,11 @@ def _read_pin(scheme: SchemeSpec, segment: int, source: int, order: int, ends, t
             raise ValueError(f"scheme {scheme.name} segment {segment + 1} (t={t_mid}): "
                              f"mid-point position {value!r} is not finite")
         return value
-    value = ends[source][order]
+    value = values[slot][order]
     if value is None:
         raise MissingWaypointDerivative(
             f"scheme {scheme.name} segment {segment + 1} needs derivative order {order} "
-            f"at t={times[segment + source // 2]}, but the waypoint does not define it"
+            f"at t={times[slot]}, but the waypoint does not define it"
         )
     return value * powers[order]
 

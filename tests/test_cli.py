@@ -656,6 +656,11 @@ OVERFLOW_CONFIGS = {
         "stance": [[0, 1e305, 0, 0, 0], [0.12, -1e305, 0, 0, 0], [0.48, 0, 0, 0, 0],
                    [0.6, 0, 0, 0, 0]],
         "swing": [[0.6, 0, 0, 0, 0], [0.68, 0, 0, 0, 0], [0.92, 0, 0, 0, 0], [1.0, 0, 0, 0, 0]]}},
+    # Finite waypoints whose table is finite, but whose swing jerk passes a float on its
+    # first segment; this used to exit 3 on numpy's bare "overflow encountered in multiply".
+    "overflowing_derivative": {"schemes": ["656-1"], "waypoints": {
+        "stance": [[t, 1e305, 0, 0, 0] for t in (0, 0.12, 0.48, 0.6)],
+        "swing": [[0.6, 1e305, 0, 0, 0], *([t, 0, 0, 0, 0] for t in (0.68, 0.92, 1.0))]}},
     # A finite gait and reference whose squared errors overflow; this used to
     # exit 0 with inf RMSE and ADE in every row.
     "huge_errors": {"schemes": ["434-1"], "reference": {"name": "sinusoid", "amplitude": 1e160}},
@@ -675,21 +680,23 @@ OVERFLOW_CONFIGS = {
 # The verbs each config overflows in: a config without a reference has nothing
 # to compare, and a huge but finite sinusoid generates finite profiles.
 OVERFLOW_VERBS = {"huge_waypoints": ["generate"], "huge_errors": ["compare"],
-                  "overflowing_phase": ["generate"]}
+                  "overflowing_phase": ["generate"], "overflowing_derivative": ["generate"]}
 SINUSOID_OVERFLOWS = {
     "tiny_period": "amplitude 30.0 * (2 pi / period 1e-300)**2 overflows",
     "infinite_frequency": "period 1e-310 is too short, 2 pi / period is infinite",
     "huge_amplitude": "amplitude 1e+300 * (2 pi / period 1e-10)**1 overflows",
 }
-# Every other overflow's line names what overflowed: the segment and its duration, or
-# the verb that numpy's own text stops (Python's float power used to print only
-# "(34, 'Numerical result out of range')", numpy's only "overflow encountered in ...").
+# Every other overflow's line names what overflowed: the segment and its duration or the
+# order of its derivative, or the verb that numpy's own text stops (Python's float power
+# used to print only "(34, 'Numerical result out of range')", numpy's only "overflow
+# encountered in ...").
 NAMED_OVERFLOWS = {
     "huge_times": "segment [0.0, 1e+300]: duration 1e+300 to the power 3 overflows",
     "long_times_434-1": "segment [0.0, 1e+120]: duration 1e+120 to the power 3 overflows",
     "long_times_656-1": "segment [0.0, 1e+120]: duration 1e+120 to the power 3 overflows",
     "overflowing_phase": "segment [-1e+308, 0.0]: duration 1e+308 to the power 3 overflows",
-    "huge_waypoints": "{verb}: overflow encountered in multiply",
+    "huge_waypoints": "segment [0.0, 0.12]: its order 3 (jerk) overflows",
+    "overflowing_derivative": "segment [0.6, 0.68]: its order 3 (jerk) overflows",
     "huge_errors": "{verb}: overflow encountered in square",
 }
 

@@ -143,6 +143,26 @@ def test_an_overflowing_mean_square_raises_instead_of_warning():
         assert rmse(series([math.inf, 0.0]), series([0.0, 0.0])) == math.inf
 
 
+def test_errors_whose_difference_or_mean_overflows_raise_instead_of_warning():
+    # rmse and mae form the difference of two finite series under the same check as its mean:
+    # a difference past a float names the values, a mean past one the errors.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning fails the test
+        for metric in (rmse, mae, ade):
+            with pytest.raises(OverflowError) as err:
+                metric(SampledSeries([0, 1], [1e308, 0], 0), SampledSeries([0, 1], [-1e308, 0], 0))
+            assert str(err.value) == "the difference of values up to 1e+308 overflows"
+        with pytest.raises(OverflowError) as err:
+            mae(series([1e308, 1e308]), series([0.0, -1e307]))
+        assert str(err.value) == "the mean absolute value of errors up to 1.1e+308 overflows"
+        # Errors that fit read as before, an infinite value as inf.
+        rng = np.random.default_rng(32)
+        a, b = rng.normal(size=50), rng.normal(size=50)
+        assert mae(series(a), series(b)) == float(np.mean(np.abs(a - b)))
+        assert mae(series([1e308, 0.0]), series([0.0, 0.0])) == 5e307
+        assert mae(series([math.inf, 0.0]), series([0.0, 0.0])) == math.inf
+
+
 def test_rmse_translation_invariant():
     rng = np.random.default_rng(4)
     a = rng.normal(size=50)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -944,3 +945,58 @@ def test_a_gait_segment_reads_its_row_of_the_gait_table(monkeypatch):
     for t in (alone.t_start, alone.t_end):
         alone.kinematics(t)
     assert tables == [1, 1]
+
+
+def test_a_phase_reports_its_first_fault_in_segment_order():
+    # A phase reads its row in one pass, but a fault keeps the order of reading segment by
+    # segment, each span checked before its pins: a segment 1 without the acceleration 656-1
+    # pins is named before segment 3, whose cube underflows, and the reverse holds too.
+    times = [0.0, 1e-104, 2e-104, 2e-104 + 1e-109]
+    no_acceleration = [Waypoint(0.0, 0.0, 0.0)] + zero_waypoints(times[1:])
+    no_velocity = zero_waypoints(times[:3]) + [Waypoint(times[3], 0.0)]
+    with pytest.raises(MissingWaypointDerivative) as err:
+        generate_phase(builtin_scheme("656-1"), no_acceleration)
+    assert str(err.value) == ("scheme 656-1 segment 1 needs derivative order 2 at t=0.0, "
+                              "but the waypoint does not define it")
+    with pytest.raises(ValueError) as err:
+        generate_phase(builtin_scheme("656-1"), no_velocity)
+    assert str(err.value) == ("segment must have t_end > t_start and a duration whose cube "
+                              f"is nonzero, got [{times[2]}, {times[3]}]")
+    # A segment 1 mid-point that is missing is named before a later segment's missing value,
+    # and one that is not finite before a later span's underflow; mid-point sources are read
+    # in segment order, and never when an earlier pin fails.
+    with pytest.raises(MissingWaypointDerivative,
+                       match="^scheme 656-2 needs a mid-point position for segment 1 "):
+        generate_phase(builtin_scheme("656-2"), no_velocity, {2: 0.0})
+    calls = []
+    with pytest.raises(ValueError, match="^scheme 656-2 segment 1 .* position nan is not finite"):
+        generate_phase(builtin_scheme("656-2"), zero_waypoints(times),
+                       lambda t: calls.append(t) or math.nan)
+    assert calls == [0.5 * (times[0] + times[1])]
+    with pytest.raises(MissingWaypointDerivative, match="segment 1 needs derivative order 2"):
+        generate_phase(builtin_scheme("656-2"), no_acceleration, lambda t: calls.append(t) or 0.0)
+    assert len(calls) == 1
+
+
+def test_a_derivative_that_overflows_names_its_segment_and_order():
+    # Finite waypoints whose swing jerk passes a float on its first segment: every read of the
+    # gait's table raises, with no numpy warning, where it used to return inf.
+    stance = [Waypoint(t, 1e305, 0.0, 0.0, 0.0) for t in STANCE]
+    swing = [Waypoint(SWING[0], 1e305, 0.0, 0.0, 0.0)] + zero_waypoints(SWING[1:])
+    gait = generate_gait(builtin_scheme("656-1"), stance, swing)
+    message = "^segment \\[0.6, 0.68\\]: its order 3 \\(jerk\\) overflows$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (lambda: evaluate(gait, 0.64, slice(None)), lambda: continuity_report(gait),
+                     lambda: evaluate(gait, 0.1), lambda: gait.segments[0].kinematics(0.1)):
+            with pytest.raises(OverflowError, match=message):
+                read()
+        # A row whose |coefficients| sum past a float, but whose reads do not, reads as before.
+        wide = poly.Polynomial((0.0, 1e308, -0.8e308))
+        traj = PiecewiseTrajectory([SolvedSegment(wide, 0.0, 1.0, 1.0)])
+        taus = np.linspace(0.0, 1.0, 1001)
+        want = [horner(differentiate(wide, k), taus) for k in range(4)]
+        assert same_bits(evaluate(traj, taus, slice(None)), want)
+        # So do a gait's coefficients whose sum passes a float: the solve's check is per value.
+        huge = [[Waypoint(t, 1.7e308, 0.0, 0.0, 0.0) for t in times] for times in (STANCE, SWING)]
+        assert evaluate(generate_gait(builtin_scheme("434-1"), *huge), 0.3) == 1.7e308

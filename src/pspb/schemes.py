@@ -19,6 +19,7 @@ from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _gesv  # np.linalg.solve's kernel
 
 from .errors import (ConstraintCountMismatch, MissingWaypointDerivative, NonContiguousPhases,
                      OutOfDomain, SingularSystem, UnknownScheme)
@@ -236,11 +237,12 @@ def _template(degree: int, pins: tuple[tuple[int, float], ...]):
 def _solve_stacked(slots, matrices, rhs) -> np.ndarray:
     """(slot, width) ascending coefficients: item p of ``matrices``, the template of
     ``slots[p] = (pins, cond)`` identity-padded, solved against row p of the flat ``rhs``
-    (its padding solves to +0.0; bit-identical to an unpadded solve up to width 7).
-    Checked finite; the caller checked each span as it scaled its row by ``_check_span``."""
+    by ``_gesv`` (padding solves to +0.0; bit-identical to an unpadded solve up to width 7).
+    No fallback: operands are float64 in compiled shapes; ``_template`` refused singular ones.
+    No errstate: gesv clears FP flags unless a pivot is 0. Checked finite; caller checked spans."""
     n = len(slots)
     b = np.fromiter(rhs, float, len(rhs)).reshape(n, -1, 1)  # as np.array(rhs), but faster
-    coeffs = np.linalg.solve(matrices[:n], b)[..., 0]
+    coeffs = _gesv(matrices[:n], b)[..., 0]
     if not np.isfinite(coeffs).all():  # a row's padding is finite if the rest of it is
         bad = next(pins for (pins, _), row in zip(slots, coeffs) if not np.isfinite(row).all())
         raise SingularSystem(f"solve produced non-finite coefficients: {_describe(bad)}")

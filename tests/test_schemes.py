@@ -578,11 +578,14 @@ def test_singular_or_nonfinite_gait_names_its_pins():
                   lambda: generate_phase(spec, zero_waypoints(STANCE[:3]))):
         with pytest.raises(SingularSystem, match=r"singular: position@tau=0, position@tau=0$"):
             solve()
-    # Finite waypoints whose solve overflows: the first bad segment's pins are named too.
+    # Finite waypoints whose solve overflows: the first bad segment's pins are named too,
+    # also with every numpy floating-point error raised, as the solve sets no errstate.
     huge = [Waypoint(t, (-1) ** i * 1e308, 0.0, 0.0, 0.0) for i, t in enumerate(SWING)]
-    with pytest.raises(SingularSystem, match="non-finite coefficients: position@tau=0, "
-                       "velocity@tau=0, acceleration@tau=0, position@tau=1, velocity@tau=1$"):
-        generate_gait(builtin_scheme("434-1"), zero_waypoints(STANCE), huge)
+    for errors in (np.errstate(), np.errstate(all="raise")):
+        with errors, pytest.raises(SingularSystem, match="^solve produced non-finite "
+                                   "coefficients: position@tau=0, velocity@tau=0, "
+                                   "acceleration@tau=0, position@tau=1, velocity@tau=1$"):
+            generate_gait(builtin_scheme("434-1"), zero_waypoints(STANCE), huge)
 
 
 def test_scheme_spec_has_three_segments():
@@ -682,8 +685,8 @@ def test_one_solve_per_gait_and_per_phase(monkeypatch, scheme):
     # A gait is one solve on the scheme's six padded templates and a phase
     # one on the first three, however wide the widest template is.
     shapes = []
-    real_solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve",
+    real_solve = schemes._gesv
+    monkeypatch.setattr(schemes, "_gesv",
                         lambda a, b: shapes.append(a.shape) or real_solve(a, b))
     width = max(scheme.segment_degrees) + 1
     gait, (stance, _), midpoint = random_gait(scheme, np.random.default_rng(3))
@@ -691,6 +694,22 @@ def test_one_solve_per_gait_and_per_phase(monkeypatch, scheme):
     phase = generate_phase(scheme, stance, midpoint)
     assert shapes == [(6, width, width), (3, width, width)]
     assert len(gait.segments) == 6 and len(phase.segments) == 3
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_gesv_kernel_equals_numpy_solve_bitwise(name):
+    # The solve calls numpy's private gufunc, not np.linalg.solve, its public wrapper: a
+    # numpy release that moves or changes that kernel fails here (or on import), on a
+    # scheme's six-stack, its phase's three and each lone template (solve_segment's
+    # stack of one), with right sides of every scale from 1e-8 to 1e8.
+    rng = np.random.default_rng(SCHEME_NAMES.index(name))
+    slots, stack, _ = builtin_scheme(name)._compiled
+    lone = [schemes._template(len(pins) - 1, pins)[0][None] for pins, _ in slots[:3]]
+    for matrices in (stack, stack[:3], *lone):
+        for _ in range(100):
+            shape = (*matrices.shape[:2], 1)
+            b = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+            assert same_bits(schemes._gesv(matrices, b), np.linalg.solve(matrices, b))
 
 
 def test_padded_middle_templates_match_solve_segment_bitwise():

@@ -8,7 +8,6 @@ repeated runs with the same config are byte-identical.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
@@ -61,20 +60,28 @@ def _fmt(x: float) -> str:
 
 def _write_text(paths: list[Path], chunks: Iterable[Iterable[Iterable[str]]]) -> None:
     """Rewrite each path in place with its strings from every chunk (one iterable of them per
-    path, read as it is written), then cut it to length: no ``O_TRUNC``, so no ext4
-    writeback on close, and the inode, mode and links are kept. Each path's directory is made
-    first: a run's first write makes ``--out``, so an error raised before it leaves none."""
-    with contextlib.ExitStack() as stack:
-        for directory in {path.parent for path in paths}:
-            directory.mkdir(parents=True, exist_ok=True)
-        files = [stack.enter_context(open(path, "w", encoding="utf-8", opener=lambda p, flags:
-                                          os.open(p, flags & ~os.O_TRUNC, 0o666)))
-                 for path in paths]
+    path, read as it is written; a shorter chunk writes to the first paths), then cut it to
+    length. Bare descriptors: a file object's text and buffer layers cost several times the
+    system calls on files this small. No ``O_TRUNC``, so no ext4 writeback on close, and the
+    inode, mode and links are kept. Each path's directory is made first: a run's first write
+    makes ``--out``, so an error raised before it leaves none."""
+    for directory in {path.parent for path in paths}:
+        directory.mkdir(parents=True, exist_ok=True)
+    fds = []
+    try:
+        for path in paths:
+            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
         for chunk in chunks:
-            for fh, texts in zip(files, chunk):
-                fh.writelines(texts)
-        for fh in files:
-            fh.truncate()
+            for fd, texts in zip(fds, chunk):
+                for text in texts:
+                    data = memoryview(text.encode())
+                    while data:  # a short write leaves the rest
+                        data = data[os.write(fd, data):]
+        for fd in fds:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def _csv_blocks(rows: list[list] | np.ndarray) -> Iterator[str]:
@@ -87,10 +94,12 @@ def _csv_blocks(rows: list[list] | np.ndarray) -> Iterator[str]:
     return ((row + "\n") * len(block) % tuple(flat(block)) for block in blocks)
 
 
-def _write_csv(paths: list[Path], header: list[str], tables: Iterable[Iterable]) -> None:
-    """Each path's header, then its table from each item of ``tables`` (one table per path,
-    rows as ``_csv_blocks`` reads them): each table is formatted a block at a time."""
-    head = [[",".join(header) + "\n"]] * len(paths)
+def _write_csv(paths: list[Path], header: list, tables: Iterable[Iterable]) -> None:
+    """Each path's header (``header``, or its own row of it if ``header`` holds one row per
+    path), then its table from each item of ``tables`` (one table per path, rows as
+    ``_csv_blocks`` reads them): each table is formatted a block at a time."""
+    rows = header if header and isinstance(header[0], list) else [header] * len(paths)
+    head = [[",".join(row) + "\n"] for row in rows]
     _write_text(paths, itertools.chain([head], (map(_csv_blocks, item) for item in tables)))
 
 
@@ -210,6 +219,8 @@ class RunConfig:
     def __init__(self, raw: dict):
         self.reference = self.waypoints = self.midpoints = None
         vars(self).update(_read(CONFIG, raw))
+        if twice := [name for i, name in enumerate(self.schemes) if name in self.schemes[:i]]:
+            raise ConfigError(f"schemes: {twice[0]!r} is given twice")
         for phase, rows in (self.waypoints or {}).items():  # the times the gait is solved on
             key, times = f"{phase}_times", _times([w.time for w in rows], f"waypoints.{phase}")
             if key in raw and vars(self)[key] != times:
@@ -247,28 +258,25 @@ class RunConfig:
 
 
 def run_generate(config: RunConfig, out: Path) -> None:
-    stack = _stack(tuple(config.build_gait(name) for name in config.schemes))  # one table
-    reports = list(_jumps(stack))  # read in full first: its errors come before any file
-    for name, traj, report in zip(config.schemes, stack[0], reports):
-        if config.sim["enabled"]:  # simulated before its files, so a bad dt leaves no file
-            result = simulate_tracking(traj, gains=config.gains, dt=config.sim["dt"])
-            _write_csv(
-                [out / f"tracking_{name}.csv"],
-                ["t", "angle_rad", "velocity_rad_s", "reference_rad"],
-                [[np.column_stack([result.angle.times, result.angle.values,
-                                   result.velocity.values,
-                                   result.reference_angle.values])]],
-            )
-            print(f"{name}: tracking RMSE {result.rmse:.6g} rad")
-        jumps = [[via, order, jump, int(both)] for via, order, jump, both in report]
-        _write_csv([out / f"continuity_{name}.csv"],
-                   ["via_time", "order", "jump", "constrained_both_sides"], [[jumps]])
-    # Every scheme's profile at once: each grid block, read once for all, goes to each file.
-    _write_csv([out / f"profile_{name}.csv" for name in config.schemes],
-               ["t", "position", "velocity", "acceleration", "jerk"],
-               ((np.column_stack([times, one.T]) for one in values)
-                for phase in (slice(0, 3), slice(3, 6))  # a gait's stance and swing rows
-                for _, times, values in _grid(stack, phase, config.samples)))
+    names, stack = config.schemes, _stack(tuple(map(config.build_gait, config.schemes)))
+    jumps = [[[via, order, jump, int(both)] for via, order, jump, both in report]
+             for report in _jumps(stack)]  # read in full first: its errors come before any file
+    for name, traj in zip(names, stack[0]) if config.sim["enabled"] else ():
+        # Simulated before its file, so a bad dt leaves none; one scheme's steps held at a time.
+        result = simulate_tracking(traj, gains=config.gains, dt=config.sim["dt"])
+        _write_csv([out / f"tracking_{name}.csv"],
+                   ["t", "angle_rad", "velocity_rad_s", "reference_rad"],
+                   [[np.column_stack([result.angle.times, result.angle.values,
+                                      result.velocity.values, result.reference_angle.values])]])
+        print(f"{name}: tracking RMSE {result.rmse:.6g} rad")
+    # Each grid block, read once for all schemes, goes to each profile; then each continuity table.
+    _write_csv([out / f"{kind}_{name}.csv" for kind in ("profile", "continuity") for name in names],
+               [["t", "position", "velocity", "acceleration", "jerk"]] * len(names)
+               + [["via_time", "order", "jump", "constrained_both_sides"]] * len(names),
+               itertools.chain(((np.column_stack([times, one.T]) for one in values)
+                                for phase in (slice(0, 3), slice(3, 6))  # stance, then swing rows
+                                for _, times, values in _grid(stack, phase, config.samples)),
+                               [[[]] * len(names) + jumps]))
 
 
 def run_compare(config: RunConfig, out: Path) -> None:

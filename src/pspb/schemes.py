@@ -434,7 +434,9 @@ def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
         if not t0 < t1 < t2 < t3:  # a NaN time too
             raise ValueError(f"waypoint times must be strictly increasing: {times}")
         limit = MIN_SEGMENT_FRACTION * (t3 - t0)
-        if limit == math.inf and math.isfinite(t0) and math.isfinite(t3):
+        if limit == math.inf:  # t1 and t2 lie strictly between t0 and t3
+            if math.isinf(t0) or math.isinf(t3):
+                raise ValueError(f"waypoint times must be finite: {times}")
             limit = 0.0  # a phase too long for a float: _check_span names its long segment
         if min(t1 - t0, t2 - t1, t3 - t2) < limit:
             raise ValueError(

@@ -112,6 +112,61 @@ def test_rewrite_keeps_inode_mode_and_hard_links(tmp_path, config_path):
     assert link.read_bytes() == target.read_bytes() == (fresh / target.name).read_bytes()
 
 
+def test_short_writes_give_the_same_bytes(tmp_path, config_path, monkeypatch, capsys):
+    # The writer loops on short writes: at most 7 bytes per os.write, every file, the
+    # tracking CSV's blocks past the first included, holds what a full write gives.
+    cfg = config_path({**BASE, "schemes": ["656-1"], "sim": {"enabled": True, "dt": 2e-4}})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+    calls = []
+    monkeypatch.setattr(os, "write", lambda fd, data, write=os.write:
+                        calls.append(len(data)) or write(fd, data[:7]))
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "short")]) == 0
+    capsys.readouterr()
+    full = {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()}
+    assert full["tracking_656-1.csv"].count(b"\n") > cli.CSV_BLOCK_ROWS + 1
+    assert {p.name: p.read_bytes() for p in (tmp_path / "short").iterdir()} == full
+    assert len(calls) >= sum(len(data) for data in full.values()) / 7
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_a_failed_write_leaves_no_descriptor_open(tmp_path, config_path, capsys):
+    # The second path is a directory: exit 4 with one `[Errno 21]` line, and the first
+    # path's descriptor is closed. So is every one when a chunk raises mid-write.
+    cfg = config_path({**BASE, "schemes": ["434-1", "434-2"]})
+    out = tmp_path / "out"
+    (out / "profile_434-2.csv").mkdir(parents=True)
+    before = open_descriptors()
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == \
+        f"error: [Errno 21] Is a directory: '{out / 'profile_434-2.csv'}'\n"
+    assert open_descriptors() == before
+
+    def chunks():
+        yield [["a\n"], ["b\n"]]
+        raise RuntimeError("a chunk fails mid-write")
+
+    with pytest.raises(RuntimeError, match="mid-write"):
+        cli._write_text([tmp_path / "a.txt", tmp_path / "b.txt"], chunks())
+    assert open_descriptors() == before
+
+
+def test_each_verb_opens_each_output_once(tmp_path, config_path, monkeypatch, capsys):
+    cfg = config_path({**BASE, "sim": {"enabled": True, "dt": 1e-3}})
+    opened = []
+    monkeypatch.setattr(os, "open", lambda path, *args, open_=os.open:
+                        opened.append(Path(path).name) or open_(path, *args))
+    for verb, files in (("generate", 18), ("compare", 3)):
+        out = tmp_path / verb
+        assert main([verb, "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(opened) == sorted(p.name for p in out.iterdir()) and len(opened) == files
+        opened.clear()
+    capsys.readouterr()
+
+
 def test_compare_against_own_reference(tmp_path, config_path):
     out = tmp_path / "out"
     code = main(["compare", "--config", config_path(BASE), "--out", str(out)])
@@ -530,6 +585,10 @@ REFUSED_BEFORE_OUT = {
         "waypoints.stance ends at 0.6 but waypoints.swing starts at 0.65"),
     # A negative gain keeps its own line (inf and NaN are refused by the config's reader).
     "kp_negative": ({"sim": {"kp": -1}}, None, "gains must be non-negative"),
+    # A scheme named twice used to be solved twice, its profile opened twice at once and
+    # its compare rows written twice.
+    "repeated_scheme": ({"schemes": ["434-1", "545-2", "434-1"]}, None,
+                        "schemes: '434-1' is given twice"),
     "waypoints_not_increasing": (
         {"waypoints": {**README_WAYPOINTS, "swing": README_WAYPOINTS["swing"][::-1]}}, None,
         "waypoints.swing: times must be strictly increasing: [1.0, 0.92, 0.68, 0.6]"),

@@ -935,6 +935,22 @@ def test_a_short_span_fails_when_its_row_is_read():
             generate_gait(scheme, zero_waypoints(STANCE), huge)
 
 
+def test_an_infinite_waypoint_time_is_named_as_not_finite():
+    # An infinite first or last time makes the phase infinite: the line says so, not that
+    # each finite segment spans too little of it. In a gait, the outer times can be inf
+    # without breaking the phases' contiguity.
+    for times in ([*STANCE[:3], math.inf], [-math.inf, *SWING[1:]]):
+        with pytest.raises(ValueError) as err:
+            generate_phase(builtin_scheme("656-1"), zero_waypoints(times))
+        assert str(err.value) == f"waypoint times must be finite: {times}"
+    for stance, swing, bad in (([-math.inf, *STANCE[1:]], SWING, 0),
+                               (STANCE, [*SWING[:3], math.inf], 1)):
+        with pytest.raises(ValueError) as err:
+            generate_gait(builtin_scheme("434-2"), zero_waypoints(stance), zero_waypoints(swing),
+                          lambda t: 0.0, lambda t: 0.0)
+        assert str(err.value) == f"waypoint times must be finite: {(stance, swing)[bad]}"
+
+
 def test_table_powers_are_python_float_powers_bitwise():
     # A table takes its T**k from _check_span, the one place a duration's powers are
     # formed: bit for bit Python's (b - a)**k, on random spans of every scale.

@@ -63,14 +63,16 @@ def _write_text(paths: list[Path], chunks: Iterable[Iterable[Iterable[str]]]) ->
     path, read as it is written; a shorter chunk writes to the first paths), then cut it to
     length. Bare descriptors: a file object's text and buffer layers cost several times the
     system calls on files this small. No ``O_TRUNC``, so no ext4 writeback on close, and the
-    inode, mode and links are kept. Each path's directory is made first: a run's first write
-    makes ``--out``, so an error raised before it leaves none."""
-    for directory in {path.parent for path in paths}:
-        directory.mkdir(parents=True, exist_ok=True)
+    inode, mode and links are kept. A path's directory is made only if opening it fails for
+    want of one: a run's first write makes ``--out``, so an error raised before it leaves none."""
     fds = []
     try:
         for path in paths:
-            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            try:
+                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            except (FileNotFoundError, NotADirectoryError):  # a file at --out: mkdir's Errno 17
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
         for chunk in chunks:
             for fd, texts in zip(fds, chunk):
                 for text in texts:

@@ -19,7 +19,7 @@ from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve as _gesv  # np.linalg.solve's kernel
+from numpy.linalg._umath_linalg import solve1 as _gesv  # np.linalg.solve's, for a vector b
 
 from .errors import (ConstraintCountMismatch, MissingWaypointDerivative, NonContiguousPhases,
                      OutOfDomain, SingularSystem, UnknownScheme)
@@ -134,8 +134,9 @@ class SchemeSpec:
     def _compiled(self):
         """(pins, cond) of all six segments, stance then swing, their templates
         identity-padded into one stack, and a phase's read plan: each entry of its row as
-        (segment, slot, order), then the mid-points' (entry, segment). Slots 0-3 are the
-        phase's waypoints and slot 4 holds (0.0,): a mid-point reads it as 4, padding as -1."""
+        (i, j), then the mid-points' entries. ``i = 4 * slot + order`` indexes the phase's
+        16 values w0.position ... w3.jerk and a 0.0 (a mid-point reads 16, padding -1), and
+        ``j = 4 * segment + order`` the 12 powers of its three spans, flattened."""
         pins = [tuple((k, tau) for tau, k in cons) for cons in self.segment_constraints]
         templates = [_template(len(p) - 1, p) for p in pins]
         width = max(map(len, pins))
@@ -143,9 +144,9 @@ class SchemeSpec:
         for padded, (m, _) in zip(stack, templates * 2):
             padded[:len(m), :len(m)] = m
         plan = [pin for g, cons in enumerate(self.segment_constraints)
-                for pin in [(g, {START: g, MID: 4, END: g + 1}[tau], k) for tau, k in cons]
-                + [(g, -1, 0)] * (width - len(cons))]
-        mids = [(j, g) for j, (g, slot, _) in enumerate(plan) if slot == 4]
+                for pin in [(4 * {START: g, MID: 4, END: g + 1}[tau] + k, 4 * g + k)
+                            for tau, k in cons] + [(-1, 4 * g)] * (width - len(cons))]
+        mids = [m for m, (i, _) in enumerate(plan) if i == 16]
         return [(p, cond) for p, (_, cond) in zip(pins, templates)] * 2, stack, (plan, mids)
 
 
@@ -236,13 +237,14 @@ def _template(degree: int, pins: tuple[tuple[int, float], ...]):
 
 def _solve_stacked(slots, matrices, rhs) -> np.ndarray:
     """(slot, width) ascending coefficients: item p of ``matrices``, the template of
-    ``slots[p] = (pins, cond)`` identity-padded, solved against row p of the flat ``rhs``
-    by ``_gesv`` (padding solves to +0.0; bit-identical to an unpadded solve up to width 7).
+    ``slots[p] = (pins, cond)`` identity-padded, solved against row p of the flat ``rhs`` by
+    ``_gesv``: numpy's ``solve1``, ``np.linalg.solve``'s kernel for a vector right side, so no
+    (..., w, 1) view in or out. Padding solves to +0.0 (bit-identical to unpadded up to width 7).
     No fallback: operands are float64 in compiled shapes; ``_template`` refused singular ones.
     No errstate: gesv clears FP flags unless a pivot is 0. Checked finite; caller checked spans."""
     n = len(slots)
-    b = np.fromiter(rhs, float, len(rhs)).reshape(n, -1, 1)  # as np.array(rhs), but faster
-    coeffs = _gesv(matrices[:n], b)[..., 0]
+    b = np.fromiter(rhs, float, len(rhs)).reshape(n, -1)  # as np.array(rhs), but faster
+    coeffs = _gesv(matrices[:n], b)
     if not np.isfinite(coeffs).all():  # a row's padding is finite if the rest of it is
         bad = next(pins for (pins, _), row in zip(slots, coeffs) if not np.isfinite(row).all())
         raise SingularSystem(f"solve produced non-finite coefficients: {_describe(bad)}")
@@ -429,8 +431,8 @@ def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
     for waypoints, midpoints in phases:
         if len(waypoints) != 4:
             raise ValueError(f"a phase needs exactly 4 waypoints, got {len(waypoints)}")
-        times = [w.time for w in waypoints]
-        t0, t1, t2, t3 = times
+        w0, w1, w2, w3 = waypoints
+        t0, t1, t2, t3 = times = [w0.time, w1.time, w2.time, w3.time]
         if not t0 < t1 < t2 < t3:  # a NaN time too
             raise ValueError(f"waypoint times must be strictly increasing: {times}")
         limit = MIN_SEGMENT_FRACTION * (t3 - t0)
@@ -443,27 +445,29 @@ def _solve_phases(scheme: SchemeSpec, phases) -> PiecewiseTrajectory:
                 f"each segment must span at least {MIN_SEGMENT_FRACTION:g} of its "
                 f"phase, got waypoint times {times}"
             )
-        values = [(w.position, w.velocity, w.acceleration, w.jerk) for w in waypoints] + [(0.0,)]
+        vals = [w0.position, w0.velocity, w0.acceleration, w0.jerk, w1.position, w1.velocity,
+                w1.acceleration, w1.jerk, w2.position, w2.velocity, w2.acceleration, w2.jerk,
+                w3.position, w3.velocity, w3.acceleration, w3.jerk, 0.0]
         # One pass reads the row; a refused span or a missing value (None) stops it. The
         # re-read checks each segment's span before its pins, so the first fault raises.
         try:
-            powers = _check_span(t0, t1), _check_span(t1, t2), _check_span(t2, t3)
-            row = [values[slot][k] * powers[g][k] for g, slot, k in plan]
+            pw = _check_span(t0, t1) + _check_span(t1, t2) + _check_span(t2, t3)
+            row = [vals[i] * pw[j] for i, j in plan]
         except (ValueError, OverflowError, TypeError):
-            row = [_read_pin(scheme, g, slot, k, values, times, midpoints,
-                             _check_span(times[g], times[g + 1])) for g, slot, k in plan]
+            row = [_read_pin(scheme, i, j, vals, times, midpoints,
+                             _check_span(times[j >> 2], times[(j >> 2) + 1])) for i, j in plan]
         else:
-            for j, g in mids:
-                row[j] = _read_pin(scheme, g, 4, 0, values, times, midpoints, powers[g])
+            for m in mids:
+                row[m] = _read_pin(scheme, *plan[m], vals, times, midpoints, None)
         rhs += row
-        spans += zip(times, times[1:])
+        spans += (t0, t1), (t1, t2), (t2, t3)
     slots = slots[:len(spans)]
     return PiecewiseTrajectory._of(_solve_stacked(slots, stack, rhs), spans, slots)
 
 
-def _read_pin(scheme: SchemeSpec, segment: int, slot: int, order: int, values, times,
-              midpoints, powers):
-    """One pin's value times T**order, as the phase's row reads it, but on its own."""
+def _read_pin(scheme: SchemeSpec, i: int, j: int, vals, times, midpoints, powers):
+    """Plan entry (i, j)'s value times T**order, as the phase's row reads it, but on its own."""
+    slot, (segment, order) = i >> 2, divmod(j, 4)
     if slot == 4:
         t_mid = 0.5 * (times[segment] + times[segment + 1])
         if not callable(midpoints) and segment not in (midpoints or {}):
@@ -475,7 +479,7 @@ def _read_pin(scheme: SchemeSpec, segment: int, slot: int, order: int, values, t
             raise ValueError(f"scheme {scheme.name} segment {segment + 1} (t={t_mid}): "
                              f"mid-point position {value!r} is not finite")
         return value
-    value = values[slot][order]
+    value = vals[i]
     if value is None:
         raise MissingWaypointDerivative(
             f"scheme {scheme.name} segment {segment + 1} needs derivative order {order} "

@@ -5,12 +5,12 @@ A segment's polynomial lives on normalized time tau = (t - t_start) / T in
 linear system is d^k/dtau^k of the monomials at tau: the matrix depends only on
 the degree and the (order, tau) pairs. A value v enters the right-hand side as
 v * T^k (chain rule); ``schemes._check_span`` forms T^0..T^3 and checks the span.
-Each template's matrix and condition number are built once and cached in ``schemes``.
-A scheme's three templates, identity-padded to the widest, are one stack: a gait is
-one padded solve and ``solve_segment`` a stack of one (bit for bit alike up to width 7),
-by numpy's LAPACK gesv gufunc, ``np.linalg.solve``'s kernel, with no fallback (the
-operands are float64 in compiled shapes, and singular templates are refused when built)
-and no errstate (gesv clears the FP flags unless a pivot is 0).
+Each template's matrix and condition number are built once and cached in ``schemes``. A
+scheme's three templates, identity-padded to the widest, are one stack: a gait is one padded
+solve and ``solve_segment`` a stack of one (bit for bit alike up to width 7), by numpy's LAPACK
+gesv gufunc ``solve1``, ``np.linalg.solve``'s kernel for a vector right side (one view fewer
+per solve), with no fallback (operands are float64 in compiled shapes, singular templates are
+refused when built) and no errstate (gesv clears the FP flags unless a pivot is 0).
 """
 
 from __future__ import annotations

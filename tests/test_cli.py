@@ -155,15 +155,33 @@ def test_a_failed_write_leaves_no_descriptor_open(tmp_path, config_path, capsys)
 
 
 def test_each_verb_opens_each_output_once(tmp_path, config_path, monkeypatch, capsys):
+    # Counted once opened: the first open into a fresh --out fails, for want of its directory.
     cfg = config_path({**BASE, "sim": {"enabled": True, "dt": 1e-3}})
     opened = []
     monkeypatch.setattr(os, "open", lambda path, *args, open_=os.open:
-                        opened.append(Path(path).name) or open_(path, *args))
+                        (open_(path, *args), opened.append(Path(path).name))[0])
     for verb, files in (("generate", 18), ("compare", 3)):
         out = tmp_path / verb
         assert main([verb, "--config", cfg, "--out", str(out)]) == 0
         assert sorted(opened) == sorted(p.name for p in out.iterdir()) and len(opened) == files
         opened.clear()
+    capsys.readouterr()
+
+
+def test_a_rewrite_into_an_existing_out_makes_no_directory(tmp_path, config_path, monkeypatch,
+                                                          capsys):
+    # The writer opens each path first and makes its directory only when that fails for
+    # want of one: a verb's first run makes --out once, and a rerun into it calls no mkdir.
+    cfg = config_path({**BASE, "sim": {"enabled": True, "dt": 1e-3}})
+    made = []
+    monkeypatch.setattr(Path, "mkdir", lambda self, *args, mkdir=Path.mkdir, **kwargs:
+                        made.append(self) or mkdir(self, *args, **kwargs))
+    for verb in ("generate", "compare"):
+        out = tmp_path / verb
+        for run in ([out], []):
+            assert main([verb, "--config", cfg, "--out", str(out)]) == 0
+            assert made == run
+            made.clear()
     capsys.readouterr()
 
 

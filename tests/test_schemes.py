@@ -15,6 +15,7 @@ from pspb.errors import (
     MissingWaypointDerivative,
     NonContiguousPhases,
     OutOfDomain,
+    PspbError,
     SingularSystem,
     UnknownScheme,
 )
@@ -588,6 +589,88 @@ def test_singular_or_nonfinite_gait_names_its_pins():
             generate_gait(builtin_scheme("434-1"), zero_waypoints(STANCE), huge)
 
 
+# Zeros of both signs, subnormals, huge and infinite magnitudes and NaN, beside ordinary
+# times, which repeat too.
+HOSTILE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7e308,
+                  math.inf, -math.inf, math.nan]
+HOSTILE_TIME = st.sampled_from(HOSTILE_FLOATS + STANCE + SWING) | st.floats(-2.0, 2.0)
+HOSTILE_MIDPOINTS = st.one_of(
+    st.none(),
+    st.sampled_from(HOSTILE_FLOATS + [0.5]).map(lambda v: lambda t: v),
+    st.just(lambda t: t),
+    st.dictionaries(st.integers(0, 2), st.sampled_from(HOSTILE_FLOATS + [0.5]), max_size=3))
+HOSTILE = ("times", "values", "gaps", "midpoints")
+
+
+@st.composite
+def hostile_solves(draw):
+    """A solve, generate_phase, generate_gait or solve_segment, on input that is hostile in
+    none, one or all of ``HOSTILE``'s ways, so ordinary input solves often enough."""
+    kind = draw(st.sampled_from(["phase", "gait", "segment"]))
+    hostile = draw(st.sampled_from([(), *((h,) for h in HOSTILE), HOSTILE]))
+    scheme = builtin_scheme(draw(st.sampled_from(SCHEME_NAMES)))
+    value = st.floats(-10.0, 10.0)
+    if "values" in hostile:
+        value |= st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308])
+    derivative = value | st.none() if "gaps" in hostile else value
+    midpoints = HOSTILE_MIDPOINTS if "midpoints" in hostile else st.just(math.sin)
+
+    def times(n):  # increasing by 1e-3 to 10, or hostile and often sorted
+        if "times" not in hostile:
+            durations = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+            return list(itertools.accumulate(durations, initial=draw(st.floats(-2.0, 2.0))))
+        drawn = draw(st.lists(HOSTILE_TIME, min_size=n, max_size=n))
+        return sorted(drawn) if draw(st.booleans()) else drawn
+
+    def phase(times):
+        return [Waypoint(t, draw(value), draw(derivative), draw(derivative), draw(derivative))
+                for t in times]
+
+    if kind == "phase":
+        waypoints, mids = phase(times(4)), draw(midpoints)
+        return kind, lambda: generate_phase(scheme, waypoints, mids)
+    if kind == "gait":
+        gait_times = times(7)
+        stance, swing = phase(gait_times[:4]), phase(gait_times[3:])
+        mids = draw(midpoints), draw(midpoints)
+        return kind, lambda: generate_gait(scheme, stance, swing, *mids)
+    pins = draw(st.sampled_from(scheme._compiled[0][:3]))[0]
+    constraints = [Constraint(k, tau, draw(value)) for k, tau in pins]
+    t_start, t_end = times(2)
+    return kind, lambda: solve_segment(len(pins) - 1, constraints, t_start, t_end)
+
+
+def test_the_solve_path_keeps_its_failure_contract_on_hostile_input(monkeypatch):
+    # Hostile times, None derivatives, +-1e300 values and mid-point sources that return
+    # hostile floats: generate_phase, generate_gait and solve_segment each give finite
+    # coefficients or raise ValueError, PspbError or OverflowError, with every warning and
+    # numpy floating-point error raised. A phase's one-pass read must complete on some
+    # drawn inputs, and its pin-by-pin re-read (the only caller of _read_pin for a pin that
+    # is not a mid-point, entry 16) must run on others.
+    solved, rereads = [], []
+    read_pin = schemes._read_pin
+    monkeypatch.setattr(schemes, "_read_pin", lambda scheme, i, *rest:
+                        rereads.append(i != 16) or read_pin(scheme, i, *rest))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hostile_solves())
+    def check(case):
+        kind, solve = case
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            try:
+                result = solve()
+            except (ValueError, PspbError, OverflowError):
+                return
+        coeffs = result.polynomial.coefficients if kind == "segment" else result._coeffs
+        assert np.isfinite(coeffs).all()
+        solved.append(kind)
+
+    check()
+    assert {"phase", "gait", "segment"} <= set(solved)
+    assert any(rereads)
+
+
 def test_scheme_spec_has_three_segments():
     line = ((START, 0), (END, 0))
     for count in (2, 4):
@@ -698,18 +781,23 @@ def test_one_solve_per_gait_and_per_phase(monkeypatch, scheme):
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_gesv_kernel_equals_numpy_solve_bitwise(name):
-    # The solve calls numpy's private gufunc, not np.linalg.solve, its public wrapper: a
-    # numpy release that moves or changes that kernel fails here (or on import), on a
-    # scheme's six-stack, its phase's three and each lone template (solve_segment's
-    # stack of one), with right sides of every scale from 1e-8 to 1e8.
+    # The solve calls numpy's private gufunc for a vector right side, not np.linalg.solve,
+    # its public wrapper: a numpy release that moves or changes that kernel fails here (or
+    # on import), on a scheme's six-stack, its phase's three and each lone template
+    # (solve_segment's stack of one), with (n, width) right sides of every scale from 1e-8
+    # to 1e8. It must match np.linalg.solve row by row, on a 1-d right side, and stacked,
+    # on (n, width, 1) right sides.
     rng = np.random.default_rng(SCHEME_NAMES.index(name))
     slots, stack, _ = builtin_scheme(name)._compiled
     lone = [schemes._template(len(pins) - 1, pins)[0][None] for pins, _ in slots[:3]]
     for matrices in (stack, stack[:3], *lone):
         for _ in range(100):
-            shape = (*matrices.shape[:2], 1)
+            shape = matrices.shape[:2]
             b = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
-            assert same_bits(schemes._gesv(matrices, b), np.linalg.solve(matrices, b))
+            coeffs = schemes._gesv(matrices, b)
+            assert coeffs.shape == shape
+            assert same_bits(coeffs, [np.linalg.solve(m, row) for m, row in zip(matrices, b)])
+            assert same_bits(coeffs, np.linalg.solve(matrices, b[..., None])[..., 0])
 
 
 def test_padded_middle_templates_match_solve_segment_bitwise():

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import random
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -28,6 +27,7 @@ from .metrics import (
     DEFAULT_SAMPLES,
     DEFAULT_VIA_WINDOW,
     _jumps,
+    _mean_error,
     _via_windows,
 )
 from .reference import CsvReference, SinusoidReference, waypoints_from_reference
@@ -52,6 +52,7 @@ MAX_SAMPLES = 10**6  # per phase; at the cap a profile CSV is about 115 MB per s
 CSV_BLOCK_ROWS = 4096  # rows per `%`: the writer's memory does not grow with the table
 
 QUANTITY_LABELS = ("Hip (Pos)", "Hip (Vel)", "Hip (Accel)", "Hip (Jerk)")
+SCOPES = {"full": slice(0, 6), "stance": slice(0, 3), "swing": slice(3, 6)}  # a gait's rows
 
 
 def _fmt(x: float) -> str:
@@ -97,11 +98,9 @@ def _csv_blocks(rows: list[list] | np.ndarray) -> Iterator[str]:
 
 
 def _write_csv(paths: list[Path], header: list, tables: Iterable[Iterable]) -> None:
-    """Each path's header (``header``, or its own row of it if ``header`` holds one row per
-    path), then its table from each item of ``tables`` (one table per path, rows as
-    ``_csv_blocks`` reads them): each table is formatted a block at a time."""
-    rows = header if header and isinstance(header[0], list) else [header] * len(paths)
-    head = [[",".join(row) + "\n"] for row in rows]
+    """Each path's ``header`` row, then its table from each item of ``tables`` (one table per
+    path, rows as ``_csv_blocks`` reads them): each table is formatted a block at a time."""
+    head = [[",".join(header) + "\n"]] * len(paths)
     _write_text(paths, itertools.chain([head], (map(_csv_blocks, item) for item in tables)))
 
 
@@ -272,13 +271,23 @@ def run_generate(config: RunConfig, out: Path) -> None:
                                       result.velocity.values, result.reference_angle.values])]])
         print(f"{name}: tracking RMSE {result.rmse:.6g} rad")
     # Each grid block, read once for all schemes, goes to each profile; then each continuity table.
-    _write_csv([out / f"{kind}_{name}.csv" for kind in ("profile", "continuity") for name in names],
-               [["t", "position", "velocity", "acceleration", "jerk"]] * len(names)
-               + [["via_time", "order", "jump", "constrained_both_sides"]] * len(names),
-               itertools.chain(((np.column_stack([times, one.T]) for one in values)
-                                for phase in (slice(0, 3), slice(3, 6))  # stance, then swing rows
-                                for _, times, values in _grid(stack, phase, config.samples)),
-                               [[[]] * len(names) + jumps]))
+    kinds = {"profile": "t,position,velocity,acceleration,jerk\n",
+             "continuity": "via_time,order,jump,constrained_both_sides\n"}
+    _write_text([out / f"{kind}_{name}.csv" for kind in kinds for name in names],
+                itertools.chain([[[head] for head in kinds.values() for _ in names]],
+                                _profile_blocks(stack, config.samples),
+                                [[()] * len(names) + list(map(_csv_blocks, jumps))]))
+
+
+def _profile_blocks(stack, samples: int) -> Iterator[Iterator[tuple[str]]]:
+    """Per ``_grid`` block of stance, then swing, each profile's text, one scheme at a time: the
+    block's times are formatted once and joined into a row template every scheme fills (a
+    ``%.9g`` string holds no ``%``, so the template needs no escaping)."""
+    for phase in (slice(0, 3), slice(3, 6)):  # stance, then swing rows
+        for _, times, values in _grid(stack, phase, samples):
+            text = "%.9g\n" * len(times) % tuple(times.tolist())
+            rows = ",%.9g,%.9g,%.9g,%.9g\n".join(text.split("\n"))
+            yield ((rows % tuple(one.T.ravel().tolist()),) for one in values)
 
 
 def run_compare(config: RunConfig, out: Path) -> None:
@@ -288,15 +297,18 @@ def run_compare(config: RunConfig, out: Path) -> None:
     # Per scope, every scheme's squared errors in all orders, read in blocks into one array
     # (192 bytes per sample for six schemes), then rmse's mean and root; ADE is RMSE / sqrt(N).
     squares, scopes = np.empty((len(config.schemes), 4, config.samples)), []
-    for phase in (slice(0, 6), slice(0, 3), slice(3, 6)):  # full, stance and swing rows
-        for rows, times, values in _grid(stack, phase, config.samples):
-            squares[..., rows] = (values - np.array([ref(times, k) for k in range(4)]))**2
-        scopes.append(np.sqrt(np.mean(squares, axis=-1)))
+    with np.errstate(over="ignore"):  # an RMSE that overflows is named below, once per verb
+        for phase in SCOPES.values():
+            for rows, times, values in _grid(stack, phase, config.samples):
+                squares[..., rows] = (values - np.array([ref(times, k) for k in range(4)]))**2
+            scopes.append(np.sqrt(np.mean(squares, axis=-1)))
+    if not np.isfinite(scopes).all():
+        _name_overflow(stack, ref, config, scopes)
     vias = _via_windows(stack, ref, slice(None), config.via_window)
     error_rows, via_rows, text = [], [], []
     for i, (name, windows) in enumerate(zip(config.schemes, vias)):
         text.append(f"scheme {name}")
-        for scope, rms in zip(("full", "stance", "swing"), scopes):
+        for scope, rms in zip(SCOPES, scopes):
             for label, r in zip(QUANTITY_LABELS, rms[i].tolist()):
                 a = r / math.sqrt(config.samples)
                 error_rows.append([name, scope, label, r, a])
@@ -311,6 +323,21 @@ def run_compare(config: RunConfig, out: Path) -> None:
     report = "\n".join(text) + "\n"
     _write_text([out / "error_report.txt"], [[[report]]])
     print(report, end="")
+
+
+def _name_overflow(stack, ref, config: RunConfig, scopes: list) -> None:
+    """Raise for the first scope, scheme and order whose RMSE is not finite, its grid read again
+    under the caller's errstate: a read that overflows raises as it would have, and errors whose
+    mean square overflows raise ``_mean_error``'s OverflowError, naming what they are of."""
+    s, i, k = np.argwhere(~np.isfinite(scopes))[0]
+    scope, phase = list(SCOPES.items())[s]
+    cells = [(values[i, k].copy(), ref(times, k))
+             for _, times, values in _grid(stack, phase, config.samples)]
+    try:
+        _mean_error(*map(np.concatenate, zip(*cells)))
+    except OverflowError as exc:
+        raise OverflowError(f"scheme {config.schemes[i]}, {scope} {QUANTITY_LABELS[k]} RMSE: "
+                            f"{exc}") from None
 
 
 def _grid(stack, phase: slice, samples: int):
@@ -357,7 +384,7 @@ def run_benchmark(config: RunConfig, repetitions: int, out: Path) -> None:
     print(f"{'family':<8}{'median (s)':>14}{'mean (s)':>14}{'reps':>7}   ratio [95% interval]")
     for name in names:
         elapsed = per_gait[name]
-        med, mean = statistics.median(elapsed), statistics.fmean(elapsed)
+        med, mean = np.median(elapsed), np.mean(elapsed)
         line = f"{name[:3]:<8}{med:>14.6g}{mean:>14.6g}{repetitions:>7}"
         step = ["", "", ""]
         if previous is not None:
@@ -377,10 +404,9 @@ def _ratio_interval(ratios: list[float]) -> tuple[float, float, float]:
     medians of ``BOOTSTRAP_SAMPLES`` resamples (a fixed seed: the same ratios give
     the same interval)."""
     rng = random.Random(0)
-    medians = [statistics.median(rng.choices(ratios, k=len(ratios)))
-               for _ in range(BOOTSTRAP_SAMPLES)]
-    cuts = statistics.quantiles(medians, n=40)
-    return statistics.median(ratios), cuts[0], cuts[-1]
+    medians = [np.median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP_SAMPLES)]
+    low, high = np.quantile(medians, [0.025, 0.975], method="weibull")  # statistics' exclusive
+    return float(np.median(ratios)), float(low), float(high)
 
 
 @functools.cache

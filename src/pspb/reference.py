@@ -51,7 +51,13 @@ class SinusoidReference:
         if not math.isfinite(scale):
             raise OverflowError(f"sinusoid reference: amplitude {self.amplitude!r} * "
                                 f"(2 pi / period {self.period!r})**{order} overflows")
-        return scale * np.sin(w * t + order * math.pi / 2)
+        try:
+            phase = w * t
+        except FloatingPointError:  # numpy's, for an array under an errstate that raises
+            phase, t = math.inf, np.ravel(t)[np.nanargmax(np.abs(t))]
+        if isinstance(phase, float) and math.isinf(phase):  # a float's overflow raises nothing
+            raise OverflowError(f"sinusoid reference: 2 pi / period * t overflows at t={t:g}")
+        return scale * np.sin(phase + order * math.pi / 2)
 
 
 @dataclass(frozen=True)

@@ -367,12 +367,17 @@ def test_profiles_meet_at_the_shared_phase_time_from_each_side(tmp_path, config_
     # Each phase's grid reads its own rows of the one stacked table. At the time both
     # phases share, the stance profile ends on stance's last segment (the left limit)
     # and the swing profile starts on swing's first (the right limit), to the bit.
-    tables = []
-    monkeypatch.setattr(cli, "_csv_blocks",
-                        lambda rows, blocks=cli._csv_blocks: tables.append(rows) or blocks(rows))
+    blocks = []
+
+    def grid(*args, read=cli._grid):
+        for block in read(*args):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(cli, "_grid", grid)
     assert main(["generate", "--config", config_path(BASE), "--out", str(tmp_path / "o")]) == 0
     n = len(SCHEME_NAMES)
-    profiles = [table for table in tables if isinstance(table, np.ndarray)]
+    profiles = [np.column_stack([times, one.T]) for _, times, values in blocks for one in values]
     assert len(profiles) == 2 * n  # one block per phase and scheme: stance, then swing
     config, sides_differ = RunConfig(BASE), 0
     for name, stance, swing in zip(SCHEME_NAMES, profiles[:n], profiles[n:], strict=True):
@@ -383,6 +388,26 @@ def test_profiles_meet_at_the_shared_phase_time_from_each_side(tmp_path, config_
         assert same_bits(stance[-1, 1:], left) and same_bits(swing[0, 1:], right)
         sides_differ += not same_bits(left, right)
     assert sides_differ  # so a grid reading the other phase's row at 0.6 would show
+
+
+@pytest.mark.parametrize("names", [["545-2"], list(SCHEME_NAMES)], ids=["one", "six"])
+def test_profiles_are_each_phase_grid_read_by_evaluate(tmp_path, config_path, monkeypatch,
+                                                       names):
+    # Blocks of 7 rows over 30 samples per phase: every row of every profile is its own
+    # time on np.linspace's grid of its phase beside its own scheme's values there, as a
+    # per-cell writer formats them, so no time goes with another block's or scheme's rows.
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+    doc = {**BASE, "schemes": names, "samples": 30}
+    assert main(["generate", "--config", config_path(doc), "--out", str(tmp_path / "o")]) == 0
+    config = RunConfig(doc)
+    for name in names:
+        gait, rows = config.build_gait(name), []
+        for phase in (gait._rows(slice(3)), gait._rows(slice(3, 6))):
+            times = np.linspace(phase.t_start, phase.t_end, 30)
+            values = evaluate(phase, times, slice(None))
+            rows += [[t, *cells] for t, cells in zip(times.tolist(), values.T.tolist())]
+        header = ["t", "position", "velocity", "acceleration", "jerk"]
+        assert (tmp_path / "o" / f"profile_{name}.csv").read_text() == per_cell_csv(header, rows)
 
 
 def test_missing_gait_inputs_fail_at_the_first_build(tmp_path, config_path, capsys):
@@ -739,8 +764,14 @@ OVERFLOW_CONFIGS = {
         "stance": [[t, 1e305, 0, 0, 0] for t in (0, 0.12, 0.48, 0.6)],
         "swing": [[0.6, 1e305, 0, 0, 0], *([t, 0, 0, 0, 0] for t in (0.68, 0.92, 1.0))]}},
     # A finite gait and reference whose squared errors overflow; this used to
-    # exit 0 with inf RMSE and ADE in every row.
+    # exit 0 with inf RMSE and ADE in every row, then on numpy's bare "overflow
+    # encountered in square".
     "huge_errors": {"schemes": ["434-1"], "reference": {"name": "sinusoid", "amplitude": 1e160}},
+    # A time whose sinusoid phase 2 pi / period * t overflows; this used to exit 3 on
+    # numpy's bare "overflow encountered in multiply".
+    "overflowing_sinusoid_phase": {"schemes": ["434-1"], "reference": {"name": "sinusoid"},
+                                   "stance_times": [0, 1, 2, 1e308],
+                                   "swing_times": [1e308, 1.1e308, 1.2e308, 1.3e308]},
     # duration**2 is finite and duration**3 is not: 434-1 pins acceleration at most, 656-1
     # the jerk, and each segment's span is checked before its row is read, so both give
     # the one message.
@@ -762,10 +793,11 @@ SINUSOID_OVERFLOWS = {
     "tiny_period": "amplitude 30.0 * (2 pi / period 1e-300)**2 overflows",
     "infinite_frequency": "period 1e-310 is too short, 2 pi / period is infinite",
     "huge_amplitude": "amplitude 1e+300 * (2 pi / period 1e-10)**1 overflows",
+    "overflowing_sinusoid_phase": "2 pi / period * t overflows at t=1e+308",
 }
 # Every other overflow's line names what overflowed: the segment and its duration or the
-# order of its derivative, or the verb that numpy's own text stops (Python's float power
-# used to print only "(34, 'Numerical result out of range')", numpy's only "overflow
+# order of its derivative, or the scheme, scope and quantity of an RMSE (Python's float
+# power used to print only "(34, 'Numerical result out of range')", numpy's only "overflow
 # encountered in ...").
 NAMED_OVERFLOWS = {
     "huge_times": "segment [0.0, 1e+300]: duration 1e+300 to the power 3 overflows",
@@ -774,7 +806,8 @@ NAMED_OVERFLOWS = {
     "overflowing_phase": "segment [-1e+308, 0.0]: duration 1e+308 to the power 3 overflows",
     "huge_waypoints": "segment [0.0, 0.12]: its order 3 (jerk) overflows",
     "overflowing_derivative": "segment [0.6, 0.68]: its order 3 (jerk) overflows",
-    "huge_errors": "{verb}: overflow encountered in square",
+    "huge_errors": "scheme 434-1, full Hip (Pos) RMSE: the mean square of errors up to "
+                   "5.94915e+158 overflows",
 }
 
 
@@ -793,6 +826,40 @@ def test_overflow_is_a_numerical_error(tmp_path, config_path, capsys, verb, name
         assert err == f"error: sinusoid reference: {SINUSOID_OVERFLOWS[name]}\n"
     else:
         assert err == f"error: {NAMED_OVERFLOWS[name].format(verb=verb)}\n"
+
+
+def test_compare_names_the_rmse_whose_errors_overflow(tmp_path, config_path, capsys):
+    # A CSV reference of 1e160 sin(2 pi t): generate writes finite profiles, but every
+    # scheme's squared position errors overflow in compare. Its one line names the first
+    # scheme, scope and quantity, in the words rmse gives the same grid's errors.
+    lines = ["t,pos"] + [f"{i / 400!r},{1e160 * math.sin(2 * math.pi * i / 400)!r}"
+                         for i in range(401)]
+    (tmp_path / "big.csv").write_text("\n".join(lines) + "\n")
+    doc = {"reference": {"csv": str(tmp_path / "big.csv")}}
+    path = config_path(doc)
+    assert main(["generate", "--config", path, "--out", str(tmp_path / "g")]) == 0
+    assert main(["compare", "--config", path, "--out", str(tmp_path / "c")]) == 3
+    config = RunConfig(doc)
+    actual = sample(config.build_gait("434-1"), 101, 0)
+    with pytest.raises(OverflowError) as exc:
+        rmse(actual, SampledSeries(actual.times, config.reference(actual.times, 0), 0))
+    assert capsys.readouterr() == (
+        "", f"error: scheme 434-1, full Hip (Pos) RMSE: {exc.value}\n")
+    assert str(exc.value).startswith("the mean square of errors up to ")
+    assert not (tmp_path / "c").exists()
+
+
+def test_a_read_that_overflows_in_compare_raises_numpys_error(tmp_path):
+    # compare ignores overflow while it squares errors, and reads under that errstate too;
+    # a read that overflows is read again under the caller's, and raises there. The jerk
+    # read overflows at t = 0 alone, which no via window reads.
+    config = RunConfig(BASE)
+    config._gait_inputs  # the gaits are built on the sinusoid; compare reads the scaled one
+    sinusoid = config.reference
+    config.reference = lambda t, k: sinusoid(t, k) * np.where((t == 0) & (k == 3), 1e308, 1.0)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        cli.run_compare(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("config, message", [

@@ -4,6 +4,7 @@ k)`` equals ``ref(t, k)`` read one float time at a time, bit for bit."""
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,27 @@ def test_sinusoid_reference_checks_its_fields(field, value, message):
     # A period this short is positive and finite: only its call overflows.
     with pytest.raises(OverflowError, match="period 1e-310 is too short"):
         SinusoidReference(period=1e-310)(0.5)
+
+
+def test_sinusoid_names_the_time_whose_phase_overflows():
+    # 2 pi / period * t overflows: a float's phase is checked, an array's overflow is
+    # numpy's error under an errstate that raises. Either names the largest-magnitude time.
+    ref, text = SinusoidReference(30.0, 1.0), "sinusoid reference: 2 pi / period * t overflows"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, named in ((1e308, "1e+308"), (-1e308, "-1e+308")):
+            with pytest.raises(OverflowError) as err:
+                ref(t, 0)
+            assert str(err.value) == f"{text} at t={named}"
+        with np.errstate(all="raise"):
+            for t, named in ((np.array([0.0, 1e308, -1.5e308]), "-1.5e+308"),
+                             (np.float64(1e308), "1e+308")):
+                with pytest.raises(OverflowError) as err:
+                    ref(t, 2)
+                assert str(err.value) == f"{text} at t={named}"
+        # A phase that stays finite reads as before.
+        assert ref(1e300, 1) == 60.0 * math.pi * np.sin(2 * math.pi * 1e300 + math.pi / 2)
+        assert ref(np.array([0.25]), 0).tolist() == [30.0]
 
 
 @pytest.mark.parametrize("order, column, shape", [

@@ -10,13 +10,12 @@ most readers expect "average error" to mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import SeriesMismatch
-from .poly import MAX_DERIVATIVE
+from .poly import MAX_DERIVATIVE, _Record
 from .schemes import (
     SEGMENT_END, SEGMENT_START, PiecewiseTrajectory, _check_order, _read_stack, _read_table, _stack,
     evaluate,
@@ -31,8 +30,7 @@ VIA_WINDOW_SAMPLES = 21  # per via window, endpoints included
 Reference = Callable[[float | np.ndarray, int], float | np.ndarray]
 
 
-@dataclass(frozen=True)
-class SampledSeries:
+class SampledSeries(_Record):
     """One derivative order of a trajectory on a strictly increasing grid."""
 
     times: np.ndarray
@@ -101,8 +99,7 @@ def mae(a: SampledSeries, b: SampledSeries) -> float:
     return float(_mean_error(a.values, b.values, square=False))
 
 
-@dataclass(frozen=True)
-class ViaWindowError:
+class ViaWindowError(_Record):
     """Windowed RMSE around one via point."""
 
     via_time: float
@@ -148,8 +145,7 @@ def _via_windows(stack, reference: Reference, rows: slice, window: float) -> lis
              for per_order in per_traj] for per_traj in rms.tolist()]
 
 
-@dataclass(frozen=True)
-class ContinuityJump:
+class ContinuityJump(_Record):
     """One derivative order at one via point."""
 
     via_time: float
@@ -158,8 +154,9 @@ class ContinuityJump:
     constrained_both_sides: bool
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(_Record):
+    """Every via point's jump per derivative order, in time order."""
+
     jumps: tuple[ContinuityJump, ...]
 
     def at(self, via_time: float, order: int) -> ContinuityJump:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -21,12 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, OutOfDomain
-from .poly import Polynomial, horner_rows
+from .poly import Polynomial, _Record, horner_rows
 from .schemes import Waypoint, _build_table, _check_order
 
 
-@dataclass(frozen=True)
-class SinusoidReference:
+class SinusoidReference(_Record):
     """position = amplitude * sin(2*pi*t / period), derivatives analytic."""
 
     amplitude: float = 30.0  # deg
@@ -60,8 +58,7 @@ class SinusoidReference:
         return scale * np.sin(phase + order * math.pi / 2)
 
 
-@dataclass(frozen=True)
-class PolynomialReference:
+class PolynomialReference(_Record):
     """Physical-time polynomial, ascending coefficients."""
 
     coefficients: tuple[float, ...]

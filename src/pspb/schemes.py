@@ -13,7 +13,6 @@ and the stacked solve live here, beside the trajectories they feed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
@@ -23,7 +22,7 @@ from numpy.linalg._umath_linalg import solve1 as _gesv  # np.linalg.solve's, for
 
 from .errors import (ConstraintCountMismatch, MissingWaypointDerivative, NonContiguousPhases,
                      OutOfDomain, SingularSystem, UnknownScheme)
-from .poly import MAX_DERIVATIVE, Polynomial, horner_rows, is_order
+from .poly import MAX_DERIVATIVE, Polynomial, _Record, horner_rows, is_order
 
 ORDER_NAMES = ("position", "velocity", "acceleration", "jerk")
 SEGMENT_START = 0.0
@@ -80,8 +79,7 @@ _SCHEME_TABLES: dict[str, tuple[list, ...]] = {
 SCHEME_NAMES = tuple(_SCHEME_TABLES)
 
 
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(_Record):
     """Kinematic values at one via or phase-boundary time.
 
     Derivatives are optional; a scheme that demands one the waypoint
@@ -104,8 +102,7 @@ class Waypoint:
         return (self.position, self.velocity, self.acceleration, self.jerk)[order]
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
+class SchemeSpec(_Record):
     """Per-segment constraint templates; n constraints solve a degree n - 1 segment."""
 
     name: str
@@ -162,8 +159,7 @@ def builtin_scheme(name: str) -> SchemeSpec:
     return SchemeSpec(name, tuple(tuple(c) for c in constraints))
 
 
-@dataclass(frozen=True)
-class SolvedSegment:
+class SolvedSegment(_Record):
     """One solved segment on [t_start, t_end] seconds.
 
     ``pins`` are the (order, tau) pairs its constraints fixed, so two

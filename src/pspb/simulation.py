@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalBlowup
 from .metrics import SampledSeries, ade, rmse
+from .poly import _Record
 from .schemes import PiecewiseTrajectory, evaluate
 
 GRAVITY = 9.81  # m/s^2
@@ -32,8 +32,7 @@ def _check_finite(params, what: str):
             raise ValueError(f"{what} must be finite, got {name}={value}")
 
 
-@dataclass(frozen=True)
-class BodyParams:
+class BodyParams(_Record):
     """Rigid segment: mass (kg), length (m), center of mass offset (m)."""
 
     mass: float
@@ -58,14 +57,16 @@ THIGH = BodyParams(mass=15.961, length=0.5287, com=0.3183)
 TRUNK = BodyParams(mass=17.761, length=0.7050, com=0.2965)
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(_Record):
+    """Hip angle and angular velocity of the thigh pendulum."""
+
     theta: float  # hip angle, rad
     omega: float  # rad/s
 
 
-@dataclass(frozen=True)
-class PDGains:
+class PDGains(_Record):
+    """Proportional and derivative gains of the PD torque law."""
+
     kp: float = 500.0  # N*m/rad
     kd: float = 50.0   # N*m*s/rad
 
@@ -114,8 +115,9 @@ def rk4_step(deriv, t: float, state: SimState, dt: float) -> SimState:
     )
 
 
-@dataclass(frozen=True)
-class TrackingResult:
+class TrackingResult(_Record):
+    """Simulated angle and velocity, the reference angle, and the angle's RMSE and ADE."""
+
     angle: SampledSeries       # rad
     velocity: SampledSeries    # rad/s
     reference_angle: SampledSeries

@@ -16,15 +16,13 @@ refused when built) and no errstate (gesv clears the FP flags unless a pivot is 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .poly import Polynomial, is_order
+from .poly import Polynomial, _Record, is_order
 from .schemes import SEGMENT_END, SEGMENT_START, SolvedSegment  # also this module's API
 from .schemes import _check_span, _read_table, _solve_stacked, _template
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(_Record):
     """Prescribed k-th derivative value, in physical units, at normalized time tau."""
 
     order: int

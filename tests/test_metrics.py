@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ import pytest
 from pspb.errors import SeriesMismatch
 from pspb.metrics import (
     SampledSeries,
+    ViaWindowError,
     ade,
     continuity_report,
     mae,
@@ -237,7 +237,8 @@ def test_via_rmse_slice_stacks_int_orders_bitwise(name, window):
         for w in windows:
             t = np.linspace(*w.window, 21)
             err = evaluate(traj, t, order) - ref(t, order)
-            own = replace(w, rmse=float(np.sqrt(np.mean(err**2))))
+            own = ViaWindowError(w.via_time, float(np.sqrt(np.mean(err**2))), w.window,
+                                 w.clipped)
             assert window_bits([w]) == window_bits([own])
     # 0.2 s reaches past both ends of the 1 s gait from its first and last via points.
     assert [w.clipped for w in stacked[0]] == ([False] * 5 if window == 0.01

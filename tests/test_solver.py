@@ -419,3 +419,12 @@ def test_quintic_matches_closed_form():
         assert seg.polynomial.coefficients == pytest.approx(
             want, rel=1e-10, abs=1e-10
         )
+
+
+def test_every_source_and_test_file_parses_with_python_3_10_grammar():
+    # CI runs 3.10 too; a 3.11-only form (except*, a nested same-quote f-string) fails here.
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted([*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")])
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

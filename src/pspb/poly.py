@@ -104,8 +104,16 @@ class Polynomial(_Record, derived=("degree",)):
 
 def horner_rows(rows, t):
     """Horner's scheme over coefficients (floats or arrays), highest power
-    first. Leading zeros leave +0.0, so zero padding changes no bit."""
-    acc = 0.0
+    first. Leading zeros leave +0.0, so zero padding changes no bit.
+
+    The first step, ``0.0 * t + row``, makes a new accumulator of the broadcast
+    shape; every later step works on it in place, so no row given is ever written
+    (an array accumulator is never one of them) and each step's bits are the same
+    as ``acc * t + row``'s. A float or numpy scalar accumulator has nothing to write
+    in place, so ``*=`` and ``+=`` rebind it."""
+    rows = iter(rows)
+    acc = 0.0 * t + next(rows)
     for row in rows:
-        acc = acc * t + row
+        acc *= t
+        acc += row
     return acc

@@ -333,7 +333,9 @@ def _read_table(table, idx, tau, order: int | slice):
     trajectory: the only reader of a table, Horner over its rows one power at a time."""
     _, powers, coeffs = table
     rows = (row.take(idx, axis=-1) for row in coeffs[:, :, order])
-    return horner_rows(rows, tau) / powers[order].take(idx, axis=-1)
+    values = horner_rows(rows, tau)  # a new array: each row has the trajectory axis
+    values /= powers[order].take(idx, axis=-1)
+    return values
 
 
 def _stack(trajs: tuple):
@@ -353,7 +355,9 @@ def _read_stack(stack, times: np.ndarray, rows: slice, order: int | slice):
     the rows' end finds each segment (a phase's end reads its last at tau 1)."""
     _, (starts, powers, _) = stack
     idx = np.searchsorted(starts[1:rows.stop], times, side="right")
-    return _read_table(stack[1], idx, (times - starts.take(idx)) / powers[1].take(idx), order)
+    tau = times - starts.take(idx)
+    tau /= powers[1].take(idx)
+    return _read_table(stack[1], idx, tau, order)
 
 
 def _padded(rows) -> np.ndarray:

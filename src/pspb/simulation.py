@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalBlowup
-from .metrics import SampledSeries, ade, rmse
+from .metrics import SampledSeries, rmse
 from .poly import _Record
 from .schemes import PiecewiseTrajectory, evaluate
 
@@ -156,19 +156,24 @@ def simulate_tracking(
     steps = times[1:] - times[:-1]
     halves = steps / 2
     off = np.flatnonzero(starts + steps != times[1:])
-    refs = evaluate(traj, np.minimum(np.concatenate(
-        [times, starts + halves, starts[off] + steps[off]]), traj.t_end),
-        slice(3) if feedforward else slice(2)) * deg
+    stages = np.concatenate([times, starts + halves, starts[off] + steps[off]])
+    refs = evaluate(traj, np.minimum(stages, traj.t_end, out=stages),
+                    slice(3) if feedforward else slice(2))
+    refs *= deg
     stage4 = refs[:, 1:n + 1].copy()
     stage4[:, off] = refs[:, 2 * n + 1:]
 
     # rk4_step over pd_torque, gravity_torque and hip_dynamics, inlined on Python
     # floats with the same operations in the same order, so the result is bit-identical
     # (test_stage_reference_table_is_bit_identical pins it; 2.0 is rk4_step's 2, and CPython
-    # multiplies two floats faster than an int and a float). A switched-off feedforward
-    # or gravity term adds -0.0, which leaves any float unchanged. Each step reads
-    # memoryviews: h, h/2 and h/6 (divided once per array, the same bits as per step),
-    # then pos, vel and feedforward torque at stage 1, stages 2 and 3, and stage 4.
+    # multiplies two floats faster than an int and a float). Each step reads memoryviews:
+    # h, h/2 and h/6 (divided once per array, the same bits as per step), then pos, vel
+    # and feedforward torque at stage 1, stages 2 and 3, and stage 4. There are two loop
+    # bodies. The plain PD one, with both options off (the CLI's only case and the
+    # default), has no feedforward or gravity term, and runs faster for it. Only the
+    # general one, for the other three cases, carries them: a switched-off term adds -0.0,
+    # which leaves any float unchanged, so on plain PD both give the same bits. A state
+    # past the limit breaks either loop.
     kp, kd, inertia = gains.kp, gains.kd, thigh.inertia_about_joint
     mgc, sin = thigh.mass * GRAVITY * thigh.com, math.sin
     columns = [memoryview(a) for a in (steps, halves, steps / 6)]
@@ -178,39 +183,57 @@ def simulate_tracking(
     theta, omega = refs[:2, 0].tolist()  # the start state: grid column 0 is t_start
     thetas, omegas = array("d", [theta]), array("d", [omega])
     high, low = BLOWUP_LIMIT, -BLOWUP_LIMIT  # abs(x) <= limit as two compares, no calls
-    for h, h2, h6, p1, v1, f1, p2, v2, f2, p4, v4, f4 in zip(*columns):
-        g = mgc * sin(theta)
-        a1 = (kp * (p1 - theta) + kd * (v1 - omega) + f1
-              + (g if gravity_compensation else -0.0) - g) / inertia
-        th, om2 = theta + h2 * omega, omega + h2 * a1
-        g = mgc * sin(th)
-        a2 = (kp * (p2 - th) + kd * (v2 - om2) + f2
-              + (g if gravity_compensation else -0.0) - g) / inertia
-        th, om3 = theta + h2 * om2, omega + h2 * a2
-        g = mgc * sin(th)
-        a3 = (kp * (p2 - th) + kd * (v2 - om3) + f2
-              + (g if gravity_compensation else -0.0) - g) / inertia
-        th, om4 = theta + h * om3, omega + h * a3
-        g = mgc * sin(th)
-        a4 = (kp * (p4 - th) + kd * (v4 - om4) + f4
-              + (g if gravity_compensation else -0.0) - g) / inertia
-        theta = theta + h6 * (omega + 2.0 * om2 + 2.0 * om3 + om4)
-        omega = omega + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        if not (low <= theta <= high and low <= omega <= high):  # a NaN state too
-            raise NumericalBlowup(
-                f"state diverged at t={times[len(thetas)]:.4f}: {SimState(theta, omega)}"
-            )
-        thetas.append(theta)
-        omegas.append(omega)
+    if feedforward or gravity_compensation:
+        for h, h2, h6, p1, v1, f1, p2, v2, f2, p4, v4, f4 in zip(*columns):
+            g = mgc * sin(theta)
+            a1 = (kp * (p1 - theta) + kd * (v1 - omega) + f1
+                  + (g if gravity_compensation else -0.0) - g) / inertia
+            th, om2 = theta + h2 * omega, omega + h2 * a1
+            g = mgc * sin(th)
+            a2 = (kp * (p2 - th) + kd * (v2 - om2) + f2
+                  + (g if gravity_compensation else -0.0) - g) / inertia
+            th, om3 = theta + h2 * om2, omega + h2 * a2
+            g = mgc * sin(th)
+            a3 = (kp * (p2 - th) + kd * (v2 - om3) + f2
+                  + (g if gravity_compensation else -0.0) - g) / inertia
+            th, om4 = theta + h * om3, omega + h * a3
+            g = mgc * sin(th)
+            a4 = (kp * (p4 - th) + kd * (v4 - om4) + f4
+                  + (g if gravity_compensation else -0.0) - g) / inertia
+            theta = theta + h6 * (omega + 2.0 * om2 + 2.0 * om3 + om4)
+            omega = omega + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            if not (low <= theta <= high and low <= omega <= high):  # a NaN state too
+                break
+            thetas.append(theta)
+            omegas.append(omega)
+    else:
+        for h, h2, h6, p1, v1, _, p2, v2, _, p4, v4, _ in zip(*columns):
+            a1 = (kp * (p1 - theta) + kd * (v1 - omega) - mgc * sin(theta)) / inertia
+            th, om2 = theta + h2 * omega, omega + h2 * a1
+            a2 = (kp * (p2 - th) + kd * (v2 - om2) - mgc * sin(th)) / inertia
+            th, om3 = theta + h2 * om2, omega + h2 * a2
+            a3 = (kp * (p2 - th) + kd * (v2 - om3) - mgc * sin(th)) / inertia
+            th, om4 = theta + h * om3, omega + h * a3
+            a4 = (kp * (p4 - th) + kd * (v4 - om4) - mgc * sin(th)) / inertia
+            theta = theta + h6 * (omega + 2.0 * om2 + 2.0 * om3 + om4)
+            omega = omega + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            if not (low <= theta <= high and low <= omega <= high):  # a NaN state too
+                break
+            thetas.append(theta)
+            omegas.append(omega)
+    if len(thetas) <= n:  # a loop broke off at the first state past the limit
+        raise NumericalBlowup(
+            f"state diverged at t={times[len(thetas)]:.4f}: {SimState(theta, omega)}")
 
     angle = SampledSeries(times, np.frombuffer(thetas), 0, "rad")
     reference_angle = SampledSeries(times, refs[0, :n + 1].copy(), 0, "rad")
+    error = rmse(angle, reference_angle)
     return TrackingResult(
         angle=angle,
         velocity=SampledSeries(times, np.frombuffer(omegas), 1, "rad/s"),
         reference_angle=reference_angle,
-        rmse=rmse(angle, reference_angle),
-        ade=ade(angle, reference_angle),
+        rmse=error,
+        ade=error / math.sqrt(n + 1),  # ade's own formula on this one RMSE
     )
 
 

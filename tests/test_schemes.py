@@ -1123,3 +1123,60 @@ def test_a_derivative_that_overflows_names_its_segment_and_order():
         # So do a gait's coefficients whose sum passes a float: the solve's check is per value.
         huge = [[Waypoint(t, 1.7e308, 0.0, 0.0, 0.0) for t in times] for times in (STANCE, SWING)]
         assert evaluate(generate_gait(builtin_scheme("434-1"), *huge), 0.3) == 1.7e308
+
+
+def out_of_place_horner(rows, t):
+    """``horner_rows`` as it reads without in-place steps: a new accumulator each step."""
+    acc = 0.0
+    for row in rows:
+        acc = acc * t + row
+    return acc
+
+
+def test_a_read_never_writes_its_table():
+    ref = generic_reference(6)
+    gait = build_gait("656-2", ref)
+    segment = gait.segments[1]
+    alone = solve_segment(len(segment.pins) - 1, [Constraint(k, tau, 0.5 * k - 1.0)
+                                                  for k, tau in segment.pins], 0.1, 0.4)
+    grid = np.linspace(gait.t_start, gait.t_end, 20001)
+    window = np.linspace(gait.t_start, gait.t_end, 105).reshape(5, 21)
+    reads = [lambda t=t, k=k: evaluate(gait, t, k)
+             for t in (0.3, np.asarray(0.3), grid, window) for k in (2, slice(None))]
+    reads += [
+        lambda: sample(gait, 101, 1),
+        lambda: continuity_report(gait),
+        lambda: via_point_rmse(gait, ref, slice(None)),
+        lambda: segment.kinematics(np.linspace(segment.t_start, segment.t_end, 7)),
+        lambda: residuals(segment, [Constraint(k, tau, 0.0) for k, tau in segment.pins]),
+        lambda: alone.kinematics(0.2),
+        lambda: residuals(alone, [Constraint(k, tau, 0.0) for k, tau in alone.pins]),
+        lambda: ref(0.3, 1),
+        lambda: ref(grid, 2),
+        lambda: simulate_tracking(gait, dt=1e-3),
+    ]
+
+    def state():
+        views = (gait, segment._view, alone._view)
+        return ([view._coeffs.tobytes() for view in views]
+                + [part.tobytes() for view in views for part in view._table] + [repr(ref._rows)])
+
+    before = state()
+    for read in reads:
+        read()
+        assert state() == before
+    # horner_rows, the kernel under every read, against an out-of-place loop, bit for bit,
+    # with every row it is given unchanged: float rows, a gait's table rows themselves,
+    # and those rows read under the taus of _jumps and of _build_table's overflow grid.
+    table = gait._table[2]
+    taken = [row.take(np.arange(table.shape[-1]), axis=-1) for row in table]
+    floats = [0.0, 0.0, 1.5, -2.0, 0.25, 3.0]  # zero padding first, as a table row has
+    cases = [(floats, -0.7), (floats, np.linspace(-1.0, 1.0, 9)),
+             (list(table), np.float64(0.3)), (list(table), 0.6),  # views of the table itself
+             (taken, np.reshape([1.0, 0.0], (2, 1, 1, 1))),
+             (taken, np.linspace(0.0, 1.0, 1025)[:, None, None, None])]
+    for rows, t in cases:
+        given = [np.array(row).tobytes() for row in rows] + [table.tobytes()]
+        got, want = poly.horner_rows(iter(rows), t), out_of_place_horner(rows, t)
+        assert type(got) is type(want) and same_bits(got, want)
+        assert [np.array(row).tobytes() for row in rows] + [table.tobytes()] == given

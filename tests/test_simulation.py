@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pspb import simulation
+from pspb import metrics, simulation
 from pspb.errors import NumericalBlowup
 from pspb.reference import PolynomialReference, SinusoidReference, waypoints_from_reference
 from pspb.schemes import (
@@ -277,21 +277,36 @@ def test_stage_four_off_the_grid_is_evaluated_where_rk4_puts_it(
     assert np.array_equal(result.reference_angle.values, want_reference)
 
 
-@pytest.mark.parametrize("feedforward", [False, True])
-def test_blowup_detected(feedforward):
+@pytest.mark.parametrize("feedforward,gravity_compensation",
+                         list(itertools.product([False, True], repeat=2)))
+def test_blowup_detected(feedforward, gravity_compensation):
     # positive feedback: negative gains are rejected, so destabilize
     # with an absurd kd on a tiny dt budget instead
     traj = smooth_trajectory(amplitude=50.0)
     gains = PDGains(1e9, 0)
     with pytest.raises(NumericalBlowup) as info:
-        simulate_tracking(traj, gains=gains, dt=1e-3, feedforward=feedforward)
-    # The message names the first step past the limit and its state, with the
-    # feedforward term read from its column or standing in as -0.0.
-    times, thetas, omegas = scalar_reference_tracking(traj, gains, 1e-3, feedforward, False)
+        simulate_tracking(traj, gains=gains, dt=1e-3, feedforward=feedforward,
+                          gravity_compensation=gravity_compensation)
+    # The message names the first step past the limit and its state, from the plain PD
+    # loop body (both off) or the general one, whose switched-off terms stand in as -0.0.
+    times, thetas, omegas = scalar_reference_tracking(traj, gains, 1e-3, feedforward,
+                                                      gravity_compensation)
     assert len(times) < round((traj.t_end - traj.t_start) / 1e-3) + 1
     assert str(info.value) == (
         f"state diverged at t={times[-1]:.4f}: {SimState(float(thetas[-1]), float(omegas[-1]))}"
     )
+
+
+@pytest.mark.parametrize("feedforward,gravity_compensation",
+                         list(itertools.product([False, True], repeat=2)))
+def test_ade_is_metrics_ade_to_the_bit(feedforward, gravity_compensation):
+    # simulate_tracking takes the ADE from its one RMSE, by ade's own formula.
+    result = simulate_tracking(smooth_trajectory(), gains=PDGains(800, 40), dt=1e-3,
+                               feedforward=feedforward,
+                               gravity_compensation=gravity_compensation)
+    assert result.rmse == metrics.rmse(result.angle, result.reference_angle)
+    assert result.ade == metrics.ade(result.angle, result.reference_angle)
+    assert result.ade > 0.0
 
 
 @pytest.mark.parametrize("make, message", [

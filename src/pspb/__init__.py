@@ -53,12 +53,10 @@ from .solver import (
 )
 from .simulation import (
     THIGH,
-    TRUNK,
     BodyParams,
     PDGains,
     SimState,
     hip_dynamics,
-    pd_torque,
     simulate_tracking,
 )
 
@@ -72,6 +70,6 @@ __all__ = [
     "DEFAULT_STANCE_TIMES", "DEFAULT_SWING_TIMES", "SCHEME_NAMES",
     "PiecewiseTrajectory", "SchemeSpec", "Waypoint", "builtin_scheme", "evaluate",
     "generate_gait", "generate_phase", "SEGMENT_END", "SEGMENT_START", "Constraint",
-    "SolvedSegment", "residuals", "solve_segment", "THIGH", "TRUNK", "BodyParams",
-    "PDGains", "SimState", "hip_dynamics", "pd_torque", "simulate_tracking",
+    "SolvedSegment", "residuals", "solve_segment", "THIGH", "BodyParams", "PDGains",
+    "SimState", "hip_dynamics", "simulate_tracking",
 ]

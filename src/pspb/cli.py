@@ -97,11 +97,9 @@ def _csv_blocks(rows: list[list] | np.ndarray) -> Iterator[str]:
     return ((row + "\n") * len(block) % tuple(flat(block)) for block in blocks)
 
 
-def _write_csv(paths: list[Path], header: list, tables: Iterable[Iterable]) -> None:
-    """Each path's ``header`` row, then its table from each item of ``tables`` (one table per
-    path, rows as ``_csv_blocks`` reads them): each table is formatted a block at a time."""
-    head = [[",".join(header) + "\n"]] * len(paths)
-    _write_text(paths, itertools.chain([head], (map(_csv_blocks, item) for item in tables)))
+def _write_csv(path: Path, header: list, rows: list[list] | np.ndarray) -> None:
+    """``path``'s ``header`` row, then ``rows``, formatted a block at a time by ``_csv_blocks``."""
+    _write_text([path], [[itertools.chain([",".join(header) + "\n"], _csv_blocks(rows))]])
 
 
 def _number(value, path: str, kind=float, low=-math.inf, high=math.inf):
@@ -265,10 +263,10 @@ def run_generate(config: RunConfig, out: Path) -> None:
     for name, traj in zip(names, stack[0]) if config.sim["enabled"] else ():
         # Simulated before its file, so a bad dt leaves none; one scheme's steps held at a time.
         result = simulate_tracking(traj, gains=config.gains, dt=config.sim["dt"])
-        _write_csv([out / f"tracking_{name}.csv"],
+        _write_csv(out / f"tracking_{name}.csv",
                    ["t", "angle_rad", "velocity_rad_s", "reference_rad"],
-                   [[np.column_stack([result.angle.times, result.angle.values,
-                                      result.velocity.values, result.reference_angle.values])]])
+                   np.column_stack([result.angle.times, result.angle.values,
+                                    result.velocity.values, result.reference_angle.values]))
         print(f"{name}: tracking RMSE {result.rmse:.6g} rad")
     # Each grid block, read once for all schemes, goes to each profile; then each continuity table.
     kinds = {"profile": "t,position,velocity,acceleration,jerk\n",
@@ -283,7 +281,7 @@ def _profile_blocks(stack, samples: int) -> Iterator[Iterator[tuple[str]]]:
     """Per ``_grid`` block of stance, then swing, each profile's text, one scheme at a time: the
     block's times are formatted once and joined into a row template every scheme fills (a
     ``%.9g`` string holds no ``%``, so the template needs no escaping)."""
-    for phase in (slice(0, 3), slice(3, 6)):  # stance, then swing rows
+    for phase in (SCOPES["stance"], SCOPES["swing"]):
         for _, times, values in _grid(stack, phase, samples):
             text = "%.9g\n" * len(times) % tuple(times.tolist())
             rows = ",%.9g,%.9g,%.9g,%.9g\n".join(text.split("\n"))
@@ -316,10 +314,8 @@ def run_compare(config: RunConfig, out: Path) -> None:
                     text.append(f"  {label:<12} RMSE {_fmt(r):>14}  ADE {_fmt(a):>14}")
         via_rows += [[name, float(via), order, r, int(clipped)]
                      for order, per_order in enumerate(windows) for via, r, _, clipped in per_order]
-    _write_csv([out / "error_report.csv"],
-               ["scheme", "scope", "quantity", "rmse", "ade"], [[error_rows]])
-    _write_csv([out / "via_rmse.csv"],
-               ["scheme", "via_time", "order", "rmse", "clipped"], [[via_rows]])
+    _write_csv(out / "error_report.csv", ["scheme", "scope", "quantity", "rmse", "ade"], error_rows)
+    _write_csv(out / "via_rmse.csv", ["scheme", "via_time", "order", "rmse", "clipped"], via_rows)
     report = "\n".join(text) + "\n"
     _write_text([out / "error_report.txt"], [[[report]]])
     print(report, end="")
@@ -395,8 +391,8 @@ def run_benchmark(config: RunConfig, repetitions: int, out: Path) -> None:
         rows.append([name[:3], float(med), float(mean), repetitions, *step])
         print(line)
         previous = name
-    _write_csv([out / "benchmark.csv"], ["family", "median_s", "mean_s", "repetitions",
-                                         "ratio_to_previous", "ratio_low", "ratio_high"], [[rows]])
+    _write_csv(out / "benchmark.csv", ["family", "median_s", "mean_s", "repetitions",
+                                       "ratio_to_previous", "ratio_low", "ratio_high"], rows)
 
 
 def _ratio_interval(ratios: list[float]) -> tuple[float, float, float]:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SeriesMismatch
-from .poly import MAX_DERIVATIVE, _Record
+from .poly import MAX_DERIVATIVE, _Record, is_order
 from .schemes import (
     SEGMENT_END, SEGMENT_START, PiecewiseTrajectory, _check_order, _read_stack, _read_table, _stack,
     evaluate,
@@ -39,6 +39,8 @@ class SampledSeries(_Record):
     unit: str = ""
 
     def __post_init__(self):
+        if not is_order(self.order):
+            raise ValueError(f"order {self.order!r} is not one of the orders 0..{MAX_DERIVATIVE}")
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if times.shape != values.shape or times.ndim != 1:

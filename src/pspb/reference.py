@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, OutOfDomain
+from .errors import ConfigError
 from .poly import Polynomial, _Record, horner_rows
-from .schemes import Waypoint, _build_table, _check_order
+from .schemes import Waypoint, _build_table, _check_domain, _check_order
 
 
 class SinusoidReference(_Record):
@@ -50,8 +50,9 @@ class SinusoidReference(_Record):
             raise OverflowError(f"sinusoid reference: amplitude {self.amplitude!r} * "
                                 f"(2 pi / period {self.period!r})**{order} overflows")
         try:
-            phase = w * t
-        except FloatingPointError:  # numpy's, for an array under an errstate that raises
+            with np.errstate(over="raise"):  # a numpy t raises under any caller's errstate
+                phase = w * t
+        except FloatingPointError:
             phase, t = math.inf, np.ravel(t)[np.nanargmax(np.abs(t))]
         if isinstance(phase, float) and math.isinf(phase):  # a float's overflow raises nothing
             raise OverflowError(f"sinusoid reference: 2 pi / period * t overflows at t={t:g}")
@@ -110,7 +111,12 @@ class CsvReference:
         self.columns = dict(columns)
         for order in range(1, 4):
             if order not in self.columns:
-                self.columns[order] = np.gradient(self.columns[order - 1], self.times)
+                with np.errstate(all="ignore"):  # numpy's overflow text names no column
+                    self.columns[order] = column = np.gradient(self.columns[order - 1], self.times)
+                if not (finite := np.isfinite(column)).all():
+                    raise OverflowError(f"reference column {self.COLUMNS[order + 1]!r} (order "
+                                        f"{order}), filled by central differences, overflows "
+                                        f"at t={self.times[np.argmin(finite)]:g}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CsvReference":
@@ -148,9 +154,7 @@ class CsvReference:
 
     def __call__(self, t, order: int = 0):
         _check_order(order)
-        times, lo, hi = np.asarray(t, dtype=float), self.times[0], self.times[-1]
-        if (outside := ~((lo <= times) & (times <= hi))).any():  # NaN too: no extrapolation
-            raise OutOfDomain(f"t={times[outside][0]} outside reference span [{lo}, {hi}]")
+        _check_domain(t, self.times[0], self.times[-1], "reference")
         return np.interp(t, self.times, self.columns[order])
 
 

@@ -98,9 +98,6 @@ class Waypoint(_Record):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"waypoint at t={self.time}: {name} {value!r} is not finite")
 
-    def derivative(self, order: int) -> float | None:
-        return (self.position, self.velocity, self.acceleration, self.jerk)[order]
-
 
 class SchemeSpec(_Record):
     """Per-segment constraint templates; n constraints solve a degree n - 1 segment."""
@@ -190,10 +187,6 @@ class SolvedSegment(_Record):
         """This segment as a one-row trajectory. A gait's segment is given a view of its
         row of the gait's arrays and table instead (not the gait: no reference cycle)."""
         return PiecewiseTrajectory((self,))._rows(slice(None))  # its arrays, not itself
-
-    def pinned_orders(self, tau: float) -> frozenset[int]:
-        """Derivative orders constrained at normalized time tau."""
-        return frozenset(order for order, at in self.pins if at == tau)
 
 
 def _check_span(t_start: float, t_end: float) -> tuple[float, float, float, float]:
@@ -373,12 +366,16 @@ def evaluate(traj: PiecewiseTrajectory, t, order: int | slice = 0):
     float ``t`` returns a numpy float, or a 1-d array for a slice.
     """
     _check_order(order)
-    times = np.asarray(t, dtype=float)
-    outside = ~((traj.t_start <= times) & (times <= traj.t_end))
-    if outside.any():
-        raise OutOfDomain(f"t={times[outside][0]} outside trajectory span "
-                          f"[{traj.t_start}, {traj.t_end}]")
+    times = _check_domain(t, traj.t_start, traj.t_end, "trajectory")
     return _read_stack(_stack((traj,)), times, slice(len(traj._spans)), order)[0]
+
+
+def _check_domain(t, lo: float, hi: float, what: str) -> np.ndarray:
+    """``t`` as a float array, or OutOfDomain at its first time outside [lo, hi] (NaN too)."""
+    times = np.asarray(t, dtype=float)
+    if (outside := ~((lo <= times) & (times <= hi))).any():
+        raise OutOfDomain(f"t={times[outside][0]} outside {what} span [{lo}, {hi}]")
+    return times
 
 
 def _check_order(order: int | slice):

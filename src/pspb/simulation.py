@@ -52,9 +52,8 @@ class BodyParams(_Record):
         return self.mass * self.com**2 + self.mass * self.length**2 / 12
 
 
-# Body segment parameters used throughout (sagittal-plane leg model).
+# Body segment parameters of the thigh (sagittal-plane leg model).
 THIGH = BodyParams(mass=15.961, length=0.5287, com=0.3183)
-TRUNK = BodyParams(mass=17.761, length=0.7050, com=0.2965)
 
 
 class SimState(_Record):
@@ -82,23 +81,6 @@ def hip_dynamics(state: SimState, torque: float,
     alpha = (torque - thigh.mass * GRAVITY * thigh.com * math.sin(state.theta)) \
         / thigh.inertia_about_joint
     return state.omega, alpha
-
-
-def gravity_torque(theta: float, thigh: BodyParams = THIGH) -> float:
-    """Torque that exactly holds the pendulum still at angle theta."""
-    return thigh.mass * GRAVITY * thigh.com * math.sin(theta)
-
-
-def pd_torque(state: SimState, ref_position: float, ref_velocity: float,
-              gains: PDGains, ref_acceleration: float | None = None,
-              thigh: BodyParams = THIGH) -> float:
-    """PD law; optional inertial feedforward when a reference acceleration
-    is supplied."""
-    torque = gains.kp * (ref_position - state.theta) \
-        + gains.kd * (ref_velocity - state.omega)
-    if ref_acceleration is not None:
-        torque += thigh.inertia_about_joint * ref_acceleration
-    return torque
 
 
 def rk4_step(deriv, t: float, state: SimState, dt: float) -> SimState:
@@ -163,17 +145,17 @@ def simulate_tracking(
     stage4 = refs[:, 1:n + 1].copy()
     stage4[:, off] = refs[:, 2 * n + 1:]
 
-    # rk4_step over pd_torque, gravity_torque and hip_dynamics, inlined on Python
-    # floats with the same operations in the same order, so the result is bit-identical
-    # (test_stage_reference_table_is_bit_identical pins it; 2.0 is rk4_step's 2, and CPython
-    # multiplies two floats faster than an int and a float). Each step reads memoryviews:
-    # h, h/2 and h/6 (divided once per array, the same bits as per step), then pos, vel
-    # and feedforward torque at stage 1, stages 2 and 3, and stage 4. There are two loop
-    # bodies. The plain PD one, with both options off (the CLI's only case and the
-    # default), has no feedforward or gravity term, and runs faster for it. Only the
+    # rk4_step over hip_dynamics and the PD and gravity torques (their oracles live in
+    # tests/conftest.py), inlined on Python floats with the same operations in the same order,
+    # so the result is bit-identical (test_stage_reference_table_is_bit_identical pins it; 2.0
+    # is rk4_step's 2, and CPython multiplies two floats faster than an int and a float). Each
+    # step reads memoryviews: h, h/2 and h/6 (divided once per array, the same bits as per
+    # step), then pos, vel and feedforward torque at stage 1, stages 2 and 3, and stage 4.
+    # There are two loop bodies. The plain PD one, with both options off (the CLI's only case
+    # and the default), has no feedforward or gravity term, and runs faster for it. Only the
     # general one, for the other three cases, carries them: a switched-off term adds -0.0,
-    # which leaves any float unchanged, so on plain PD both give the same bits. A state
-    # past the limit breaks either loop.
+    # which leaves any float unchanged, so on plain PD both give the same bits. A state past
+    # the limit breaks either loop.
     kp, kd, inertia = gains.kp, gains.kd, thigh.inertia_about_joint
     mgc, sin = thigh.mass * GRAVITY * thigh.com, math.sin
     columns = [memoryview(a) for a in (steps, halves, steps / 6)]

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from pspb.poly import Polynomial
+from pspb.simulation import GRAVITY, THIGH, BodyParams, PDGains, SimState
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -32,3 +35,27 @@ def differentiate(poly: Polynomial, k: int) -> Polynomial:
     for _ in range(k):
         coeffs = [i * c for i, c in enumerate(coeffs)][1:] or [0.0]
     return Polynomial(tuple(coeffs))
+
+
+# The tests' torque oracles (``from conftest import TRUNK, gravity_torque, pd_torque``):
+# ``simulate_tracking`` inlines both laws in its RK4 loop, and a second body, the trunk,
+# checks that loop on other parameters than the thigh's.
+
+TRUNK = BodyParams(mass=17.761, length=0.7050, com=0.2965)
+
+
+def gravity_torque(theta: float, thigh: BodyParams = THIGH) -> float:
+    """Torque that exactly holds the pendulum still at angle theta."""
+    return thigh.mass * GRAVITY * thigh.com * math.sin(theta)
+
+
+def pd_torque(state: SimState, ref_position: float, ref_velocity: float,
+              gains: PDGains, ref_acceleration: float | None = None,
+              thigh: BodyParams = THIGH) -> float:
+    """PD law; optional inertial feedforward when a reference acceleration
+    is supplied."""
+    torque = gains.kp * (ref_position - state.theta) \
+        + gains.kd * (ref_velocity - state.omega)
+    if ref_acceleration is not None:
+        torque += thigh.inertia_about_joint * ref_acceleration
+    return torque

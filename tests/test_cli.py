@@ -245,10 +245,9 @@ def test_compare_matches_public_metrics_bitwise(tmp_path, config_path, monkeypat
                "via_window": 0.2}
     written = {}
 
-    def capture(paths, header, tables):
-        (path,), ((rows,),) = paths, tables
+    def capture(path, header, rows):
         written[path.name] = rows
-        write_csv(paths, header, tables)
+        write_csv(path, header, rows)
 
     write_csv = cli._write_csv
     monkeypatch.setattr(cli, "_write_csv", capture)
@@ -261,7 +260,7 @@ def test_compare_matches_public_metrics_bitwise(tmp_path, config_path, monkeypat
         assert all(same_cells(a, b) for a, b in zip(written[table], rows)), table
         # The file holds exactly what the rows format to.
         header = (out / table).read_text().split("\n", 1)[0].split(",")
-        write_csv([tmp_path / table], header, [[rows]])
+        write_csv(tmp_path / table, header, rows)
         assert (out / table).read_bytes() == (tmp_path / table).read_bytes()
     clipped = sum(row[-1] for row in expected["via_rmse.csv"])
     assert clipped == (0 if setup == "default" else 48)
@@ -272,8 +271,8 @@ def test_compare_in_blocks_matches_public_metrics_bitwise(tmp_path, config_path,
     # Grids read in blocks of 7 samples: compare's RMSEs are still the whole grid's.
     written, write_csv = {}, cli._write_csv
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
-    monkeypatch.setattr(cli, "_write_csv", lambda paths, header, tables: written.update(
-        {paths[0].name: tables[0][0]}) or write_csv(paths, header, tables))
+    monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows: written.update(
+        {path.name: rows}) or write_csv(path, header, rows))
     assert main(["compare", "--config", config_path(BASE), "--out", str(tmp_path / "o")]) == 0
     rows = public_compare_tables(BASE)["error_report.csv"]
     assert len(rows) == 72
@@ -828,6 +827,21 @@ def test_overflow_is_a_numerical_error(tmp_path, config_path, capsys, verb, name
         assert err == f"error: {NAMED_OVERFLOWS[name].format(verb=verb)}\n"
 
 
+@pytest.mark.parametrize("verb", ["generate", "compare"])
+def test_csv_derivative_that_overflows_is_named_before_out_is_made(tmp_path, config_path,
+                                                                   capsys, verb):
+    # Central differences of finite positions overflow: the filled column is named, where
+    # numpy's bare "overflow encountered in ..." used to be, and no file is written.
+    (tmp_path / "ref.csv").write_text("t,pos\n0,-1e308\n1e-300,1e308\n1,0\n")
+    path, out = config_path({"reference": {"csv": str(tmp_path / "ref.csv")}}), tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([verb, "--config", path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: reference column 'vel' (order 1), filled by "
+                                       "central differences, overflows at t=0\n")
+    assert not out.exists()
+
+
 def test_compare_names_the_rmse_whose_errors_overflow(tmp_path, config_path, capsys):
     # A CSV reference of 1e160 sin(2 pi t): generate writes finite profiles, but every
     # scheme's squared position errors overflow in compare. Its one line names the first
@@ -958,7 +972,7 @@ CSV_TABLES = {
 def test_write_csv_matches_per_cell_writer(tmp_path, name):
     rows = CSV_TABLES[name]
     header = [f"c{i}" for i in range(len(rows[0]) if rows else 3)]
-    _write_csv([tmp_path / "t.csv"], header, [[rows]])
+    _write_csv(tmp_path / "t.csv", header, rows)
     assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(header, rows).encode()
 
 
@@ -979,7 +993,7 @@ def test_write_csv_blocks_match_one_format(tmp_path, monkeypatch, kind, n_rows):
     else:
         rows = (CSV_TABLES["mixed"] * 4)[:n_rows]
     header = [f"c{i}" for i in range(len(rows[0]))]
-    _write_csv([tmp_path / "t.csv"], header, [[rows]])
+    _write_csv(tmp_path / "t.csv", header, rows)
     assert (tmp_path / "t.csv").read_bytes() == whole_table_csv(header, rows).encode()
 
 
@@ -988,10 +1002,10 @@ def test_write_csv_memory_is_bounded_per_row(tmp_path):
     # cells and text, not the whole table's.
     n = 10**5
     table = np.random.default_rng(3).standard_normal((n, 4))
-    _write_csv([tmp_path / "t.csv"], list("abcd"), [[table[:10]]])
+    _write_csv(tmp_path / "t.csv", list("abcd"), table[:10])
     tracemalloc.start()
     try:
-        _write_csv([tmp_path / "t.csv"], list("abcd"), [[table]])
+        _write_csv(tmp_path / "t.csv", list("abcd"), table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

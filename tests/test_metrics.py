@@ -122,6 +122,12 @@ def test_sampled_series_refuses_a_bad_grid(times, values, message):
         SampledSeries(np.array(times), np.array(values), 0)
 
 
+@pytest.mark.parametrize("order", [7, -1, True, 1.0])
+def test_sampled_series_refuses_an_order_outside_0_to_3(order):
+    with pytest.raises(ValueError, match=f"^order {order!r} is not one of the orders 0..3$"):
+        SampledSeries([0.0, 1.0], [0.0, 1.0], order)
+
+
 def test_an_overflowing_mean_square_raises_instead_of_warning():
     big, times = SinusoidReference(1e160), np.linspace(0.0, 1.0, 101)
     zeros, traj = series(np.zeros(101)), zero_phase()

@@ -170,6 +170,38 @@ def test_sinusoid_names_the_time_whose_phase_overflows():
         assert ref(np.array([0.25]), 0).tolist() == [30.0]
 
 
+@pytest.mark.parametrize("errstate", ["default", "ignore", "warn"])
+def test_sinusoid_phase_overflow_raises_under_any_errstate(errstate):
+    # A numpy time's phase is formed under its own errstate: a caller's that ignores or
+    # warns gives no warning and no NaN, but the same error as a Python float's.
+    ref, text = SinusoidReference(30.0, 1.0), "sinusoid reference: 2 pi / period * t overflows"
+    state = {} if errstate == "default" else {"all": errstate}
+    with warnings.catch_warnings(), np.errstate(**state):
+        warnings.simplefilter("error")
+        for t in (1e308, np.float64(1e308), np.array([0.0, 1e308])):
+            with pytest.raises(OverflowError) as err:
+                ref(t, 0)
+            assert str(err.value) == f"{text} at t=1e+308"
+        assert ref(np.array([0.0, 0.25]), 0).tolist() == [0.0, 30.0]
+
+
+def test_csv_derivative_that_overflows_names_its_column():
+    # Central differences of positions a float holds can pass one: the first filled column
+    # that does is named, with its first time, not numpy's bare warning and an inf column.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as err:
+            CsvReference([0.0, 1e-300, 1.0], {0: [-1e308, 1e308, 0.0]})
+        assert str(err.value) == ("reference column 'vel' (order 1), filled by central "
+                                  "differences, overflows at t=0")
+        with pytest.raises(OverflowError, match=r"^reference column 'acc' \(order 2\), .* at t=0$"):
+            CsvReference([0.0, 1e-300, 1.0], {0: [0.0, 0.0, 0.0], 1: [-1e308, 1e308, 0.0]})
+        # A file's own derivative column is read as given: no column is filled past it.
+        ref = CsvReference([0.0, 1e-300, 1.0], {0: [0.0, 0.0, 0.0], 1: [0.0, 0.0, 0.0],
+                                                2: [0.0, 0.0, 0.0], 3: [-1e308, 1e308, 0.0]})
+        assert ref(1.0, 3) == 0.0
+
+
 @pytest.mark.parametrize("order, column, shape", [
     (0, [0.0, 1.0], "(2,)"),
     (0, [0.0, 1.0, 2.0, 3.0], "(4,)"),

@@ -26,6 +26,7 @@ from pspb.schemes import (
     DEFAULT_SWING_TIMES,
     END,
     MID,
+    ORDER_NAMES,
     SCHEME_NAMES,
     START,
     PiecewiseTrajectory,
@@ -98,7 +99,7 @@ def test_constraint_counts_match_degrees():
 
 
 def pinned(traj, tau):
-    return [seg.pinned_orders(tau) for seg in traj.segments]
+    return [frozenset(k for k, at in seg.pins if at == tau) for seg in traj.segments]
 
 
 def test_545_1_template():
@@ -387,7 +388,7 @@ def segment_systems(scheme, phases, midpoint):
             constraints = [
                 Constraint(order, tau, midpoint(0.5 * (w_start.time + w_end.time))
                            if tau == MID else
-                           (w_start if tau == START else w_end).derivative(order))
+                           getattr(w_start if tau == START else w_end, ORDER_NAMES[order]))
                 for tau, order in pins
             ]
             systems.append((len(pins) - 1, constraints, w_start.time, w_end.time))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import TRUNK, gravity_torque, pd_torque
 from pspb import metrics, simulation
 from pspb.errors import NumericalBlowup
 from pspb.reference import PolynomialReference, SinusoidReference, waypoints_from_reference
@@ -20,14 +21,11 @@ from pspb.schemes import (
 from pspb.simulation import (
     GRAVITY,
     THIGH,
-    TRUNK,
     BodyParams,
     PDGains,
     SimState,
     free_swing_energy,
-    gravity_torque,
     hip_dynamics,
-    pd_torque,
     rk4_step,
     simulate_tracking,
 )
